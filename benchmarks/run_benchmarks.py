@@ -62,11 +62,9 @@ The ``sweep_*`` entries time the distributed sweep service itself:
 subprocess workers (the scaling curve), ``sweep_cache_{cold,warm}``
 run the same sweep twice against one result store (the ``warm``
 leg is served entirely from the coordinator's pre-lease probe -
-the ``warm_cache_collapse`` speedup), and
-``sweep_plan_{affine,contiguous}`` drive a fragmented
-interleaved-shape batch grid through loopback workers under both
-planner modes (the ``affine_vs_contiguous`` speedup: fleet-affine
-leases keep batchable rows in one lockstep call).
+the ``warm_cache_collapse`` speedup), and ``sweep_plan_affine``
+drives an interleaved-shape batch grid through two loopback workers
+(the planner reunites each pack group into one lockstep call).
 
 The ``packed_sweep_*`` entries (schema @4) time fleet packing itself:
 a figure2-shaped shape-fragmented grid - every (n, m) system crossed
@@ -321,17 +319,12 @@ def time_cached_sweep(store: str, cycles: int) -> Callable[[], object]:
     return run
 
 
-def time_planned_sweep(
-    plan_mode: str, replications: int, cycles: int
-) -> Callable[[], object]:
-    """A fragmented batch grid through loopback workers under one
-    planner mode.
+def time_planned_sweep(replications: int, cycles: int) -> Callable[[], object]:
+    """A fragmented batch grid through two loopback workers.
 
     The grid interleaves fleet shapes (the ``buffered`` axis varies
-    fastest), so contiguous leases split every batchable group across
-    lease boundaries while affine leases reunite them into single
-    lockstep batch calls - the wall-clock difference is the planner's
-    whole value proposition.
+    fastest); the planner reunites each pack group into one lockstep
+    batch call per lease.
     """
     from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
     from repro.service.coordinator import Coordinator
@@ -354,7 +347,6 @@ def time_planned_sweep(
             spec,
             [LoopbackTransport(f"w{index}") for index in range(2)],
             kernel="batch",
-            plan_mode=plan_mode,
             cache_enabled=False,
         )
         return coordinator.run()
@@ -698,7 +690,7 @@ def main(argv=None) -> int:
         )
 
     # Sweep-service legs: worker scaling, the warm-cache collapse, and
-    # the planner's affine-vs-contiguous lease composition.
+    # a planned batch grid.
     # Full-size sweeps carry enough per-unit work for the scaling
     # curve to reflect scheduling rather than subprocess startup; the
     # quick legs only guard that the service path keeps working.
@@ -769,43 +761,25 @@ def main(argv=None) -> int:
     if numpy_available():
         plan_replications = 4 if args.quick else 16
         plan_cycles = 300 if args.quick else 1_200
-        plan_seconds = {}
-        for plan_mode in ("affine", "contiguous"):
-            timing = best_of(
-                2,
-                time_planned_sweep(
-                    plan_mode, plan_replications, plan_cycles
-                ),
-                warmup=warmup,
-            )
-            plan_seconds[plan_mode] = timing[0]
-            results.append(
-                _entry(
-                    f"sweep_plan_{plan_mode}",
-                    timing,
-                    {
-                        "plan_mode": plan_mode,
-                        "replications": plan_replications,
-                        "cycles": plan_cycles,
-                        "kernel": "batch",
-                        "workers": 2,
-                        "repeat": 2,
-                    },
-                )
-            )
-            print(
-                f"sweep_plan_{plan_mode}: {timing[0]:.3f}s",
-                file=sys.stderr,
-            )
-        speedups["affine_vs_contiguous"] = (
-            plan_seconds["contiguous"] / plan_seconds["affine"]
+        timing = best_of(
+            2,
+            time_planned_sweep(plan_replications, plan_cycles),
+            warmup=warmup,
         )
-        print(
-            "affine lease planning: "
-            f"{speedups['affine_vs_contiguous']:.2f}x over contiguous "
-            "on the fragmented grid",
-            file=sys.stderr,
+        results.append(
+            _entry(
+                "sweep_plan_affine",
+                timing,
+                {
+                    "replications": plan_replications,
+                    "cycles": plan_cycles,
+                    "kernel": "batch",
+                    "workers": 2,
+                    "repeat": 2,
+                },
+            )
         )
+        print(f"sweep_plan_affine: {timing[0]:.3f}s", file=sys.stderr)
     else:
         print(
             "warning: numpy unavailable - skipping sweep_plan_* "

@@ -63,6 +63,12 @@ class BatchBackend:
     ``supports_latency``
         Whether the backend can feed the host-side
         :class:`~repro.metrics.FleetQuantileSketch` histograms.
+    ``draw_chunk``
+        Uniform draws buffered per row and stream between Philox
+        refills.  Each row consumes its stream strictly in sequence, so
+        the size never changes a draw, only how often a row refills.
+        The numba drivers end a compiled segment whenever a buffer nears
+        its end, so they keep this large default.
     """
 
     name: str = ""
@@ -70,6 +76,7 @@ class BatchBackend:
     bitwise: bool = True
     engine_token: str = BATCH_ENGINE_TOKEN
     supports_latency: bool = True
+    draw_chunk: int = 2048
 
     # -- availability ---------------------------------------------------
     def available(self) -> bool:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 
 from repro.bus.backends.base import BATCH_ENGINE_TOKEN, BatchBackend
-from repro.core.errors import ConfigurationError
 
 _NEVER = 1 << 30
 
@@ -742,13 +741,9 @@ class NumbaBackend(BatchBackend):
             (kernel._access_lanes, 1 if not kernel._buffered else m + 2),
         ]
         streams = [(ln, margin) for ln, margin in lanes_list if ln is not None]
+        # The kernel sizes every buffer to hold m + 2 draws, the most a
+        # buffered geometric cycle can take from one row.
         chunk = streams[0][0]._chunk if streams else 1
-        if geometric and kernel._buffered and m + 2 > chunk:
-            raise ConfigurationError(
-                f"backend='{self.name}' cannot buffer geometric access "
-                f"draws for {m} memories (needs {m + 2} > {chunk} "
-                "slots); use backend='numpy'"
-            )
 
         dummy_buf = np.zeros((1, 1), dtype=np.float64)
         dummy_pos = np.zeros(1, dtype=np.int64)

@@ -156,9 +156,6 @@ Cycle-indexed state lives in ``int32`` arrays (half the memory traffic
 of ``int64`` on the hot loop), so one batch run is capped at ``2**30``
 bus cycles - six orders of magnitude beyond the paper's windows."""
 
-_CHUNK = 2048
-"""Uniform draws buffered per row and stream between Philox refills."""
-
 
 def numpy_available() -> bool:
     """Whether the optional numpy dependency is importable."""
@@ -269,7 +266,7 @@ class _PhiloxLanes:
         self,
         backend: BatchBackend,
         keys: Sequence[int],
-        chunk: int = _CHUNK,
+        chunk: int,
     ) -> None:
         np = backend.require()
         self._np = np
@@ -645,38 +642,20 @@ class BatchBusKernel:
             self._trace_pos = None
 
         # --- per-row Philox streams, keyed by the derive_seed scheme.
-        self._targets_lanes = (
-            _PhiloxLanes(
-                self._backend,
-                [derive_seed(seed, "targets") for seed in seeds],
-            )
-            if self._any_random
-            else None
-        )
-        self._think_lanes = (
-            _PhiloxLanes(
-                self._backend,
-                [derive_seed(seed, "think") for seed in seeds],
-            )
-            if not self._all_p1
-            else None
-        )
-        self._arb_lanes = (
-            _PhiloxLanes(
-                self._backend,
-                [derive_seed(seed, "arbitration") for seed in seeds],
-            )
-            if self._random_tie
-            else None
-        )
-        self._access_lanes = (
-            _PhiloxLanes(
-                self._backend,
-                [derive_seed(seed, "access-times") for seed in seeds],
-            )
-            if self._geometric
-            else None
-        )
+        # One call takes at most n draws per row (initial targets) or
+        # m + 2 (buffered geometric pulls), so buffers never hold less.
+        chunk = max(self._backend.draw_chunk, n, m + 2)
+
+        def lanes(stream: str, needed: bool):
+            if not needed:
+                return None
+            keys = [derive_seed(seed, stream) for seed in seeds]
+            return _PhiloxLanes(self._backend, keys, chunk)
+
+        self._targets_lanes = lanes("targets", self._any_random)
+        self._think_lanes = lanes("think", not self._all_p1)
+        self._arb_lanes = lanes("arbitration", self._random_tie)
+        self._access_lanes = lanes("access-times", self._geometric)
 
         # --- processor state (n x fleet).  The fleet is the contiguous
         # axis, so every per-row reduction (any/cumsum/argmax along the

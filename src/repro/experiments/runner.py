@@ -43,7 +43,7 @@ TOML/JSON spec file, optionally as one shard of a multi-machine sweep
 The sweep service
 -----------------
 ``sweep-serve`` runs a scenario through the distributed sweep service
-(:mod:`repro.service`): a coordinator leases contiguous unit ranges to
+(:mod:`repro.service`): a coordinator leases planned position lists to
 ``--workers N`` subprocess workers (each a ``sweep-work`` process
 speaking newline-delimited JSON over stdio), retries the leases of
 dead or straggling workers, and merges the streamed results into

@@ -322,15 +322,18 @@ def render_cache_stats(cache, telemetry: dict) -> str:
 
     Serial runs report the run cache's own
     :class:`~repro.parallel.cache.CacheStats`; service runs report the
-    coordinator's pre-lease probe counters plus how many units were
-    actually dispatched to workers (zero on a fully-warm sweep).
+    coordinator's pre-lease probe counters, how many units were
+    actually dispatched to workers (zero on a fully-warm sweep), and
+    how many leases were issued and re-queued after a worker failure.
     """
     if telemetry:
         stats = telemetry.get("probe_stats")
         line = (
             f"[cache-stats probe_hits={telemetry.get('probe_hits', 0)} "
             f"dispatched={telemetry.get('dispatched', 0)} "
-            f"of {telemetry.get('units', 0)} units"
+            f"of {telemetry.get('units', 0)} units "
+            f"leases={telemetry.get('leases_issued', 0)} "
+            f"retried={telemetry.get('leases_retried', 0)}"
         )
         if stats is not None:
             line += (

@@ -118,50 +118,63 @@ def _batchable(unit: WorkUnit) -> bool:
     )
 
 
-def _evaluation_tasks(
+def pack_groups(
     units: Sequence[WorkUnit],
+    positions: Iterable[int] | None = None,
     pack: bool = True,
-) -> tuple[list[tuple], list[list[int]]]:
-    """Group units into pool tasks, fleets first-appearance ordered.
+) -> list[list[int]]:
+    """Group ``positions`` (default: all) of ``units`` into batch calls.
 
-    Batch-kernel simulation units sharing a grouping key travel as one
-    ``("fleet", ((...units...), pack))`` task; everything else stays a
-    ``("unit", unit)`` task.  ``pack=True`` (the default) keys fleets
-    on :func:`repro.parallel.fleet.pack_key`, so shape-heterogeneous
+    Batch-kernel simulation positions sharing a grouping key form one
+    group - one lockstep fleet call; every other position is its own
+    singleton group.  Groups are first-appearance ordered.
+    ``pack=True`` (the default) keys fleets on
+    :func:`repro.parallel.fleet.pack_key`, so shape-heterogeneous
     sweeps land in one padded super-fleet per batch call;
     ``pack=False`` keeps the homogeneous
-    :func:`~repro.parallel.fleet.fleet_key` grouping.  Returns the
-    tasks plus, aligned with them, each task's member positions in
-    ``units``.  The grouping is a deterministic function of the unit
-    list, and - because fleet rows are independent - it can never
+    :func:`~repro.parallel.fleet.fleet_key` grouping.  This is the one
+    grouping rule of both the executor (:func:`_evaluation_tasks`) and
+    the sweep planner (:func:`repro.scenarios.plan.carve_leases`), so a
+    lease built from whole groups runs as exactly one batch call per
+    group.  Because fleet rows are independent, grouping can never
     change any unit's bytes.
     """
     from repro.parallel.fleet import fleet_key, pack_key
 
     grouping_key = pack_key if pack else fleet_key
     fleets: dict[tuple, list[int]] = {}
-    order: list[tuple[str, Any]] = []
-    for position, unit in enumerate(units):
-        if _batchable(unit):
-            key = grouping_key(unit.case())
-            if key not in fleets:
-                fleets[key] = []
-                order.append(("fleet", key))
-            fleets[key].append(position)
-        else:
-            order.append(("unit", position))
-    tasks: list[tuple] = []
     groups: list[list[int]] = []
-    for kind, content in order:
-        if kind == "unit":
-            tasks.append(("unit", units[content]))
-            groups.append([content])
-        else:
-            members = fleets[content]
-            tasks.append(
-                ("fleet", (tuple(units[i] for i in members), pack))
-            )
-            groups.append(members)
+    for position in range(len(units)) if positions is None else positions:
+        unit = units[position]
+        if not _batchable(unit):
+            groups.append([position])
+            continue
+        key = grouping_key(unit.case())
+        if key not in fleets:
+            fleets[key] = []
+            groups.append(fleets[key])
+        fleets[key].append(position)
+    return groups
+
+
+def _evaluation_tasks(
+    units: Sequence[WorkUnit],
+    pack: bool = True,
+) -> tuple[list[tuple], list[list[int]]]:
+    """Pool tasks for ``units``, one per :func:`pack_groups` group.
+
+    A batch group travels as one ``("fleet", ((...units...), pack))``
+    task; everything else stays a ``("unit", unit)`` task.  Returns the
+    tasks plus, aligned with them, each task's member positions in
+    ``units``.
+    """
+    groups = pack_groups(units, pack=pack)
+    tasks = [
+        ("fleet", (tuple(units[i] for i in group), pack))
+        if _batchable(units[group[0]])
+        else ("unit", units[group[0]])
+        for group in groups
+    ]
     return tasks, groups
 
 

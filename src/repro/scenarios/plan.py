@@ -10,15 +10,14 @@ steps:
    :meth:`~repro.parallel.cache.ResultCache.get_many` call resolves
    every already-cached position before any dispatch, so warm or
    resumed sweeps never ship cached work to workers.
-2. **Fleet-affine lease carving** (:func:`carve_leases`): the
-   remaining positions are grouped by
-   :func:`~repro.parallel.fleet.pack_key` - batch-kernel units that
-   can share one shape-packed super-fleet travel together, so a whole
-   fragmented sweep can land in one lease and run as one padded batch
-   call - and packed into leases sized by **estimated cost** (cycles +
-   warmup per simulation unit, an explicit floor for analytic units)
-   rather than unit count, so a lease of heavy 100k-cycle units is
-   shorter than a lease of analytic one-liners.
+2. **Whole-fleet lease carving** (:func:`carve_leases`): the remaining
+   positions are grouped by the executor's own
+   :func:`~repro.scenarios.execute.pack_groups`.  A batch group - one
+   shape-packed super-fleet - stays one lease up to
+   :data:`MAX_LEASE_UNITS` rows, so it runs as one padded batch call on
+   one worker; every other unit is packed into leases by **estimated
+   cost** (cycles + warmup per simulation unit, an explicit floor for
+   analytic units) rather than unit count.
 
 Neither step can change bytes: the probe only substitutes values the
 worker would have fetched from the same shared store, and lease
@@ -29,7 +28,7 @@ position's deterministic result (property-tested in
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.engine.base import EvaluationMethod
 from repro.scenarios.compiler import WorkUnit
@@ -44,12 +43,12 @@ carving degrades to even count-based splitting instead of degenerating
 to one giant lease."""
 
 MAX_LEASE_UNITS = 256
-"""Hard cap on positions per lease, matching ``default_lease_size``'s
-ceiling: one lost worker can never strand more than this many units."""
+"""Hard cap on positions per lease: one lost worker can never strand
+more than this many units."""
 
 
 def unit_cost(unit: WorkUnit) -> float:
-    """Estimated relative cost of evaluating one unit.
+    """Estimated relative cost of evaluating one unit on its own.
 
     Simulation units cost their simulated cycle count (collection plus
     warmup) - wall-clock per cycle is roughly constant within a sweep -
@@ -87,35 +86,13 @@ def probe_cached(
     }
 
 
-def _affine_groups(
-    units: Sequence[WorkUnit], positions: Sequence[int]
-) -> list[list[int]]:
-    """Group positions by super-fleet pack key, first-appearance ordered.
-
-    Batch-kernel simulation positions that can share one shape-packed
-    super-fleet form one group (they run as a single padded vectorized
-    call on the worker, regardless of per-row shape); every other
-    position is its own singleton group.  Grouping mirrors
-    :func:`repro.scenarios.execute._evaluation_tasks`' packed mode, so
-    a lease built from whole groups turns into exactly one batch call
-    per group.
-    """
-    from repro.parallel.fleet import pack_key
-    from repro.scenarios.execute import _batchable
-
-    fleets: dict[tuple, list[int]] = {}
-    order: list[list[int]] = []
-    for position in positions:
-        unit = units[position]
-        if _batchable(unit):
-            key = pack_key(unit.case())
-            if key not in fleets:
-                fleets[key] = []
-                order.append(fleets[key])
-            fleets[key].append(position)
-        else:
-            order.append([position])
-    return order
+def _split(lease: list[int], pieces: int) -> list[list[int]]:
+    """``lease`` cut into ``pieces`` near-equal contiguous runs."""
+    count = len(lease)
+    return [
+        lease[k * count // pieces : (k + 1) * count // pieces]
+        for k in range(pieces)
+    ]
 
 
 def carve_leases(
@@ -123,56 +100,62 @@ def carve_leases(
     positions: Sequence[int],
     workers: int,
     lease_size: int | None = None,
-    affine: bool = True,
 ) -> list[list[int]]:
     """Cut ``positions`` into lease position-lists.
 
-    With ``affine=True`` (the default) positions are first grouped by
-    pack key so batch units that can share one super-fleet stay
-    together; ``affine=False`` keeps the legacy contiguous order (the
-    benchmark's control arm).
+    Positions are first grouped by pack key
+    (:func:`~repro.scenarios.execute.pack_groups`).  An explicit
+    ``lease_size`` then packs that order by **unit count** - the
+    operator's knob for chaos tests and retry granularity.  Otherwise:
 
-    An explicit ``lease_size`` packs by **unit count**, exactly like
-    the historical contiguous carving - the operator's knob for chaos
-    tests and retry granularity.  Otherwise leases are packed by
-    **estimated cost**: the target is ``total_cost / (workers * 4)``
-    (four waves per worker, amortizing stragglers), with every lease
-    capped at :data:`MAX_LEASE_UNITS` positions and oversized fleet
-    groups split at target boundaries.  Every input position appears in
-    exactly one lease.
+    * each batch group is one lease, cut into near-equal pieces only
+      where :data:`MAX_LEASE_UNITS` forces it - every extra piece pays
+      the batch kernel's fixed per-cycle cost again (ARCHITECTURE.md,
+      "Sweep planning", has the measurements);
+    * every other unit is packed by **estimated cost**
+      (:func:`unit_cost`): each lease closes at ``total / (4 *
+      workers)`` (four waves per worker, amortizing stragglers) or at
+      :data:`MAX_LEASE_UNITS` positions.
+
+    Every input position appears in exactly one lease.
     """
+    from repro.scenarios.execute import _batchable, pack_groups
+
     positions = list(positions)
     if not positions:
         return []
-    workers = max(1, int(workers))
-    if affine:
-        groups = _affine_groups(units, positions)
-    else:
-        groups = [[position] for position in positions]
+    groups = pack_groups(units, positions)
     if lease_size is not None:
-        capacity = max(1, int(lease_size))
-        cost_target = None
-    else:
-        capacity = MAX_LEASE_UNITS
-        total = sum(unit_cost(units[position]) for position in positions)
-        cost_target = max(total / (workers * 4), 1.0)
+        ordered = [position for group in groups for position in group]
+        size = max(1, int(lease_size))
+        return [
+            ordered[start : start + size]
+            for start in range(0, len(ordered), size)
+        ]
+
     leases: list[list[int]] = []
+    singles: list[int] = []
+    for group in groups:
+        if _batchable(units[group[0]]):
+            leases.extend(_split(group, -(-len(group) // MAX_LEASE_UNITS)))
+        else:
+            singles.append(group[0])
+    target = max(
+        sum(unit_cost(units[position]) for position in singles)
+        / (max(1, int(workers)) * 4),
+        1.0,
+    )
     current: list[int] = []
     current_cost = 0.0
-    for group in groups:
-        for position in group:
-            cost = unit_cost(units[position])
-            full = len(current) >= capacity or (
-                cost_target is not None
-                and current
-                and current_cost + cost > cost_target
-            )
-            if full:
-                leases.append(current)
-                current = []
-                current_cost = 0.0
-            current.append(position)
-            current_cost += cost
+    for position in singles:
+        cost = unit_cost(units[position])
+        if current and (
+            len(current) >= MAX_LEASE_UNITS or current_cost + cost > target
+        ):
+            leases.append(current)
+            current, current_cost = [], 0.0
+        current.append(position)
+        current_cost += cost
     if current:
         leases.append(current)
     return leases

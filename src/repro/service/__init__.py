@@ -11,8 +11,8 @@ multi-worker *service*:
 * :mod:`repro.service.transports` - how messages move: a local
   subprocess transport (stdio pipes) and an in-process loopback
   transport for deterministic tests;
-* :mod:`repro.service.coordinator` - compile once, lease contiguous
-  unit ranges, track deadlines, retry failed/straggling workers, and
+* :mod:`repro.service.coordinator` - compile once, lease planned
+  position lists, track deadlines, retry failed/straggling workers, and
   merge results byte-identical to a serial run;
 * :mod:`repro.service.cli` - the ``sweep-serve`` / ``sweep-work``
   subcommands and the machinery behind ``scenario --workers N``.

@@ -11,9 +11,9 @@ through the lease protocol (:mod:`repro.service.protocol`):
   dispatches zero units and skips the handshake entirely);
 * the remaining work is cut by the **sweep planner**
   (:func:`repro.scenarios.plan.carve_leases`) into position-list
-  leases: fleet-affine grouping keeps same-shape batch units together
-  (one vectorized fleet call per group on the worker) and leases are
-  sized by estimated cost instead of unit count;
+  leases: each batch super-fleet stays one lease (one vectorized fleet
+  call on one worker) up to the lease cap, and other units are packed
+  by estimated cost instead of unit count;
 * every lease carries a **deadline**; a lease whose results stop
   arriving in time marks its worker failed, and the unfinished
   positions are re-leased to healthy workers (per-position retry
@@ -50,24 +50,6 @@ DEFAULT_DEADLINE = 300.0
 DEFAULT_MAX_RETRIES = 3
 """Times one position may be re-leased before the sweep aborts."""
 
-PLAN_MODES = ("affine", "contiguous")
-"""``affine`` groups leases by lockstep fleet key (the planner
-default); ``contiguous`` keeps the historical dense-range carving (the
-benchmark's control arm)."""
-
-
-def default_lease_size(total_units: int, workers: int) -> int:
-    """A count-based lease size balancing dispatch overhead and retry waste.
-
-    Four leases per worker keeps every worker busy while bounding the
-    work lost to one crash at ~1/4 of a worker's share; clamped to
-    [1, 256] so giant sweeps still stream progress.  Retained as the
-    reference sizing rule; the planner's cost-weighted carving
-    (:func:`repro.scenarios.plan.carve_leases`) generalizes it and is
-    what the coordinator uses when no explicit ``lease_size`` is given.
-    """
-    return max(1, min((total_units + workers * 4 - 1) // (workers * 4), 256))
-
 
 @dataclasses.dataclass
 class _Lease:
@@ -97,7 +79,6 @@ class Coordinator:
         backend: str = "numpy",
         shard: tuple[int, int] | None = None,
         lease_size: int | None = None,
-        plan_mode: str = "affine",
         deadline: float = DEFAULT_DEADLINE,
         max_retries: int = DEFAULT_MAX_RETRIES,
         cache_enabled: bool = True,
@@ -108,11 +89,6 @@ class Coordinator:
     ) -> None:
         if not transports:
             raise ExperimentError("the sweep service needs at least one worker")
-        if plan_mode not in PLAN_MODES:
-            raise ExperimentError(
-                f"unknown plan mode {plan_mode!r}; known modes: "
-                f"{', '.join(PLAN_MODES)}"
-            )
         units = compile_scenario(spec, kernel=kernel, backend=backend)
         if shard is not None:
             units = shard_units(units, shard[0], shard[1])
@@ -125,7 +101,6 @@ class Coordinator:
         self.cache_dir = cache_dir
         self.deadline = deadline
         self.max_retries = max_retries
-        self.plan_mode = plan_mode
         if lease_size is not None and lease_size < 1:
             raise ExperimentError(
                 f"lease size must be >= 1, got {lease_size}"
@@ -239,7 +214,6 @@ class Coordinator:
             positions,
             workers=len(self._workers),
             lease_size=self.lease_size,
-            affine=self.plan_mode == "affine",
         )
 
     # ------------------------------------------------------------------
@@ -426,7 +400,6 @@ def run_service(
     backend: str = "numpy",
     shard: tuple[int, int] | None = None,
     lease_size: int | None = None,
-    plan_mode: str = "affine",
     deadline: float = DEFAULT_DEADLINE,
     cache_enabled: bool = True,
     cache_dir: str | None = None,
@@ -470,7 +443,6 @@ def run_service(
         backend=backend,
         shard=shard,
         lease_size=lease_size,
-        plan_mode=plan_mode,
         deadline=deadline,
         cache_enabled=cache_enabled,
         cache_dir=cache_dir,

@@ -95,8 +95,10 @@ class TestSweepServe:
     def test_cache_stats_reports_probe_and_dispatch(
         self, spec_file, tmp_path
     ):
-        """A warm ``sweep-serve --cache-stats`` run shows every unit
-        resolved by the pre-lease probe and nothing dispatched."""
+        """A cold ``sweep-serve --cache-stats`` run leases every unit
+        (six equal-cost units over two workers: one lease each); a warm
+        rerun resolves every unit in the pre-lease probe and issues no
+        lease."""
         store = tmp_path / "store"
         cold = _run_cli(
             "sweep-serve",
@@ -106,7 +108,10 @@ class TestSweepServe:
             "--cache-stats",
             cache_dir=store,
         )
-        assert "[cache-stats probe_hits=0 dispatched=6" in cold.stderr
+        assert (
+            "[cache-stats probe_hits=0 dispatched=6 of 6 units "
+            "leases=6 retried=0 " in cold.stderr
+        )
         warm = _run_cli(
             "sweep-serve",
             spec_file,
@@ -116,7 +121,10 @@ class TestSweepServe:
             cache_dir=store,
         )
         assert warm.stdout == cold.stdout
-        assert "[cache-stats probe_hits=6 dispatched=0" in warm.stderr
+        assert (
+            "[cache-stats probe_hits=6 dispatched=0 of 6 units "
+            "leases=0 retried=0 " in warm.stderr
+        )
 
 
 class TestScenarioWorkersFlag:

@@ -227,3 +227,112 @@ class TestSeedStreams:
         assert result_key(
             dataclasses.replace(first, seed=0)
         ) == result_key(dataclasses.replace(second, seed=0))
+
+
+_MAX_TAKE = 8
+"""Most draws one lane call takes from one row in these programs."""
+
+
+@st.composite
+def lane_programs(draw):
+    """A fleet size plus a random interleaving of lane calls.
+
+    ``take_all`` and ``take_block`` read one shared buffer column, so
+    they only appear while every call so far took the same number of
+    draws from each row - the precondition the kernel honours too (its
+    arbitration stream only ever sees ``take_all``).
+    """
+    fleet = draw(st.integers(min_value=1, max_value=6))
+    rows = st.integers(min_value=0, max_value=fleet - 1)
+    taken = [0] * fleet
+    lockstep = True
+    program = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        kinds = ["take_rows", "take_rows_multi", "take_counts"]
+        if lockstep:
+            kinds += ["take_all", "take_block"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "take_all":
+            argument, per_row = None, [1] * fleet
+        elif kind == "take_block":
+            argument = draw(st.integers(min_value=1, max_value=_MAX_TAKE))
+            per_row = [argument] * fleet
+        elif kind == "take_counts":
+            argument = draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=_MAX_TAKE),
+                    min_size=fleet,
+                    max_size=fleet,
+                )
+            )
+            per_row = argument
+        else:
+            argument = draw(
+                st.lists(
+                    rows,
+                    min_size=1,
+                    max_size=fleet if kind == "take_rows" else _MAX_TAKE,
+                    unique=kind == "take_rows",
+                )
+            )
+            per_row = [argument.count(f) for f in range(fleet)]
+        lockstep = lockstep and len(set(per_row)) == 1
+        taken = [t + k for t, k in zip(taken, per_row)]
+        program.append((kind, argument))
+    return fleet, program, max(taken)
+
+
+class TestPhiloxChunking:
+    """The lane buffer size never changes a draw: under any mix of lane
+    calls, every row reads its own Philox stream strictly in order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        program=lane_programs(),
+        small=st.integers(min_value=_MAX_TAKE, max_value=_MAX_TAKE + 5),
+        base_key=st.integers(min_value=0, max_value=2**62),
+    )
+    def test_draws_are_identical_for_every_chunk_size(
+        self, program, small, base_key
+    ):
+        from repro.bus.backends import get_backend
+        from repro.bus.batch import _PhiloxLanes
+
+        fleet, calls, total = program
+        backend = get_backend("numpy")
+        keys = [base_key + row for row in range(fleet)]
+        streams = [
+            generator.random(total)
+            for generator in backend.philox_generators(keys)
+        ]
+        for chunk in (small, 256, 2048):
+            lanes = _PhiloxLanes(backend, keys, chunk)
+            cursor = [0] * fleet
+
+            def expect(row, count=1):
+                start = cursor[row]
+                cursor[row] += count
+                return list(streams[row][start : start + count])
+
+            for kind, argument in calls:
+                if kind == "take_all":
+                    got = lanes.take_all()
+                    want = [expect(row)[0] for row in range(fleet)]
+                elif kind == "take_block":
+                    got = lanes.take_block(argument).tolist()
+                    want = [expect(row, argument) for row in range(fleet)]
+                elif kind == "take_counts":
+                    values = lanes.take_counts(np.array(argument))
+                    got = [
+                        list(values[row, :count])
+                        for row, count in enumerate(argument)
+                    ]
+                    want = [
+                        expect(row, count)
+                        for row, count in enumerate(argument)
+                    ]
+                else:
+                    take = getattr(lanes, kind)
+                    got = take(np.array(argument, dtype=np.int64))
+                    want = [expect(row)[0] for row in argument]
+                assert list(got) == want, (chunk, kind, argument)

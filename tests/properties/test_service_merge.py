@@ -1,12 +1,12 @@
 """Property tests: the sweep service merge is exactly invariant.
 
 Acceptance contract of the distributed sweep service: whatever the
-lease sizing, the plan mode, the cache warmth, the batch backend, the
-worker count, the shard designator, or a worker killed mid-lease, the
-coordinator's merged output is byte-identical to the serial
-:func:`run_units` report.  Loopback transports make the schedule
-deterministic and cheap, so hypothesis can sweep crash timings that
-subprocess tests could never afford.
+lease sizing, the cache warmth, the batch backend, the worker count,
+the shard designator, or a worker killed mid-lease, the coordinator's
+merged output is byte-identical to the serial :func:`run_units`
+report.  Loopback transports make the schedule deterministic and
+cheap, so hypothesis can sweep crash timings that subprocess tests
+could never afford.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ def _batch_backends() -> list[str]:
 
 class TestPlanInvariance:
     """Any plan the sweep planner can produce reproduces serial bytes:
-    probe outcome x grouping mode x lease composition x backend are
-    pure wall-clock levers."""
+    probe outcome x lease composition x backend are pure wall-clock
+    levers."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -145,14 +145,12 @@ class TestPlanInvariance:
         lease_size=st.one_of(
             st.none(), st.integers(min_value=1, max_value=8)
         ),
-        plan_mode=st.sampled_from(("affine", "contiguous")),
     )
-    def test_invariant_to_plan_shape(self, workers, lease_size, plan_mode):
+    def test_invariant_to_plan_shape(self, workers, lease_size):
         coordinator = Coordinator(
             _SPEC,
             _workers(workers, None),
             lease_size=lease_size,
-            plan_mode=plan_mode,
             cache_enabled=False,
         )
         assert render_report(coordinator.run()) == _SERIAL

@@ -63,7 +63,7 @@ class TestCarveLeases:
     def test_explicit_lease_size_packs_by_count(self):
         units = compile_scenario(_spec())
         leases = carve_leases(
-            units, range(len(units)), workers=1, lease_size=2, affine=False
+            units, range(len(units)), workers=1, lease_size=2
         )
         assert [len(lease) for lease in leases[:-1]] == [2] * (len(leases) - 1)
         assert all(len(lease) <= 2 for lease in leases)
@@ -181,13 +181,100 @@ class TestCarveLeases:
         flat = sorted(p for lease in first for p in lease)
         assert flat == list(range(len(mixed)))
 
-    def test_contiguous_mode_preserves_input_order(self):
-        units = compile_scenario(_spec())
-        leases = carve_leases(
-            units, range(len(units)), workers=2, lease_size=2, affine=False
+
+def _batch_group(rows: int, cycles: int = 80):
+    """``rows`` batch units forming one pack group (two grid points)."""
+    return compile_scenario(
+        _spec(
+            cycles=cycles,
+            plan=ReplicationPlan(replications=rows // 2, base_seed=5),
+        ),
+        kernel="batch",
+    )
+
+
+class TestWholeFleetCarving:
+    def test_paper_table_fleets_stay_in_one_lease(self):
+        # Tables 3(a) and 4 are 42- and 70-row super-fleets.
+        for rows in (42, 70):
+            units = _batch_group(rows)
+            assert carve_leases(units, range(rows), workers=2) == [
+                list(range(rows))
+            ]
+
+    def test_the_unit_cap_cuts_a_large_fleet_into_equal_leases(self):
+        units = _batch_group(512)
+        leases = carve_leases(units, range(512), workers=2)
+        assert leases == [list(range(256)), list(range(256, 512))]
+        units = _batch_group(600)
+        leases = carve_leases(units, range(600), workers=2)
+        assert [len(lease) for lease in leases] == [200, 200, 200]
+        assert [p for lease in leases for p in lease] == list(range(600))
+
+    def test_enough_fleets_for_every_worker_are_never_split(self):
+        units = [
+            unit
+            for offset in range(4)
+            for unit in _batch_group(128, cycles=80 + offset)
+        ]
+        leases = carve_leases(units, range(len(units)), workers=2)
+        assert leases == [
+            list(range(start, start + 128)) for start in range(0, 512, 128)
+        ]
+
+    def test_idle_workers_never_split_a_fleet(self):
+        for rows in (200, 256):
+            units = _batch_group(rows)
+            assert carve_leases(units, range(rows), workers=4) == [
+                list(range(rows))
+            ]
+
+    def test_fast_units_keep_four_wave_cost_carving(self):
+        units = compile_scenario(
+            _spec(plan=ReplicationPlan(replications=8, base_seed=5)),
+            kernel="fast",
         )
-        flat = [p for lease in leases for p in lease]
-        assert flat == list(range(len(units)))
+        # 16 equal-cost units over 2 workers: each lease closes at
+        # total / (4 * 2), two units.
+        leases = carve_leases(units, range(16), workers=2)
+        assert leases == [[2 * k, 2 * k + 1] for k in range(8)]
+
+    def test_lease_size_packs_batch_fleets_by_count(self):
+        units = _batch_group(42)
+        leases = carve_leases(units, range(42), workers=2, lease_size=8)
+        assert [len(lease) for lease in leases] == [8] * 5 + [2]
+        assert [p for lease in leases for p in lease] == list(range(42))
+
+    def test_each_batch_lease_runs_as_one_fleet_call(self):
+        # The planner and the executor share one grouping rule, so a
+        # batch lease never turns into more than one batch call.
+        from repro.scenarios.execute import _evaluation_tasks
+
+        simulation = compile_scenario(
+            _spec(
+                grid=(
+                    GridAxis("memory_cycle_ratio", (1, 2, 3)),
+                    GridAxis("buffered", (False, True)),
+                ),
+                plan=ReplicationPlan(replications=2, base_seed=5),
+            ),
+            kernel="batch",
+        )
+        mva = compile_scenario(_spec(method=EvaluationMethod.MVA))
+        mixed = list(simulation) + list(mva)
+        leases = carve_leases(mixed, range(len(mixed)), workers=2)
+        assert sorted(p for lease in leases for p in lease) == list(
+            range(len(mixed))
+        )
+        fleet_leases = 0
+        for lease in leases:
+            tasks, _ = _evaluation_tasks([mixed[p] for p in lease])
+            kinds = [kind for kind, _ in tasks]
+            if "fleet" in kinds:
+                assert kinds == ["fleet"]
+                fleet_leases += 1
+        # buffered and unbuffered rows pack into two super-fleets.
+        assert fleet_leases == 2
 
 
 class TestProbeCached:

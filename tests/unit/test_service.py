@@ -8,7 +8,7 @@ from repro.core.errors import ConfigurationError, ExperimentError
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
 from repro.service import protocol
-from repro.service.coordinator import Coordinator, default_lease_size
+from repro.service.coordinator import Coordinator
 from repro.service.transports import LoopbackTransport
 from repro.service.worker import WorkerSession
 
@@ -229,33 +229,6 @@ class TestCoordinator:
         # The store used the sharded concurrent layout throughout.
         assert list(store.glob("*.json")) == []
         assert list(store.glob("[0-9a-f][0-9a-f]/*.json"))
-
-    def test_unknown_plan_mode_is_rejected(self):
-        with pytest.raises(ExperimentError, match="plan mode"):
-            Coordinator(
-                tiny_spec(),
-                [LoopbackTransport("solo")],
-                plan_mode="psychic",
-            )
-
-    def test_contiguous_plan_mode_matches_affine_bytes(self):
-        from repro.scenarios.execute import render_report
-
-        reports = []
-        for plan_mode in ("affine", "contiguous"):
-            coordinator = Coordinator(
-                tiny_spec(),
-                [LoopbackTransport("solo")],
-                plan_mode=plan_mode,
-                cache_enabled=False,
-            )
-            reports.append(render_report(coordinator.run()))
-        assert reports[0] == reports[1]
-
-    def test_default_lease_size_bounds(self):
-        assert default_lease_size(1, 1) == 1
-        assert default_lease_size(100, 2) == 13
-        assert default_lease_size(10_000_000, 4) == 256
 
 
 class TestServiceCli:
