@@ -9,12 +9,12 @@ piecewise-parabolic height adjustment.
 Two refinements make the estimator fit this library's determinism and
 accuracy contracts:
 
-* **Exact small-sample fallback.**  The first ``exact_limit``
-  observations are kept verbatim; while the stream is that short,
-  :meth:`P2Quantile.estimate` returns the *exact* empirical quantile
-  (method="inclusive" linear interpolation, identical to
+* **Exact small-sample fallback.**  Each estimator keeps its first
+  ``exact_limit`` observations verbatim; while the stream is that
+  short, :meth:`P2Quantile.estimate` returns the *exact* empirical
+  quantile (method="inclusive" linear interpolation, identical to
   ``statistics.quantiles(values, n=100, method="inclusive")``).  Only
-  when the stream outgrows the buffer do the P² markers take over,
+  when the stream outgrows the prefix do the P² markers take over,
   seeded from the order statistics of the buffered prefix - a strictly
   better initialisation than the classic first-five rule.
 * **Documented error bound.**  Beyond the exact range the estimate is
@@ -29,13 +29,14 @@ accuracy contracts:
 
 Everything here is deterministic: the same observation sequence always
 produces the same estimate, so cached, sharded and parallel runs agree
-bit-for-bit.
+bit-for-bit - however the sequence is split across
+:meth:`P2Quantile.extend` calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.errors import ConfigurationError
 
@@ -104,7 +105,8 @@ class P2Quantile:
         self.exact_limit = exact_limit
         self.count = 0
         self._buffer: list[float] | None = []
-        # P² state (populated on the transition out of exact mode).
+        # P² state (populated on the transition out of exact mode).  Only
+        # the three interior markers' desired positions are ever read.
         self._heights: list[float] = []
         self._positions: list[int] = []
         self._desired: list[float] = []
@@ -113,14 +115,109 @@ class P2Quantile:
     # ------------------------------------------------------------------
     def add(self, value: float) -> None:
         """Consume one observation."""
-        value = float(value)
-        self.count += 1
-        if self._buffer is not None:
-            if len(self._buffer) < self.exact_limit:
-                self._buffer.append(value)
+        self.extend((value,))
+
+    def extend(self, values: Iterable[float]) -> None:
+        """Consume observations in order, exactly as one :meth:`add` each.
+
+        The P² state lives in local variables for the whole batch, and
+        the three interior-marker adjustments are written out in full.
+        The parabolic and linear formulas keep their operands and their
+        operation order, so the estimate is bit-identical however a
+        stream is split into batches.
+        """
+        values = list(map(float, values))
+        self.count += len(values)
+        buffer = self._buffer
+        if buffer is not None:
+            room = self.exact_limit - len(buffer)
+            if len(values) <= room:
+                buffer.extend(values)
                 return
+            buffer.extend(values[:room])
             self._seed_markers()
-        self._update_markers(value)
+            values = values[room:]
+        h0, h1, h2, h3, h4 = self._heights
+        n0, n1, n2, n3, n4 = self._positions
+        d1, d2, d3 = self._desired
+        _, i1, i2, i3, _ = self._increments
+        for x in values:
+            # Locate x's cell, absorbing a new extreme, and shift every
+            # marker above the cell (marker 4 is above every cell).
+            if x < h0:
+                h0 = x
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif x >= h4:
+                h4 = x
+            elif x < h1:
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif x < h2:
+                n2 += 1
+                n3 += 1
+            elif x < h3:
+                n3 += 1
+            n4 += 1
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            # Move each interior marker one rank toward its desired
+            # position: parabolic height, or linear when the parabola
+            # leaves the neighbours' interval.
+            drift = d1 - n1
+            if (drift >= 1.0 and n2 - n1 > 1) or (drift <= -1.0 and n0 - n1 < -1):
+                step = 1 if drift > 0 else -1
+                below = n1 - n0
+                above = n2 - n1
+                candidate = h1 + (step / (n2 - n0)) * (
+                    (below + step) * (h2 - h1) / above
+                    + (above - step) * (h1 - h0) / below
+                )
+                if not h0 < candidate < h2:
+                    if step > 0:
+                        candidate = h1 + step * (h2 - h1) / (n2 - n1)
+                    else:
+                        candidate = h1 + step * (h0 - h1) / (n0 - n1)
+                h1 = candidate
+                n1 += step
+            drift = d2 - n2
+            if (drift >= 1.0 and n3 - n2 > 1) or (drift <= -1.0 and n1 - n2 < -1):
+                step = 1 if drift > 0 else -1
+                below = n2 - n1
+                above = n3 - n2
+                candidate = h2 + (step / (n3 - n1)) * (
+                    (below + step) * (h3 - h2) / above
+                    + (above - step) * (h2 - h1) / below
+                )
+                if not h1 < candidate < h3:
+                    if step > 0:
+                        candidate = h2 + step * (h3 - h2) / (n3 - n2)
+                    else:
+                        candidate = h2 + step * (h1 - h2) / (n1 - n2)
+                h2 = candidate
+                n2 += step
+            drift = d3 - n3
+            if (drift >= 1.0 and n4 - n3 > 1) or (drift <= -1.0 and n2 - n3 < -1):
+                step = 1 if drift > 0 else -1
+                below = n3 - n2
+                above = n4 - n3
+                candidate = h3 + (step / (n4 - n2)) * (
+                    (below + step) * (h4 - h3) / above
+                    + (above - step) * (h3 - h2) / below
+                )
+                if not h2 < candidate < h4:
+                    if step > 0:
+                        candidate = h3 + step * (h4 - h3) / (n4 - n3)
+                    else:
+                        candidate = h3 + step * (h2 - h3) / (n2 - n3)
+                h3 = candidate
+                n3 += step
+        self._heights = [h0, h1, h2, h3, h4]
+        self._positions = [n0, n1, n2, n3, n4]
+        self._desired = [d1, d2, d3]
 
     def estimate(self) -> float:
         """Current quantile estimate (exact while in the buffered range)."""
@@ -150,59 +247,6 @@ class P2Quantile:
         self._positions = positions
         self._heights = [buffer[p - 1] for p in positions]
         self._desired = [
-            1 + (n - 1) * fraction for fraction in self._increments
+            1 + (n - 1) * fraction for fraction in self._increments[1:4]
         ]
         self._buffer = None
-
-    def _update_markers(self, value: float) -> None:
-        heights = self._heights
-        positions = self._positions
-        # Locate the cell and absorb boundary extremes.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and not (heights[cell] <= value < heights[cell + 1]):
-                cell += 1
-        for index in range(cell + 1, 5):
-            positions[index] += 1
-        for index in range(5):
-            self._desired[index] += self._increments[index]
-        # Adjust the three interior markers toward their desired ranks.
-        for index in range(1, 4):
-            drift = self._desired[index] - positions[index]
-            if (drift >= 1.0 and positions[index + 1] - positions[index] > 1) or (
-                drift <= -1.0 and positions[index - 1] - positions[index] < -1
-            ):
-                step = 1 if drift > 0 else -1
-                candidate = self._parabolic(index, step)
-                if not heights[index - 1] < candidate < heights[index + 1]:
-                    candidate = self._linear(index, step)
-                heights[index] = candidate
-                positions[index] += step
-
-    def _parabolic(self, index: int, step: int) -> float:
-        heights = self._heights
-        positions = self._positions
-        below = positions[index] - positions[index - 1]
-        above = positions[index + 1] - positions[index]
-        span = positions[index + 1] - positions[index - 1]
-        return heights[index] + (step / span) * (
-            (below + step)
-            * (heights[index + 1] - heights[index])
-            / above
-            + (above - step)
-            * (heights[index] - heights[index - 1])
-            / below
-        )
-
-    def _linear(self, index: int, step: int) -> float:
-        heights = self._heights
-        positions = self._positions
-        return heights[index] + step * (
-            heights[index + step] - heights[index]
-        ) / (positions[index + step] - positions[index])

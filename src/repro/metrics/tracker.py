@@ -2,45 +2,82 @@
 
 :class:`StreamingQuantiles` is the O(1)-memory collector behind one
 latency population: exact ``count``/``total``/``min``/``max`` plus one
-shared exact prefix buffer that, once outgrown, seeds one
 :class:`~repro.metrics.quantiles.P2Quantile` estimator per tracked
-quantile (p50/p90/p99).  :class:`LatencyTracker` bundles the
-three populations the bus simulator measures (wait/service/total) and
-renders them as a :class:`~repro.metrics.summary.LatencyReport`.
+quantile (p50/p90/p99).  Recording a value costs one validated list
+append; each chunk of at most :data:`CHUNK` pending values is folded
+into the aggregates with builtins and fed to every estimator's
+:meth:`~repro.metrics.quantiles.P2Quantile.extend`, which still sees the
+values in arrival order, so chunking never moves a bit of an estimate.
+:class:`LatencyTracker` bundles the three populations the bus simulator
+measures (wait/service/total) into a
+:class:`~repro.metrics.summary.LatencyReport`.
 
-Integer observations (bus cycles) accumulate in a plain ``int`` total -
-exact and fast; float observations (the event-driven exponential
-simulator's times) accumulate in an exact :class:`~fractions.Fraction`.
-Either way the resulting :class:`LatencySummary` is exact where the
-merge contract needs it to be.
+Integer observations (bus cycles) total as a plain ``int``; float
+observations (the event-driven exponential simulator's times) are held
+as exact :class:`~fractions.Fraction` values, so totals stay exact, as
+the merge contract needs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from repro.core.errors import ConfigurationError
-from repro.metrics.quantiles import DEFAULT_EXACT_LIMIT, P2Quantile, exact_quantile
+from repro.metrics.quantiles import DEFAULT_EXACT_LIMIT, P2Quantile
 from repro.metrics.summary import LatencyReport, LatencySummary
 
 TRACKED_QUANTILES = (0.5, 0.9, 0.99)
 """The quantiles every latency summary reports (p50, p90, p99)."""
 
+CHUNK = 256
+"""Observations a :class:`StreamingQuantiles` holds before flushing."""
+
+_FLOAT_MAX_INT = int(sys.float_info.max)
+"""The largest int observation accepted: every int up to it converts to
+a finite float."""
+
+
+def _exact_observation(value: object) -> int | Fraction:
+    """Validate an observation the int fast path passed over.
+
+    Returns it as an exact ``int`` or :class:`~fractions.Fraction`, so
+    a pending chunk totals exactly with one ``sum``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(
+            f"latency observations must be numbers, got {value!r}"
+        )
+    if isinstance(value, int) and abs(value) > _FLOAT_MAX_INT:
+        # math.isfinite would raise OverflowError, and the repr of a
+        # big enough int raises ValueError.
+        raise ConfigurationError(
+            "latency observations must be finite, got an int of "
+            f"{value.bit_length()} bits"
+        )
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"latency observations must be finite, got {value!r}"
+        )
+    if value < 0:
+        raise ConfigurationError(
+            f"latency observations must be >= 0, got {value!r}"
+        )
+    return Fraction(value) if isinstance(value, float) else value
+
 
 class StreamingQuantiles:
     """One latency population: exact aggregates + streaming percentiles.
 
-    The exact prefix is held *once*, in this collector; while the
-    stream fits it, queries cost one buffer and one sort per summary
-    instead of one per tracked quantile.  When the stream outgrows the
-    prefix, a one-time transition replays it into the three
-    :class:`P2Quantile` estimators (each briefly re-buffering it to
-    seed its markers), after which everything is O(1) streaming.
+    :meth:`add` validates each value and appends it to a pending chunk
+    of at most :data:`CHUNK` values; a full chunk, :meth:`quantile` and
+    :meth:`summary` flush it.  :attr:`count` and :attr:`exact` include
+    pending values.
     """
 
-    __slots__ = ("exact_limit", "count", "_int_total", "_frac_total",
-                 "_minimum", "_maximum", "_buffer", "_estimators")
+    __slots__ = ("exact_limit", "_flushed", "_total", "_minimum",
+                 "_maximum", "_pending", "_estimators")
 
     def __init__(self, exact_limit: int = DEFAULT_EXACT_LIMIT) -> None:
         # Validate up front, exactly like P2Quantile does: a too-small
@@ -50,58 +87,42 @@ class StreamingQuantiles:
                 f"exact_limit must be an integer >= 5, got {exact_limit!r}"
             )
         self.exact_limit = exact_limit
-        self.count = 0
-        self._int_total = 0
-        self._frac_total: Fraction | None = None
-        self._minimum: float | None = None
-        self._maximum: float | None = None
-        self._buffer: list[float] | None = []
-        self._estimators: tuple[P2Quantile, ...] | None = None
+        self._flushed = 0
+        self._total: int | Fraction = 0
+        self._minimum = math.inf
+        self._maximum = -math.inf
+        self._pending: list[int | Fraction] = []
+        self._estimators = tuple(
+            P2Quantile(q, exact_limit=exact_limit) for q in TRACKED_QUANTILES
+        )
 
     # ------------------------------------------------------------------
     def add(self, value: float) -> None:
         """Consume one observation (int bus cycles or float time)."""
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(
-                f"latency observations must be numbers, got {value!r}"
-            )
-        if not math.isfinite(value):
-            raise ConfigurationError(
-                f"latency observations must be finite, got {value!r}"
-            )
-        if value < 0:
-            raise ConfigurationError(
-                f"latency observations must be >= 0, got {value!r}"
-            )
-        self.count += 1
-        if isinstance(value, int):
-            self._int_total += value
-        else:
-            if self._frac_total is None:
-                self._frac_total = Fraction(0)
-            self._frac_total += Fraction(value)
-        numeric = float(value)
-        if self._minimum is None or numeric < self._minimum:
-            self._minimum = numeric
-        if self._maximum is None or numeric > self._maximum:
-            self._maximum = numeric
-        if self._estimators is None:
-            assert self._buffer is not None
-            if len(self._buffer) < self.exact_limit:
-                self._buffer.append(numeric)
-                return
-            # The stream just outgrew the exact range: build the
-            # estimators by replaying the shared prefix, then stream.
-            self._estimators = tuple(
-                P2Quantile(q, exact_limit=self.exact_limit)
-                for q in TRACKED_QUANTILES
-            )
-            for estimator in self._estimators:
-                for buffered in self._buffer:
-                    estimator.add(buffered)
-            self._buffer = None
+        if type(value) is not int or not 0 <= value <= _FLOAT_MAX_INT:
+            value = _exact_observation(value)
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= CHUNK:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Fold the pending chunk into the aggregates and estimators."""
+        pending = self._pending
+        if not pending:
+            return
+        self._total += sum(pending)
+        self._minimum = min(self._minimum, float(min(pending)))
+        self._maximum = max(self._maximum, float(max(pending)))
         for estimator in self._estimators:
-            estimator.add(numeric)
+            estimator.extend(pending)
+        self._flushed += len(pending)
+        pending.clear()
+
+    @property
+    def count(self) -> int:
+        """Observations consumed so far, pending ones included."""
+        return self._flushed + len(self._pending)
 
     def quantile(self, q: float) -> float:
         """Current estimate of quantile ``q`` (must be a tracked one)."""
@@ -109,40 +130,25 @@ class StreamingQuantiles:
             raise ConfigurationError(
                 f"quantile {q} is not tracked; tracked: {TRACKED_QUANTILES}"
             )
-        if self.count == 0:
-            raise ConfigurationError("no observations recorded")
-        if self._buffer is not None:
-            return exact_quantile(sorted(self._buffer), q)
-        assert self._estimators is not None
+        self._flush()
         return self._estimators[TRACKED_QUANTILES.index(q)].estimate()
 
     @property
     def exact(self) -> bool:
         """True while all estimates are still exact (small samples)."""
-        return self._estimators is None
+        return self.count <= self.exact_limit
 
     def summary(self) -> LatencySummary:
         """Freeze the current state into a mergeable summary value."""
-        if self.count == 0:
+        self._flush()
+        if self._flushed == 0:
             return LatencySummary()
-        total = Fraction(self._int_total)
-        if self._frac_total is not None:
-            total += self._frac_total
-        assert self._minimum is not None and self._maximum is not None
-        if self._buffer is not None:
-            ordered = sorted(self._buffer)
-            p50, p90, p99 = (
-                Fraction(exact_quantile(ordered, q)) for q in TRACKED_QUANTILES
-            )
-        else:
-            assert self._estimators is not None
-            p50, p90, p99 = (
-                Fraction(estimator.estimate())
-                for estimator in self._estimators
-            )
+        p50, p90, p99 = (
+            Fraction(estimator.estimate()) for estimator in self._estimators
+        )
         return LatencySummary(
-            count=self.count,
-            total=total,
+            count=self._flushed,
+            total=Fraction(self._total),
             minimum=Fraction(self._minimum),
             maximum=Fraction(self._maximum),
             p50=p50,
@@ -188,8 +194,8 @@ class LatencyTracker:
 
 
 __all__ = [
+    "CHUNK",
     "StreamingQuantiles",
     "LatencyTracker",
     "TRACKED_QUANTILES",
-    "exact_quantile",
 ]

@@ -19,9 +19,7 @@ Entries are single JSON files under a configurable directory (the
 shard subdirectories (``ab/<key>.json`` for a key starting ``ab``) so a
 fleet of workers hammering one shared cache never serializes on a
 single directory's inode lock and directory listings stay tractable at
-millions of entries.  Entries written by older releases directly under
-the cache root (the flat layout) remain readable and are transparently
-promoted into the sharded layout on first hit.
+millions of entries.
 
 The store is safe for any number of concurrent readers and writers on
 one filesystem:
@@ -189,14 +187,6 @@ class CacheStats:
     """Reads that failed on I/O (counted as misses, entry left alone)."""
 
 
-class _Read:
-    """Internal read outcomes distinguishing why an entry had no value."""
-
-    ABSENT = "absent"
-    TRANSIENT = "transient"
-    CORRUPT = "corrupt"
-
-
 class ResultCache:
     """Content-addressed JSON store for deterministic computation results.
 
@@ -233,79 +223,41 @@ class ResultCache:
         """The sharded-layout file that does or would hold ``key``'s entry."""
         return self.cache_dir / key[:SHARD_PREFIX_LENGTH] / f"{key}.json"
 
-    def legacy_path_for(self, key: str) -> pathlib.Path:
-        """Where the pre-sharding flat layout kept ``key``'s entry."""
-        return self.cache_dir / f"{key}.json"
-
     def _entry_paths(self) -> Iterator[pathlib.Path]:
-        """Every entry file, sharded layout first, then legacy flat files."""
-        yield from self.cache_dir.glob(f"{_SHARD_GLOB}/*.json")
-        yield from self.cache_dir.glob("*.json")
+        """Every entry file."""
+        return self.cache_dir.glob(f"{_SHARD_GLOB}/*.json")
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Any | None:
         """The stored value for ``key``, or ``None`` on a miss.
 
-        Looks in the sharded layout first, then falls back to the
-        legacy flat layout (entries written by older releases), which a
-        hit transparently promotes into the sharded layout.  Only a
-        *proven-corrupt* file (bad JSON, failed integrity check) is
-        evicted; a file that merely cannot be read right now (transient
-        I/O error) is left for the next reader and counted as a miss -
-        deleting it would throw away work another process just paid for.
+        Only a *proven-corrupt* file (bad JSON, failed integrity check)
+        is evicted; a file that merely cannot be read right now
+        (transient I/O error) is left for the next reader and counted
+        as a miss - deleting it would throw away work another process
+        just paid for.
         """
         path = self.path_for(key)
-        value, state = self._read_entry(path, key)
-        if state is None:
-            self.stats.hits += 1
-            return value
-        if state == _Read.ABSENT:
-            legacy = self.legacy_path_for(key)
-            value, state = self._read_entry(legacy, key)
-            if state is None:
-                self._promote(key, legacy, value)
-                self.stats.hits += 1
-                return value
-            if state == _Read.CORRUPT:
-                self._evict(legacy)
-        elif state == _Read.CORRUPT:
-            self._evict(path)
-        self.stats.misses += 1
-        return None
-
-    def _read_entry(
-        self, path: pathlib.Path, key: str
-    ) -> tuple[Any, str | None]:
-        """Read one entry file: ``(value, None)`` or ``(None, why-not)``."""
         try:
             raw = path.read_text(encoding="utf-8")
         except FileNotFoundError:
-            return None, _Read.ABSENT
+            raw = None
         except OSError:
             self.stats.transient_errors += 1
-            return None, _Read.TRANSIENT
-        try:
-            entry = json.loads(raw)
-            if not isinstance(entry, dict) or entry.get("key") != key:
-                raise ValueError("cache entry fails integrity check")
-            return entry["value"], None
-        except (ValueError, KeyError, TypeError):
-            return None, _Read.CORRUPT
-
-    def _promote(
-        self, key: str, legacy: pathlib.Path, value: Any
-    ) -> None:
-        """Move a flat-layout hit into the sharded layout (best effort).
-
-        Writes the sharded entry first, then unlinks the flat file, so
-        a concurrent reader always finds one complete copy; any I/O
-        failure simply leaves the entry where it was.
-        """
-        try:
-            self._write(key, value)
-            legacy.unlink(missing_ok=True)
-        except (OSError, ConfigurationError):
-            pass
+            raw = None
+        if raw is not None:
+            try:
+                entry = json.loads(raw)
+                if not isinstance(entry, dict) or entry.get("key") != key:
+                    raise ValueError("cache entry fails integrity check")
+                value = entry["value"]
+            except (ValueError, KeyError, TypeError):
+                self._evict(path)
+            else:
+                self.stats.hits += 1
+                return value
+        self.stats.misses += 1
+        return None
 
     def put(self, key: str, value: Any) -> pathlib.Path:
         """Atomically store a JSON-serializable ``value`` under ``key``.
@@ -327,11 +279,6 @@ class ResultCache:
                 "cannot cache None: a stored null is indistinguishable "
                 "from a cache miss"
             )
-        path = self._write(key, value)
-        self.stats.stores += 1
-        return path
-
-    def _write(self, key: str, value: Any) -> pathlib.Path:
         path = self.path_for(key)
         entry = {"key": key, "version": self.version_tag, "value": value}
         encoded = json.dumps(entry, sort_keys=True, indent=None)
@@ -343,6 +290,7 @@ class ResultCache:
             os.replace(temp, path)
         finally:
             temp.unlink(missing_ok=True)
+        self.stats.stores += 1
         return path
 
     def get_many(self, keys) -> dict[str, Any]:
@@ -354,8 +302,8 @@ class ResultCache:
         probed once - one hit or one miss in :attr:`stats` per *unique*
         key, matching what the per-unit loop it replaces would have
         charged after its own dedup.  Misses are simply absent from the
-        result; per-key semantics (legacy promotion, corrupt eviction,
-        transient-as-miss) are exactly those of :meth:`get`.
+        result; per-key semantics (corrupt eviction, transient-as-miss)
+        are exactly those of :meth:`get`.
         """
         found: dict[str, Any] = {}
         probed: set[str] = set()
@@ -380,9 +328,9 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every entry; returns the number removed.
 
-        Covers both layouts and also sweeps orphaned ``*.tmp`` staging
-        files left behind by writers killed mid-store (orphans do not
-        count toward the returned total - they were never entries).
+        Also sweeps orphaned ``*.tmp`` staging files left behind by
+        writers killed mid-store (orphans do not count toward the
+        returned total - they were never entries).
         """
         removed = 0
         for path in self._entry_paths():

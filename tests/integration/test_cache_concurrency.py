@@ -10,9 +10,7 @@ concurrency:
   make the bytes identical, so last-writer-wins changes nothing);
 * a writer killed between temp-file write and rename leaves no
   readable corruption and no permanent litter (``clear`` sweeps the
-  orphan);
-* entries written by the old flat layout stay readable through the new
-  sharded store.
+  orphan).
 
 The stress tests drive real subprocesses (not threads) because the
 bugs these protect against - torn reads, leaked temp files, eviction
@@ -21,7 +19,6 @@ of healthy entries - only manifest across process boundaries.
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 import textwrap
@@ -302,34 +299,3 @@ class TestGetManyFailureEdges:
         assert probe.stats.evictions == 0
         final = probe.get_many(slot_keys)
         assert set(final) == set(slot_keys)
-
-
-class TestLegacyLayout:
-    def test_flat_entries_survive_concurrent_era(self, tmp_path):
-        """A cache directory populated by the pre-sharding release
-        keeps serving hits through the new store."""
-        cache_dir = tmp_path / "shared"
-        cache_dir.mkdir()
-        old_entries = {}
-        writer = ResultCache(cache_dir=cache_dir, version_tag="legacy")
-        for slot in range(6):
-            key = writer.key({"slot": slot})
-            value = {"slot": slot, "ebw": slot * 1.25}
-            # Write exactly what the old flat layout wrote.
-            (cache_dir / f"{key}.json").write_text(
-                json.dumps(
-                    {"key": key, "version": "legacy", "value": value},
-                    sort_keys=True,
-                ),
-                encoding="utf-8",
-            )
-            old_entries[key] = value
-        reader = ResultCache(cache_dir=cache_dir, version_tag="legacy")
-        assert len(reader) == 6
-        for key, value in old_entries.items():
-            assert reader.get(key) == value
-        assert reader.stats.hits == 6
-        # All promoted into the sharded layout, none double counted.
-        assert len(reader) == 6
-        assert list(cache_dir.glob("*.json")) == []
-        assert len(list(cache_dir.glob("[0-9a-f][0-9a-f]/*.json"))) == 6

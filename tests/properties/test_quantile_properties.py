@@ -13,22 +13,35 @@ Two contracts from :mod:`repro.metrics` are stated as properties:
   *exactly* associative and order-invariant (rational arithmetic), with
   the empty summary as identity - the algebraic facts the sharded and
   parallel pipelines rely on for bit-identical aggregation.
+* **Reference equivalence.**  The chunked collector and the batched
+  :meth:`~repro.metrics.P2Quantile.extend` give estimates and summaries
+  equal (``==``) to a one-observation-at-a-time reference kept below,
+  on int, float and mixed streams long enough to cross ``exact_limit``
+  and several chunk boundaries, read at random points mid-stream.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import ConfigurationError
 from repro.metrics import (
     DEFAULT_EXACT_LIMIT,
+    TRACKED_QUANTILES,
+    LatencyReport,
     LatencySummary,
+    LatencyTracker,
+    P2Quantile,
     StreamingQuantiles,
+    exact_quantile,
     merge_summaries,
 )
 
@@ -171,3 +184,314 @@ class TestMergeAlgebra:
         if a.count and b.count:
             assert merged.minimum == min(a.minimum, b.minimum)
             assert merged.maximum == max(a.maximum, b.maximum)
+
+
+# ----------------------------------------------------------------------
+# Reference: the one-observation-at-a-time collector and P² update that
+# StreamingQuantiles.add and P2Quantile.add ran before observations were
+# chunked.  Kept verbatim as the oracle for the chunked, unrolled path.
+# ----------------------------------------------------------------------
+class ReferenceP2Quantile:
+    def __init__(self, q: float, exact_limit: int = DEFAULT_EXACT_LIMIT) -> None:
+        self.q = q
+        self.exact_limit = exact_limit
+        self.count = 0
+        self._buffer: list[float] | None = []
+        self._heights: list[float] = []
+        self._positions: list[int] = []
+        self._desired: list[float] = []
+        self._increments = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
+
+    def add(self, value: float) -> None:
+        """Consume one observation."""
+        value = float(value)
+        self.count += 1
+        if self._buffer is not None:
+            if len(self._buffer) < self.exact_limit:
+                self._buffer.append(value)
+                return
+            self._seed_markers()
+        self._update_markers(value)
+
+    def estimate(self) -> float:
+        if self.count == 0:
+            raise ConfigurationError("no observations recorded")
+        if self._buffer is not None:
+            return exact_quantile(sorted(self._buffer), self.q)
+        return self._heights[2]
+
+    def _seed_markers(self) -> None:
+        buffer = sorted(self._buffer or ())
+        n = len(buffer)
+        positions: list[int] = []
+        for index, fraction in enumerate(self._increments):
+            ideal = round(1 + (n - 1) * fraction)
+            low = positions[-1] + 1 if positions else 1
+            high = n - (4 - index)  # leave room for the markers above
+            positions.append(min(max(ideal, low), high))
+        self._positions = positions
+        self._heights = [buffer[p - 1] for p in positions]
+        self._desired = [
+            1 + (n - 1) * fraction for fraction in self._increments
+        ]
+        self._buffer = None
+
+    def _update_markers(self, value: float) -> None:
+        heights = self._heights
+        positions = self._positions
+        # Locate the cell and absorb boundary extremes.
+        if value < heights[0]:
+            heights[0] = value
+            cell = 0
+        elif value >= heights[4]:
+            heights[4] = value
+            cell = 3
+        else:
+            cell = 0
+            while cell < 3 and not (heights[cell] <= value < heights[cell + 1]):
+                cell += 1
+        for index in range(cell + 1, 5):
+            positions[index] += 1
+        for index in range(5):
+            self._desired[index] += self._increments[index]
+        # Adjust the three interior markers toward their desired ranks.
+        for index in range(1, 4):
+            drift = self._desired[index] - positions[index]
+            if (drift >= 1.0 and positions[index + 1] - positions[index] > 1) or (
+                drift <= -1.0 and positions[index - 1] - positions[index] < -1
+            ):
+                step = 1 if drift > 0 else -1
+                candidate = self._parabolic(index, step)
+                if not heights[index - 1] < candidate < heights[index + 1]:
+                    candidate = self._linear(index, step)
+                heights[index] = candidate
+                positions[index] += step
+
+    def _parabolic(self, index: int, step: int) -> float:
+        heights = self._heights
+        positions = self._positions
+        below = positions[index] - positions[index - 1]
+        above = positions[index + 1] - positions[index]
+        span = positions[index + 1] - positions[index - 1]
+        return heights[index] + (step / span) * (
+            (below + step)
+            * (heights[index + 1] - heights[index])
+            / above
+            + (above - step)
+            * (heights[index] - heights[index - 1])
+            / below
+        )
+
+    def _linear(self, index: int, step: int) -> float:
+        heights = self._heights
+        positions = self._positions
+        return heights[index] + step * (
+            heights[index + step] - heights[index]
+        ) / (positions[index + step] - positions[index])
+
+
+class ReferenceStreamingQuantiles:
+    def __init__(self, exact_limit: int = DEFAULT_EXACT_LIMIT) -> None:
+        self.exact_limit = exact_limit
+        self.count = 0
+        self._int_total = 0
+        self._frac_total: Fraction | None = None
+        self._minimum: float | None = None
+        self._maximum: float | None = None
+        self._buffer: list[float] | None = []
+        self._estimators: tuple[ReferenceP2Quantile, ...] | None = None
+
+    def add(self, value: float) -> None:
+        """Consume one observation (int bus cycles or float time)."""
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(
+                f"latency observations must be numbers, got {value!r}"
+            )
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"latency observations must be finite, got {value!r}"
+            )
+        if value < 0:
+            raise ConfigurationError(
+                f"latency observations must be >= 0, got {value!r}"
+            )
+        self.count += 1
+        if isinstance(value, int):
+            self._int_total += value
+        else:
+            if self._frac_total is None:
+                self._frac_total = Fraction(0)
+            self._frac_total += Fraction(value)
+        numeric = float(value)
+        if self._minimum is None or numeric < self._minimum:
+            self._minimum = numeric
+        if self._maximum is None or numeric > self._maximum:
+            self._maximum = numeric
+        if self._estimators is None:
+            assert self._buffer is not None
+            if len(self._buffer) < self.exact_limit:
+                self._buffer.append(numeric)
+                return
+            # The stream just outgrew the exact range: build the
+            # estimators by replaying the shared prefix, then stream.
+            self._estimators = tuple(
+                ReferenceP2Quantile(q, exact_limit=self.exact_limit)
+                for q in TRACKED_QUANTILES
+            )
+            for estimator in self._estimators:
+                for buffered in self._buffer:
+                    estimator.add(buffered)
+            self._buffer = None
+        for estimator in self._estimators:
+            estimator.add(numeric)
+
+    def quantile(self, q: float) -> float:
+        if self.count == 0:
+            raise ConfigurationError("no observations recorded")
+        if self._buffer is not None:
+            return exact_quantile(sorted(self._buffer), q)
+        assert self._estimators is not None
+        return self._estimators[TRACKED_QUANTILES.index(q)].estimate()
+
+    @property
+    def exact(self) -> bool:
+        return self._estimators is None
+
+    def summary(self) -> LatencySummary:
+        if self.count == 0:
+            return LatencySummary()
+        total = Fraction(self._int_total)
+        if self._frac_total is not None:
+            total += self._frac_total
+        assert self._minimum is not None and self._maximum is not None
+        if self._buffer is not None:
+            ordered = sorted(self._buffer)
+            p50, p90, p99 = (
+                Fraction(exact_quantile(ordered, q)) for q in TRACKED_QUANTILES
+            )
+        else:
+            assert self._estimators is not None
+            p50, p90, p99 = (
+                Fraction(estimator.estimate())
+                for estimator in self._estimators
+            )
+        return LatencySummary(
+            count=self.count,
+            total=total,
+            minimum=Fraction(self._minimum),
+            maximum=Fraction(self._maximum),
+            p50=p50,
+            p90=p90,
+            p99=p99,
+        )
+
+
+def reference_stream(kind: str, rng: random.Random, n: int) -> list:
+    """``n`` observations of one kind, rich in ties like bus latencies."""
+    def one_int() -> int:
+        if rng.random() < 0.01:
+            return rng.randrange(2**64)  # past 2**53: float rounding
+        return rng.choice((0, 0, 0, 1, 2, 4, 4, 7, 30, 200))
+
+    def one_float() -> float:
+        if rng.random() < 0.2:
+            return float(rng.randint(0, 8))  # ties an int stream's values
+        return rng.expovariate(0.1)
+
+    if kind == "int":
+        return [one_int() for _ in range(n)]
+    if kind == "float":
+        return [one_float() for _ in range(n)]
+    return [one_int() if rng.random() < 0.5 else one_float() for _ in range(n)]
+
+
+stream_kinds = st.sampled_from(["int", "float", "mixed"])
+# Up to 1,500 values: past DEFAULT_EXACT_LIMIT and five CHUNK boundaries.
+stream_lengths = st.integers(min_value=0, max_value=1_500)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def draw_positions(data, n: int, label: str) -> set[int]:
+    """Up to 8 positions inside a stream of ``n`` values."""
+    if n == 0:
+        return set()
+    return data.draw(
+        st.sets(st.integers(min_value=0, max_value=n - 1), max_size=8),
+        label=label,
+    )
+
+
+def assert_same_reads(collector, reference) -> None:
+    assert collector.count == reference.count
+    assert collector.exact == reference.exact
+    for q in TRACKED_QUANTILES:
+        if reference.count:
+            assert collector.quantile(q) == reference.quantile(q)
+        else:
+            with pytest.raises(ConfigurationError):
+                collector.quantile(q)
+    assert collector.summary() == reference.summary()
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=stream_kinds, n=stream_lengths, seed=seeds, data=st.data())
+    def test_streaming_quantiles_match_reference(self, kind, n, seed, data):
+        values = reference_stream(kind, random.Random(seed), n)
+        reads = draw_positions(data, n, "reads")
+        collector = StreamingQuantiles()
+        reference = ReferenceStreamingQuantiles()
+        for index, value in enumerate(values):
+            collector.add(value)
+            reference.add(value)
+            if index in reads:
+                assert_same_reads(collector, reference)
+        assert_same_reads(collector, reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=stream_kinds, n=stream_lengths, seed=seeds, data=st.data())
+    def test_latency_tracker_matches_reference(self, kind, n, seed, data):
+        reads = draw_positions(data, n, "reads")
+        rng = random.Random(seed)
+        columns = [reference_stream(kind, rng, n) for _ in range(3)]
+        tracker = LatencyTracker()
+        references = [ReferenceStreamingQuantiles() for _ in range(3)]
+        for index, triple in enumerate(zip(*columns)):
+            tracker.record(*triple)
+            for reference, value in zip(references, triple):
+                reference.add(value)
+            if index in reads:
+                assert tracker.count == references[2].count
+                assert tracker.report() == LatencyReport(
+                    *(reference.summary() for reference in references)
+                )
+        assert tracker.report() == LatencyReport(
+            *(reference.summary() for reference in references)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=stream_kinds,
+        n=stream_lengths,
+        seed=seeds,
+        q=st.sampled_from([0.01, 0.25, 0.5, 0.9, 0.99]),
+        exact_limit=st.integers(min_value=5, max_value=80),
+        data=st.data(),
+    )
+    def test_p2_extend_matches_reference(
+        self, kind, n, seed, q, exact_limit, data
+    ):
+        values = reference_stream(kind, random.Random(seed), n)
+        estimator = P2Quantile(q, exact_limit=exact_limit)
+        reference = ReferenceP2Quantile(q, exact_limit=exact_limit)
+        bounds = sorted({0, n, *draw_positions(data, n, "batch starts")})
+        for start, stop in zip(bounds, bounds[1:]):
+            batch = values[start:stop]
+            if len(batch) == 1:
+                estimator.add(batch[0])
+            else:
+                estimator.extend(batch)
+            for value in batch:
+                reference.add(value)
+            assert estimator.count == reference.count
+            assert estimator.estimate() == reference.estimate()

@@ -23,6 +23,7 @@ from repro.metrics import (
     exact_quantile,
     merge_latency_reports,
 )
+from repro.metrics.tracker import CHUNK
 from repro.queueing.exponential_sim import (
     ServiceDistribution,
     simulate_central_server,
@@ -77,6 +78,12 @@ class TestStreamingQuantiles:
             collector.add("fast")  # type: ignore[arg-type]
         with pytest.raises(ConfigurationError):
             collector.add(True)  # type: ignore[arg-type]
+        # Ints too large for a float; 10**5000 has no printable repr.
+        for huge in (10**400, -(10**400), 10**5000):
+            with pytest.raises(ConfigurationError, match="finite"):
+                collector.add(huge)
+        assert collector.count == 0
+        assert collector.summary() == LatencySummary()
 
     def test_rejects_non_finite_observations(self):
         collector = StreamingQuantiles()
@@ -267,6 +274,51 @@ class TestBusLatencyCollection:
         assert result.latency is not None
         # Counts cover only the measurement window's completions.
         assert result.latency.total.count == result.completions
+
+
+class TestSingleProcessorOracle:
+    """n = 1, p = 1: every latency is known without another simulator.
+
+    The lone processor never meets contention: each request spends the
+    request transfer, ``r`` access cycles and the response transfer,
+    then the next one issues.  So wait is 0, service is ``r`` and total
+    is ``r + 2`` for every request, buffered or unbuffered.
+    """
+
+    @pytest.mark.parametrize("kernel", ["reference", "fast", "batch"])
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("memories, r", [(1, 1), (4, 3), (2, 8)])
+    def test_every_summary_field_is_exact(self, kernel, buffered, memories, r):
+        if kernel == "batch":
+            pytest.importorskip("numpy")
+        result = simulate(
+            SystemConfig(1, memories, r, buffered=buffered),
+            cycles=3_000,
+            seed=11,
+            collect_latency=True,
+            kernel=kernel,
+        )
+        count = result.completions
+        # Past the exact prefix and a full chunk: P² seeding and a chunk
+        # flush both ran.
+        assert count > CHUNK
+        report = result.latency
+        assert report is not None
+        for summary, value in (
+            (report.wait, 0),
+            (report.service, r),
+            (report.total, r + 2),
+        ):
+            exact = Fraction(value)
+            assert summary == LatencySummary(
+                count=count,
+                total=count * exact,
+                minimum=exact,
+                maximum=exact,
+                p50=exact,
+                p90=exact,
+                p99=exact,
+            )
 
 
 class TestCentralServerLatencyCollection:

@@ -277,49 +277,6 @@ class TestShardedLayout:
         assert path.parent.parent == cache.cache_dir
         assert path.exists()
 
-    def test_legacy_flat_entries_remain_readable(self, cache):
-        """Entries written by the old flat layout still hit."""
-        key = cache.key({"x": 1})
-        legacy = cache.legacy_path_for(key)
-        legacy.write_text(
-            json.dumps({"key": key, "version": "v-test", "value": 41}),
-            encoding="utf-8",
-        )
-        assert cache.get(key) == 41
-        assert cache.stats.hits == 1
-
-    def test_legacy_hit_promotes_into_sharded_layout(self, cache):
-        key = cache.key({"x": 1})
-        legacy = cache.legacy_path_for(key)
-        legacy.write_text(
-            json.dumps({"key": key, "version": "v-test", "value": 41}),
-            encoding="utf-8",
-        )
-        assert cache.get(key) == 41
-        assert cache.path_for(key).exists()
-        assert not legacy.exists()
-        assert len(cache) == 1  # never double counted
-        assert cache.get(key) == 41  # now served from the sharded path
-
-    def test_corrupt_legacy_entry_is_evicted(self, cache):
-        key = cache.key({"x": 1})
-        cache.legacy_path_for(key).write_text("garbage", encoding="utf-8")
-        assert cache.get(key) is None
-        assert not cache.legacy_path_for(key).exists()
-        assert cache.stats.evictions == 1
-
-    def test_len_and_clear_cover_both_layouts(self, cache):
-        sharded_key = cache.key({"x": 1})
-        cache.put(sharded_key, 1)
-        legacy_key = cache.key({"x": 2})
-        cache.legacy_path_for(legacy_key).write_text(
-            json.dumps({"key": legacy_key, "version": "v-test", "value": 2}),
-            encoding="utf-8",
-        )
-        assert len(cache) == 2
-        assert cache.clear() == 2
-        assert len(cache) == 0
-
 
 class TestDirectories:
     def test_env_var_overrides_default_dir(self, tmp_path, monkeypatch):
