@@ -32,7 +32,7 @@ gate reads) and ``mean`` the average (the dispersion hint: a mean far
 above the min means a noisy host).  Timings are machine-dependent; the
 *speedups* are the portable signal.  Batch-kernel fleet entries carry
 the array backend in their ``meta`` (``"backend"``), and when the
-optional numba/cupy backends are importable the fleet block grows
+optional numba backends are importable the fleet block grows
 ``batch_fleet_batch_<backend>`` entries timing the identical fleet on
 that substrate.
 
@@ -69,10 +69,8 @@ drives an interleaved-shape batch grid through two loopback workers
 The ``packed_sweep_*`` entries (schema @4) time fleet packing itself:
 a figure2-shaped shape-fragmented grid - every (n, m) system crossed
 with several access ratios, 30 replications per point - executed as
-one shape-packed super-fleet call (``packed_sweep_packed``) versus one
-homogeneous fleet per shape (``packed_sweep_fragmented``); the
-``packed_vs_fragmented`` speedup is the packing contract's wall-clock
-claim.  When optional backends are importable the block grows
+one shape-packed super-fleet call (``packed_sweep_packed``).  When
+optional backends are importable the block grows
 ``packed_sweep_packed_<backend>`` entries timing the identical packed
 super-fleet on that substrate.
 """
@@ -86,11 +84,17 @@ import time
 from typing import Callable
 
 from repro.bus import simulate
+from repro.bus.backends import DEFAULT_BACKEND, KNOWN_BACKENDS, get_backend
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority
 from repro.workloads.spec import HotSpotWorkload
 
 SCHEMA = "repro-bench-kernels@4"
+
+OPTIONAL_BACKENDS = tuple(
+    name for name in KNOWN_BACKENDS if name != DEFAULT_BACKEND
+)
+"""The batch backends timed beside numpy wherever they import."""
 
 
 def best_of(
@@ -362,16 +366,13 @@ PACKED_GRID_RATIOS = (2, 4, 8, 16, 24)
 
 
 def time_packed_sweep(
-    pack: bool, replications: int, cycles: int, backend: str = "numpy"
+    replications: int, cycles: int, backend: str = "numpy"
 ) -> Callable[[], object]:
-    """The figure2-shaped fragmented grid as one grouping or the other.
+    """The figure2-shaped fragmented grid as one padded super-fleet.
 
     Every (n, m) system crossed with every access ratio, ``replications``
-    seeds per point: 15 distinct shapes that share the pack fields.
-    ``pack=True`` runs the whole grid as one padded super-fleet batch
-    call; ``pack=False`` runs one homogeneous lockstep fleet per shape.
-    Identical bytes either way (the packing contract) - the timing gap
-    is the per-call overhead packing exists to amortize.
+    seeds per point: 15 distinct shapes that share the pack fields, run
+    as one padded super-fleet batch call.
     """
     from repro.parallel.fleet import run_fleet
     from repro.parallel.workers import SimulationCase
@@ -390,7 +391,7 @@ def time_packed_sweep(
     ]
 
     def run():
-        return run_fleet(cases, pack=pack)
+        return run_fleet(cases)
 
     return run
 
@@ -597,9 +598,7 @@ def main(argv=None) -> int:
     # on numpy - so the baseline only ever contains entries this host
     # actually produced.
     if "batch" in fleet_seconds:
-        from repro.bus.backends import get_backend
-
-        for backend_name in ("numba", "numba-parallel", "cupy"):
+        for backend_name in OPTIONAL_BACKENDS:
             backend = get_backend(backend_name)
             if not backend.available():
                 print(
@@ -788,47 +787,31 @@ def main(argv=None) -> int:
         )
 
     # Fleet-packing legs: the shape-fragmented grid as one packed
-    # super-fleet call versus one homogeneous fleet per shape.
+    # super-fleet call.
     packed_replications = 8 if args.quick else 30
     packed_cycles = 400 if args.quick else 1_200
     if numpy_available():
-        packed_seconds = {}
-        for leg, pack in (("packed", True), ("fragmented", False)):
-            timing = best_of(
-                2,
-                time_packed_sweep(pack, packed_replications, packed_cycles),
-                warmup=warmup,
-            )
-            packed_seconds[leg] = timing[0]
-            results.append(
-                _entry(
-                    f"packed_sweep_{leg}",
-                    timing,
-                    {
-                        "pack": pack,
-                        "replications": packed_replications,
-                        "cycles": packed_cycles,
-                        "kernel": "batch",
-                        "backend": "numpy",
-                        "repeat": 2,
-                    },
-                )
-            )
-            print(
-                f"packed_sweep_{leg}: {timing[0]:.3f}s", file=sys.stderr
-            )
-        speedups["packed_vs_fragmented"] = (
-            packed_seconds["fragmented"] / packed_seconds["packed"]
+        timing = best_of(
+            2,
+            time_packed_sweep(packed_replications, packed_cycles),
+            warmup=warmup,
         )
-        print(
-            "fleet packing: "
-            f"{speedups['packed_vs_fragmented']:.2f}x over per-shape "
-            "fleets on the fragmented grid",
-            file=sys.stderr,
+        packed_seconds = timing[0]
+        results.append(
+            _entry(
+                "packed_sweep_packed",
+                timing,
+                {
+                    "replications": packed_replications,
+                    "cycles": packed_cycles,
+                    "kernel": "batch",
+                    "backend": "numpy",
+                    "repeat": 2,
+                },
+            )
         )
-        from repro.bus.backends import get_backend
-
-        for backend_name in ("numba", "numba-parallel", "cupy"):
+        print(f"packed_sweep_packed: {timing[0]:.3f}s", file=sys.stderr)
+        for backend_name in OPTIONAL_BACKENDS:
             backend = get_backend(backend_name)
             if not backend.available():
                 print(
@@ -841,10 +824,7 @@ def main(argv=None) -> int:
             timing = best_of(
                 2,
                 time_packed_sweep(
-                    True,
-                    packed_replications,
-                    packed_cycles,
-                    backend=backend_name,
+                    packed_replications, packed_cycles, backend=backend_name
                 ),
                 warmup=max(warmup, 1),
             )
@@ -853,7 +833,6 @@ def main(argv=None) -> int:
                     f"packed_sweep_packed_{backend_name}",
                     timing,
                     {
-                        "pack": True,
                         "replications": packed_replications,
                         "cycles": packed_cycles,
                         "kernel": "batch",
@@ -863,7 +842,7 @@ def main(argv=None) -> int:
                 )
             )
             key = f"packed_sweep_{backend_name}_vs_numpy"
-            speedups[key] = packed_seconds["packed"] / timing[0]
+            speedups[key] = packed_seconds / timing[0]
             print(
                 f"packed_sweep_packed_{backend_name}: {timing[0]:.3f}s "
                 f"({speedups[key]:.2f}x over the numpy backend)",

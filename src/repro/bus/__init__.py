@@ -77,12 +77,12 @@ def simulate(
 
     ``backend`` selects the batch kernel's array substrate
     (:mod:`repro.bus.backends`): ``"numpy"`` (default), ``"numba"``
-    (JIT, bit-identical to numpy) or ``"cupy"`` (GPU, statistically
-    equivalent).  Non-default backends require ``kernel="batch"`` -
-    the other kernels have no array substrate to swap - and a missing
+    or ``"numba-parallel"`` (JIT, serial or threaded, bit-identical to
+    numpy).  Non-default backends require ``kernel="batch"`` - the
+    other kernels have no array substrate to swap - and a missing
     optional backend raises naming its install extra.
     """
-    if backend != "numpy" and kernel != "batch":
+    if backend != "numpy":
         from repro.bus.backends import check_backend
 
         check_backend(kernel, backend)
@@ -106,7 +106,6 @@ def simulate(
             metrics=("latency",) if collect_latency else (),
             geometric_access_times=geometric_access_times,
             targets=targets,
-            backend=backend,
         )
         return run_batch(
             config,

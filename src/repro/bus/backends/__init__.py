@@ -3,8 +3,8 @@
 The batch kernel is a pure array program over ``(lanes, fleet)`` state;
 this package supplies the substrates it can execute on, selected the
 way kernels are today - by name, validated at compile time against the
-:data:`KNOWN_BACKENDS` table, rejected loudly when the substrate or a
-requested capability is missing (never a silent fallback):
+:data:`KNOWN_BACKENDS` table, rejected loudly when the substrate is
+missing (never a silent fallback):
 
 ``numpy``
     The default: the kernel's native vectorized program.  Defines the
@@ -14,19 +14,14 @@ requested capability is missing (never a silent fallback):
     (``[batch-jit]`` extra).  **Bit-identical** to numpy - proven by
     ``tests/properties/test_backend_equivalence.py`` - so it shares the
     ``simulation-batch@1`` namespace: cached entries are
-    interchangeable between the two.
+    interchangeable between the backends.
 ``numba-parallel``
-    The same JIT loop bodies distributed over fleet rows with
-    ``numba.prange`` (``[batch-jit]`` extra).  Fleet rows are fully
-    independent, so each thread replays the serial statement sequence
-    for its rows exactly: still **bit-identical**, still the
-    ``simulation-batch@1`` namespace.  ``NUMBA_NUM_THREADS`` bounds
-    the pool.
-``cupy``
-    The same array program on GPU device arrays (``[batch-gpu]``
-    extra).  Statistically - not bit - equivalent (different Philox
-    implementation), so it owns the ``simulation-batch-cupy@1``
-    namespace and is gated by the Welch machinery.
+    The same loop source compiled with ``parallel=True``, so the
+    ``prange`` over fleet rows runs on threads (``[batch-jit]`` extra).
+    Fleet rows are fully independent, so each thread replays the
+    serial statement sequence for its rows exactly: still
+    **bit-identical**, still the ``simulation-batch@1`` namespace.
+    ``NUMBA_NUM_THREADS`` bounds the pool.
 
 :func:`get_backend` also passes :class:`BatchBackend` instances
 through, so callers can inject configured instances (the equivalence
@@ -36,28 +31,19 @@ numba installed).
 
 from __future__ import annotations
 
-from repro.bus.backends.base import (
-    BATCH_ENGINE_TOKEN,
-    CUPY_ENGINE_TOKEN,
-    BatchBackend,
-)
-from repro.bus.backends.cupy_backend import CupyBackend
-from repro.bus.backends.numba_backend import NumbaBackend
-from repro.bus.backends.numba_parallel_backend import NumbaParallelBackend
+from repro.bus.backends.base import BATCH_ENGINE_TOKEN, BatchBackend
+from repro.bus.backends.numba_backend import NumbaBackend, NumbaParallelBackend
 from repro.bus.backends.numpy_backend import NumpyBackend
 from repro.core.errors import ConfigurationError
 
 __all__ = [
     "BATCH_ENGINE_TOKEN",
-    "CUPY_ENGINE_TOKEN",
     "DEFAULT_BACKEND",
     "KNOWN_BACKENDS",
     "BatchBackend",
-    "CupyBackend",
     "NumbaBackend",
     "NumbaParallelBackend",
     "NumpyBackend",
-    "backend_engine_token",
     "check_backend",
     "get_backend",
 ]
@@ -65,18 +51,17 @@ __all__ = [
 DEFAULT_BACKEND = "numpy"
 """The backend every batch entry point uses unless told otherwise."""
 
-KNOWN_BACKENDS = ("numpy", "numba", "numba-parallel", "cupy")
+KNOWN_BACKENDS = ("numpy", "numba", "numba-parallel")
 """Every registered backend name, in documentation order.
 
-The compile-time validation table: ``compile_scenario`` and the
-``scenario`` CLI reject names outside this tuple before any work unit
-exists, mirroring ``KNOWN_KERNELS``."""
+The one table of backend names: :func:`check_backend` and both CLIs'
+``--backend`` choices read it, so names outside it are rejected before
+any work unit exists, mirroring ``KNOWN_KERNELS``."""
 
 _REGISTRY: dict[str, BatchBackend] = {
     "numpy": NumpyBackend(),
     "numba": NumbaBackend(),
     "numba-parallel": NumbaParallelBackend(),
-    "cupy": CupyBackend(),
 }
 
 
@@ -97,27 +82,12 @@ def get_backend(backend: str | BatchBackend) -> BatchBackend:
         ) from None
 
 
-def backend_engine_token(backend: str | BatchBackend) -> str:
-    """The cache namespace a backend's results land in.
-
-    Bit-identical backends (numpy, numba) share
-    :data:`BATCH_ENGINE_TOKEN`; statistically-equivalent ones own their
-    token, so cache entries can never cross the equivalence boundary.
-    """
-    return get_backend(backend).engine_token
-
-
-def check_backend(
-    kernel: str,
-    backend: str | BatchBackend,
-    metrics=(),
-) -> None:
+def check_backend(kernel: str, backend: str | BatchBackend) -> None:
     """Compile-time backend validation shared by CLI and compiler.
 
-    Rejects unknown names, a non-default backend on a non-batch kernel
-    (backends are the batch kernel's array substrate - other kernels
-    have none to swap), and capability mismatches (cupy cannot feed the
-    host-side latency sketches).
+    Rejects unknown names and a non-default backend on a non-batch
+    kernel (backends are the batch kernel's array substrate - other
+    kernels have none to swap).
     """
     resolved = get_backend(backend)
     if resolved.name != DEFAULT_BACKEND and kernel != "batch":
@@ -126,5 +96,3 @@ def check_backend(
             f"array substrate and requires kernel='batch'; "
             f"got kernel={kernel!r}"
         )
-    if kernel == "batch":
-        resolved.check_features(metrics=metrics)

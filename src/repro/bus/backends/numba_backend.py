@@ -1,54 +1,80 @@
-"""The JIT batch backend: the cycle loop compiled to machine code.
+"""The JIT batch backends: one scalar loop source, compiled two ways.
 
 The numpy backend pays a fixed number of array-op dispatches per cycle;
 for the fleet sizes the paper's figures need, most of that is still
-interpreter overhead.  This backend replaces the per-cycle dispatch
+interpreter overhead.  These backends replace the per-cycle dispatch
 sequence with two self-contained scalar loops (one per buffering mode)
 that ``numba.njit`` compiles to native code operating on **the exact
 same state arrays** the numpy program uses.
 
-**Bit-identity contract.**  The scalar loops are written to consume the
-per-row Philox streams in exactly the numpy program's order and to
-reproduce its arithmetic exactly (left-associative hot-spot products,
-truncating inverse-CDF casts, first-minimum FCFS scans, ``floor(u *
-count)`` tie-break picks), so every counter, EBW, latency sketch and
-RNG end-state is bit-identical to the numpy backend - proven by
-``tests/properties/test_backend_equivalence.py`` - and the two share
+The loops run fleet rows outermost.  Rows are **fully independent** by
+the reproducibility contract - each row owns its counter-based Philox
+streams, its buffers and positions, and every state array is
+row-indexed - so the row loop is a ``prange``.  ``numba`` compiles the
+loops with ``parallel=False``, where ``prange`` is ``range``;
+``numba-parallel`` compiles the same source with ``parallel=True`` and
+distributes rows over ``NUMBA_NUM_THREADS`` threads.  Either way each
+row executes exactly the statement sequence the numpy program executes
+for it.
+
+**Bit-identity contract.**  The scalar loops consume the per-row
+Philox streams in exactly the numpy program's order and reproduce its
+arithmetic exactly (left-associative hot-spot products, truncating
+inverse-CDF casts, first-minimum FCFS scans, ``floor(u * count)``
+tie-break picks), so every counter, EBW, latency sketch and RNG
+end-state is bit-identical to the numpy backend - proven by
+``tests/properties/test_backend_equivalence.py`` - and all three share
 the ``simulation-batch@1`` cache namespace.
 
-The loops are also valid plain Python: ``NumbaBackend(jit=False)`` runs
-them interpreted, so the bit-identity suite executes even where numba
-is not installed (the registry's default instance always JITs and
-raises a :class:`ConfigurationError` naming the ``[batch-jit]`` extra
-when numba is missing).
+The loops are also valid plain Python (``prange`` degrades to ``range``
+outside JIT compilation, and a plain ``range`` stands in where numba is
+not importable): ``NumbaBackend(jit=False)`` runs them interpreted, so
+the bit-identity suite executes even where numba is not installed (the
+registry's default instances always JIT and raise a
+:class:`ConfigurationError` naming the ``[batch-jit]`` extra when numba
+is missing).
 
-**Stream re-entry.**  The numpy program refills a row's uniform buffer
-lazily at each draw site; the scalar loops instead check a conservative
-per-stream headroom margin at each cycle boundary and return to the
-Python driver, which refills the depleted rows and re-enters.  Because
-``Generator.random(k)`` splits compose sequentially, refill granularity
-never changes the values drawn - only *when* host work happens.
-Latency observations are spilled to preallocated event buffers inside
-the loop and replayed into the host-side sketches between segments, in
-the same per-cycle grouping the numpy program uses.
+**Segments.**  Rows running concurrently cannot coordinate a mid-loop
+early exit, so the loops have no stop conditions.  The driver instead
+refills every row without headroom for one cycle, then **precomputes**
+the largest segment every row can run safely - ``min((chunk - pos) //
+margin)`` over rows and streams, capped by the per-row event stride -
+and enters the loop for exactly that many cycles.  Because
+``Generator.random(k)`` splits compose sequentially, moving refills
+earlier never changes the values drawn.
+
+Latency events are spilled into **per-row slices** of a flat buffer
+(row ``f`` owns ``[f * stride, f * stride + row_nev[f])``), so threads
+never contend on one cursor; the host replay gathers the slices in
+ascending-row order, stable-sorts by cycle, and feeds the sketches the
+exact per-cycle, rows-ascending, total-then-wait add sequence the numpy
+program performs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
-from repro.bus.backends.base import BATCH_ENGINE_TOKEN, BatchBackend
+from repro.bus.backends.base import BatchBackend
+
+try:  # pragma: no cover - exercised only where numba is installed
+    from numba import prange
+except ImportError:  # numba.prange behaves as range outside JIT anyway
+    prange = range
 
 _NEVER = 1 << 30
 
 
 # ----------------------------------------------------------------------
-# The scalar cycle loops.  Each is one self-contained function (njit
-# cannot call back into plain Python) covering every feature flag via
-# branches on loop-invariant booleans; absent features receive dummy
-# arrays that the guarded branches never touch.  Both return
-# ``(cycles_done, events_recorded)`` so the driver can refill streams /
-# drain events and re-enter.
+# The scalar cycle loops, rows outermost.  Each is one self-contained
+# function (njit cannot call back into plain Python) covering every
+# feature flag via branches on loop-invariant booleans; absent features
+# receive dummy arrays that the guarded branches never touch.  The last
+# six arguments are the per-row event slices (ev_cycle, ev_wait,
+# ev_total, ev_serv, ev_stride, row_nev).  The driver guarantees the
+# segment fits every stream and event slice, so there are no in-loop
+# stop checks.
 # ----------------------------------------------------------------------
 def _unbuffered_loop(
     count,
@@ -64,7 +90,6 @@ def _unbuffered_loop(
     collect,
     collect_serv,
     record,
-    geometric,
     geom_arr,
     requesting,
     target,
@@ -91,8 +116,6 @@ def _unbuffered_loop(
     hot_rescale,
     log1p_neg_p,
     log_access_arr,
-    chunk,
-    has_targets,
     targets_buf,
     targets_pos,
     has_think,
@@ -103,44 +126,22 @@ def _unbuffered_loop(
     access_buf,
     access_pos,
     ev_cycle,
-    ev_row,
     ev_wait,
     ev_total,
     ev_serv,
-    ev_cap,
+    ev_stride,
+    row_nev,
 ):
-    done = 0
-    nev = 0
-    cycle = cycle0
-    while done < count:
-        # Segment boundary: stop while every stream still has enough
-        # buffered draws for one full cycle (at most one draw per row
-        # per stream here) and the event buffer can hold a full cycle.
-        stop = False
-        for f in range(fleet):
-            if random_tie and arb_pos[f] + 1 > chunk:
-                stop = True
-                break
-            if has_targets and targets_pos[f] + 1 > chunk:
-                stop = True
-                break
-            if has_think and think_pos[f] + 1 > chunk:
-                stop = True
-                break
-            if geometric and access_pos[f] + 1 > chunk:
-                stop = True
-                break
-        if stop:
-            break
-        if record and nev + fleet > ev_cap:
-            break
-
-        for f in range(fleet):
-            # Per-row shape bounds: a packed fleet pads every row to
-            # the group maximum, but padded lanes/modules stay inert
-            # because the loops never scan past the row's own extent.
-            n = n_arr[f]
-            m = m_arr[f]
+    for f in prange(fleet):
+        # Per-row shape bounds: a packed fleet pads every row to the
+        # group maximum, but padded lanes/modules stay inert because
+        # the loops never scan past the row's own extent.
+        n = n_arr[f]
+        m = m_arr[f]
+        nev = 0
+        base = f * ev_stride
+        cycle = cycle0
+        for _ in range(count):
             # 1. processor-cycle boundaries: waking processors issue.
             for i in range(n):
                 if wake[i, f] == cycle:
@@ -246,12 +247,11 @@ def _unbuffered_loop(
                 total = (cycle + 1) - issue[i, f]
                 total_latency[f] += total
                 if record:
-                    ev_cycle[nev] = cycle
-                    ev_row[nev] = f
-                    ev_wait[nev] = out_wait[k, f]
-                    ev_total[nev] = total
+                    ev_cycle[base + nev] = cycle
+                    ev_wait[base + nev] = out_wait[k, f]
+                    ev_total[base + nev] = total
                     if collect_serv:
-                        ev_serv[nev] = out_dur[k, f]
+                        ev_serv[base + nev] = out_dur[k, f]
                     nev += 1
                 if trace_rows[f]:
                     position = trace_pos[f, i]
@@ -279,9 +279,8 @@ def _unbuffered_loop(
                     wake[i, f] = w
                 else:
                     wake[i, f] = cycle + 1
-        cycle += 1
-        done += 1
-    return done, nev
+            cycle += 1
+        row_nev[f] = nev
 
 
 def _buffered_loop(
@@ -300,7 +299,6 @@ def _buffered_loop(
     collect,
     collect_serv,
     record,
-    geometric,
     geom_arr,
     requesting,
     target,
@@ -339,8 +337,6 @@ def _buffered_loop(
     hot_rescale,
     log1p_neg_p,
     log_access_arr,
-    chunk,
-    has_targets,
     targets_buf,
     targets_pos,
     has_think,
@@ -351,46 +347,25 @@ def _buffered_loop(
     access_buf,
     access_pos,
     ev_cycle,
-    ev_row,
     ev_wait,
     ev_total,
     ev_serv,
-    ev_cap,
+    ev_stride,
+    row_nev,
 ):
-    done = 0
-    nev = 0
-    cycle = cycle0
-    while done < count:
-        stop = False
-        for f in range(fleet):
-            if random_tie and arb_pos[f] + 1 > chunk:
-                stop = True
-                break
-            if has_targets and targets_pos[f] + 1 > chunk:
-                stop = True
-                break
-            if has_think and think_pos[f] + 1 > chunk:
-                stop = True
-                break
-            # A row can draw up to one access time per module (resolve
-            # or finish pulls) plus one direct service per cycle.
-            if geometric and access_pos[f] + m_arr[f] + 2 > chunk:
-                stop = True
-                break
-        if stop:
-            break
-        if record and nev + fleet > ev_cap:
-            break
-
-        for f in range(fleet):
-            # Per-row shape bounds (see the unbuffered loop): the ring
-            # arrays are dimensioned to the pack maxima, but wraps use
-            # the row's own depth/capacity so indices replay the
-            # unpacked fleet's exactly.
-            n = n_arr[f]
-            m = m_arr[f]
-            depth = depth_arr[f]
-            capacity = capacity_arr[f]
+    for f in prange(fleet):
+        # Per-row shape bounds (see the unbuffered loop): the ring
+        # arrays are dimensioned to the pack maxima, but wraps use the
+        # row's own depth/capacity so indices replay the unpacked
+        # fleet's exactly.
+        n = n_arr[f]
+        m = m_arr[f]
+        depth = depth_arr[f]
+        capacity = capacity_arr[f]
+        nev = 0
+        base = f * ev_stride
+        cycle = cycle0
+        for _ in range(count):
             # 1. processor-cycle boundaries: waking processors issue.
             for i in range(n):
                 if wake[i, f] == cycle:
@@ -613,12 +588,11 @@ def _buffered_loop(
                 total = (cycle + 1) - issue[i, f]
                 total_latency[f] += total
                 if record:
-                    ev_cycle[nev] = cycle
-                    ev_row[nev] = f
-                    ev_wait[nev] = outq_wait[head, k, f]
-                    ev_total[nev] = total
+                    ev_cycle[base + nev] = cycle
+                    ev_wait[base + nev] = outq_wait[head, k, f]
+                    ev_total[base + nev] = total
                     if collect_serv:
-                        ev_serv[nev] = outq_dur[head, k, f]
+                        ev_serv[base + nev] = outq_dur[head, k, f]
                     nev += 1
                 if trace_rows[f]:
                     position = trace_pos[f, i]
@@ -650,23 +624,22 @@ def _buffered_loop(
                     # Stalled modules resolve exactly one cycle after
                     # the response grant that freed their slot.
                     resolve[k, f] = True
-        cycle += 1
-        done += 1
-    return done, nev
+            cycle += 1
+        row_nev[f] = nev
 
 
-_JIT_LOOPS = None
+EVENT_STRIDE = 1024
+"""Latency events each row can spill per segment (one per cycle max,
+so segments are capped at this many cycles when recording)."""
 
 
-def _jit_loops():
-    """Compile the scalar loops once per process (shared by instances)."""
-    global _JIT_LOOPS
-    if _JIT_LOOPS is None:
-        import numba
+@functools.cache
+def _jit_loops(parallel: bool):
+    """Compile the scalar loops once per process and ``parallel`` flag."""
+    import numba
 
-        jit = numba.njit(cache=False, nogil=True)
-        _JIT_LOOPS = (jit(_unbuffered_loop), jit(_buffered_loop))
-    return _JIT_LOOPS
+    jit = numba.njit(parallel=parallel, cache=False, nogil=True)
+    return jit(_unbuffered_loop), jit(_buffered_loop)
 
 
 class NumbaBackend(BatchBackend):
@@ -679,9 +652,8 @@ class NumbaBackend(BatchBackend):
 
     name = "numba"
     extra = "batch-jit"
-    bitwise = True
-    engine_token = BATCH_ENGINE_TOKEN
-    supports_latency = True
+    parallel = False
+    """Whether the JIT distributes the row loop over threads."""
 
     def __init__(self, jit: bool = True) -> None:
         self._jit = bool(jit)
@@ -707,22 +679,17 @@ class NumbaBackend(BatchBackend):
 
     def _loops(self):
         if self._jit:
-            return _jit_loops()
+            return _jit_loops(self.parallel)
         return (_unbuffered_loop, _buffered_loop)
 
     # ------------------------------------------------------------------
     def _segment_state(self, kernel):
-        """The chunked driver's shared state: streams plus the static
-        argument prefix.
+        """The driver's streams plus the loop's static argument prefix.
 
-        Both scalar-loop signatures end with the same five event-buffer
-        arguments; everything before them is identical between the
-        serial driver and the row-parallel driver
-        (:class:`~repro.bus.backends.numba_parallel_backend.NumbaParallelBackend`),
-        so this helper builds that shared prefix once and each driver
-        appends its own event tail.  Returns ``(streams, prefix)``
-        where ``streams`` is the ``(lanes, per-cycle margin)`` list the
-        driver refills between segments.
+        Returns ``(streams, prefix)``: ``streams`` is the ``(lanes,
+        per-cycle margin)`` list the driver refills between segments,
+        and ``prefix`` is every loop argument after ``count, cycle0``
+        and before the event slices.
         """
         np = kernel._np
         fleet = kernel._fleet
@@ -730,10 +697,12 @@ class NumbaBackend(BatchBackend):
         collect = kernel._collect_latency
         collect_serv = kernel._collect_service
         record = kernel._sketch_total is not None
-        geometric = kernel._geometric
         random_tie = kernel._random_tie
         track_ready = not random_tie
 
+        # A buffered row can draw up to one access time per module
+        # (resolve or finish pulls) plus one direct service per cycle;
+        # the kernel sizes every buffer to hold m + 2 draws.
         lanes_list = [
             (kernel._targets_lanes, 1),
             (kernel._think_lanes, 1),
@@ -741,9 +710,6 @@ class NumbaBackend(BatchBackend):
             (kernel._access_lanes, 1 if not kernel._buffered else m + 2),
         ]
         streams = [(ln, margin) for ln, margin in lanes_list if ln is not None]
-        # The kernel sizes every buffer to hold m + 2 draws, the most a
-        # buffered geometric cycle can take from one row.
-        chunk = streams[0][0]._chunk if streams else 1
 
         dummy_buf = np.zeros((1, 1), dtype=np.float64)
         dummy_pos = np.zeros(1, dtype=np.int64)
@@ -777,8 +743,6 @@ class NumbaBackend(BatchBackend):
             kernel._hot_rescale,
             kernel._log1p_neg_p,
             kernel._log_access_rows,
-            chunk,
-            kernel._targets_lanes is not None,
             targets_buf,
             targets_pos,
             kernel._think_lanes is not None,
@@ -824,7 +788,6 @@ class NumbaBackend(BatchBackend):
                 collect,
                 collect_serv,
                 record,
-                geometric,
                 kernel._geom_rows,
                 *proc_args,
                 kernel._svc_finish,
@@ -878,7 +841,6 @@ class NumbaBackend(BatchBackend):
                 collect,
                 collect_serv,
                 record,
-                geometric,
                 kernel._geom_rows,
                 *proc_args,
                 kernel._svc_finish,
@@ -899,7 +861,7 @@ class NumbaBackend(BatchBackend):
         return streams, prefix
 
     def advance(self, kernel, count: int) -> None:
-        """Run ``count`` cycles through the scalar loop in segments."""
+        """Run ``count`` cycles in driver-precomputed segments."""
         np = kernel._np
         unbuffered_fn, buffered_fn = self._loops()
         loop = buffered_fn if kernel._buffered else unbuffered_fn
@@ -907,59 +869,104 @@ class NumbaBackend(BatchBackend):
         record = kernel._sketch_total is not None
         streams, prefix = self._segment_state(kernel)
 
+        row_nev = getattr(kernel, "_nb_row_nev", None)
+        if row_nev is None or len(row_nev) != fleet:
+            row_nev = np.zeros(fleet, dtype=np.int64)
+            kernel._nb_row_nev = row_nev
         if record:
-            ev_cap = max(fleet, 16384)
+            ev_stride = EVENT_STRIDE
             events = getattr(kernel, "_nb_events", None)
-            if events is None or len(events[0]) < ev_cap:
+            if events is None or len(events[0]) != fleet * ev_stride:
                 events = tuple(
-                    np.empty(ev_cap, dtype=np.int64) for _ in range(5)
+                    np.empty(fleet * ev_stride, dtype=np.int64)
+                    for _ in range(4)
                 )
                 kernel._nb_events = events
         else:
-            ev_cap = 1
-            events = tuple(np.empty(1, dtype=np.int64) for _ in range(5))
-        static = prefix + (*events, ev_cap)
+            ev_stride = 1
+            events = tuple(np.empty(1, dtype=np.int64) for _ in range(4))
 
         done = 0
         while done < count:
-            ran, nev = loop(count - done, kernel.cycle, *static)
-            ran = int(ran)
-            nev = int(nev)
-            kernel.cycle += ran
-            done += ran
-            if nev:
-                self._replay_events(kernel, events, nev)
-            if done < count:
-                refilled = False
-                for lanes, margin in streams:
-                    need = lanes._pos > lanes._chunk - margin
-                    if need.any():
-                        lanes._refill(need)
-                        refilled = True
-                if ran == 0 and nev == 0 and not refilled:
-                    raise RuntimeError(
-                        "numba batch loop made no progress; this is a bug"
-                    )
+            # Refill rows without headroom for even one cycle, then run
+            # the largest segment every stream can sustain, so rows
+            # need no global coordination inside the loop.
+            seg = count - done
+            for lanes, margin in streams:
+                need = lanes._pos > lanes._chunk - margin
+                if need.any():
+                    lanes._refill(need)
+                per_row = (lanes._chunk - lanes._pos) // margin
+                seg = min(seg, int(per_row.min()))
+            if record:
+                seg = min(seg, ev_stride)
+            if seg <= 0:
+                raise RuntimeError(
+                    f"{self.name} batch loop made no progress; this is a bug"
+                )
+            loop(seg, kernel.cycle, *prefix, *events, ev_stride, row_nev)
+            kernel.cycle += seg
+            done += seg
+            if record:
+                self._replay_events(kernel, events, ev_stride, row_nev)
 
     @staticmethod
-    def _replay_events(kernel, events, nev):
-        """Feed spilled latency events into the host-side sketches.
+    def _replay_events(kernel, events, ev_stride, row_nev):
+        """Feed the per-row event slices into the host-side sketches.
 
-        Replays exactly the per-cycle add-call sequence the numpy
-        program performs (grant rows ascending, total then wait), so
-        sketch contents stay bit-identical.
+        Gathers slices in ascending-row order and stable-sorts by
+        cycle, which reproduces the numpy program's exact add sequence:
+        cycles increasing, rows ascending within each cycle (each row
+        records at most one event per cycle, so rows stay distinct per
+        add call), totals before waits.
         """
         np = kernel._np
-        ev_cycle, ev_row, ev_wait, ev_total, ev_serv = events
+        if int(row_nev.sum()) == 0:
+            return
+        ev_cycle, ev_wait, ev_total, ev_serv = events
+        pieces = [
+            (f, int(row_nev[f]))
+            for f in range(kernel._fleet)
+            if row_nev[f] > 0
+        ]
+        rows = np.repeat(
+            np.array([f for f, _ in pieces], dtype=np.int64),
+            np.array([count for _, count in pieces], dtype=np.int64),
+        )
+
+        def gather(buffer):
+            return np.concatenate(
+                [buffer[f * ev_stride : f * ev_stride + c] for f, c in pieces]
+            )
+
+        cycles = gather(ev_cycle)
+        order = np.argsort(cycles, kind="stable")
+        cycles = cycles[order]
+        rows = rows[order]
+        waits = gather(ev_wait)[order]
+        totals = gather(ev_total)[order]
+        sketch_service = kernel._sketch_service
+        if sketch_service is not None:
+            servs = gather(ev_serv)[order]
+        boundaries = np.flatnonzero(np.diff(cycles)) + 1
+        starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
+        ends = np.concatenate(
+            (boundaries, np.array([len(cycles)], dtype=np.int64))
+        )
         sketch_total = kernel._sketch_total
         sketch_wait = kernel._sketch_wait
-        sketch_service = kernel._sketch_service
-        boundaries = np.flatnonzero(np.diff(ev_cycle[:nev])) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
-        ends = np.concatenate((boundaries, np.array([nev], dtype=np.int64)))
         for start, end in zip(starts, ends):
-            rows = ev_row[start:end]
-            sketch_total.add(rows, ev_total[start:end])
-            sketch_wait.add(rows, ev_wait[start:end])
+            sketch_total.add(rows[start:end], totals[start:end])
+            sketch_wait.add(rows[start:end], waits[start:end])
             if sketch_service is not None:
-                sketch_service.add(rows, ev_serv[start:end])
+                sketch_service.add(rows[start:end], servs[start:end])
+
+
+class NumbaParallelBackend(NumbaBackend):
+    """Threaded JIT substrate: the same loops compiled ``parallel=True``.
+
+    ``NUMBA_NUM_THREADS`` bounds the thread pool as usual.
+    """
+
+    name = "numba-parallel"
+    parallel = True

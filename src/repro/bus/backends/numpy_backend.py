@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bus.backends.base import BATCH_ENGINE_TOKEN, BatchBackend
+from repro.bus.backends.base import BatchBackend
 
 
 class NumpyBackend(BatchBackend):
@@ -15,9 +15,6 @@ class NumpyBackend(BatchBackend):
 
     name = "numpy"
     extra = "batch"
-    bitwise = True
-    engine_token = BATCH_ENGINE_TOKEN
-    supports_latency = True
     # 2 KB per row and stream.  A sweep worker running the whole 70-row
     # Table 4 super-fleet peaked at 40.1 MB, against 41.9 MB with 2048,
     # and 512-row fleets ran no slower.

@@ -63,17 +63,16 @@ match).  Every row is padded to the fleet maxima ``(max_n, max_m)``;
 padded lanes are inert - never requesting, wake pinned at the never
 sentinel, targets pinned to a valid module - and, crucially, **never
 consume a random draw**, so each row's per-row Philox draw sequence is
-bit-identical to the same row in an unpacked (homogeneous) fleet.
+bit-identical to the same row in a homogeneous fleet or alone.
 Packed results therefore share the :data:`BATCH_ENGINE_TOKEN`
 namespace with no token bump (hypothesis-proven in
 ``tests/properties/test_fleet_packing.py``).
 
 **Backends.**  The lockstep program runs on a pluggable array substrate
-(:mod:`repro.bus.backends`): ``numpy`` (default), ``numba`` (the same
-state arrays driven by a JIT-compiled scalar loop, bit-identical to
-numpy) or ``cupy`` (GPU, statistically equivalent).  Bit-identical
-backends share the :data:`BATCH_ENGINE_TOKEN` cache namespace; cupy
-owns its own.
+(:mod:`repro.bus.backends`): ``numpy`` (default), or ``numba`` and
+``numba-parallel`` (the same state arrays driven by one JIT-compiled
+scalar loop, serial or threaded over rows, bit-identical to numpy).
+All backends share the :data:`BATCH_ENGINE_TOKEN` cache namespace.
 
 **Buffered fast path.**  Input and output queues are circular-buffer
 index arrays (``(slots, m * fleet)`` rings plus per-module head/length
@@ -115,24 +114,6 @@ from repro.workloads.generators import (
 
 BATCH_EXTRA = "batch"
 """Name of the optional dependency extra that provides numpy."""
-
-SHAPE_FIELDS = (
-    "processors",
-    "memories",
-    "memory_cycle_ratio",
-    "priority",
-    "tie_break",
-    "buffered",
-    "buffer_depth",
-)
-"""The :class:`SystemConfig` fields of one homogeneous lockstep shape.
-
-Since fleet packing landed, only :data:`PACK_FIELDS` must actually be
-shared by the rows of one kernel - ``processors``, ``memories``,
-``memory_cycle_ratio`` and ``buffer_depth`` are per-row state (padded
-lanes are inert and never consume a draw).  The full shape tuple
-remains the *sub-fleet* identity used by invariance tests and by
-``group_fleets``' unpacked grouping."""
 
 PACK_FIELDS = (
     "priority",
@@ -210,7 +191,6 @@ def check_batch_features(
     metrics: Sequence[str] = (),
     geometric_access_times: bool = False,
     targets: TargetSampler | None = None,
-    backend: str | BatchBackend = DEFAULT_BACKEND,
 ) -> None:
     """The one authority on what ``kernel='batch'`` cannot run.
 
@@ -219,11 +199,10 @@ def check_batch_features(
     :func:`repro.bus.simulate` at request time and by
     :func:`repro.scenarios.compiler.compile_scenario` at scenario load
     time, so unsupported sweeps fail before any cycle is simulated.
-    Unknown backend names and backend capability mismatches (cupy
-    cannot feed the host-side latency sketches) are rejected here too.
+    Backend names are checked separately, by
+    :func:`repro.bus.backends.check_backend`.
     """
     check_batch_metrics(metrics)
-    get_backend(backend).check_features(metrics=metrics)
     if targets is not None:
         # Reuses the planner's type dispatch without building a plan.
         if not isinstance(
@@ -235,16 +214,6 @@ def check_batch_features(
                 f"{type(targets).__name__} - use kernel='reference' "
                 "for custom samplers"
             )
-
-
-def fleet_shape(config: SystemConfig) -> tuple:
-    """The lockstep-compatibility key of a configuration.
-
-    Two simulations can share one :class:`BatchBusKernel` exactly when
-    their shapes are equal (and their measurement windows match - see
-    :func:`repro.parallel.fleet.fleet_key`, which adds those fields).
-    """
-    return tuple(getattr(config, field) for field in SHAPE_FIELDS)
 
 
 # ----------------------------------------------------------------------
@@ -457,9 +426,9 @@ class BatchBusKernel:
     backend:
         The array substrate to execute on: a registered name from
         :data:`repro.bus.backends.KNOWN_BACKENDS` or a
-        :class:`~repro.bus.backends.BatchBackend` instance.  numpy and
-        numba produce bit-identical results; cupy is statistically
-        equivalent.  Missing substrates raise naming the install extra.
+        :class:`~repro.bus.backends.BatchBackend` instance.  Every
+        backend produces bit-identical results.  Missing substrates
+        raise naming the install extra.
 
     :meth:`run` replicates the reference measurement protocol (warm-up
     exclusion, batch-means windows) per row and returns one
@@ -477,9 +446,6 @@ class BatchBusKernel:
         backend: str | BatchBackend = DEFAULT_BACKEND,
     ) -> None:
         self._backend = get_backend(backend)
-        self._backend.check_features(
-            metrics=("latency",) if collect_latency else ()
-        )
         np = self._backend.require()
         self._np = np
         configs = list(configs)
@@ -934,9 +900,9 @@ class BatchBusKernel:
                 f"a batch run is limited to {_NEVER} total bus cycles "
                 "(int32 cycle state); split the run or use kernel='fast'"
             )
-        # The backend owns the execution strategy: numpy (and cupy) run
-        # the vectorized loops below; numba drives its compiled scalar
-        # loop over the same state arrays.
+        # The backend owns the execution strategy: numpy runs the
+        # vectorized loops below; numba drives its compiled scalar loop
+        # over the same state arrays.
         self._backend.advance(self, count)
 
     def _make_arbiter(self):

@@ -97,22 +97,19 @@ class SimulationEvaluator:
         The ``reference`` and ``fast`` kernels are property-tested
         bit-identical, so they share the ``simulation@1`` namespace and
         the kernel lever stays out of the key.  The ``batch`` kernel is
-        only statistically equivalent, so its requests carry a distinct
-        engine namespace - resolved per backend through
-        :func:`repro.bus.backends.backend_engine_token`: the
-        bit-identical numpy/numba pair shares ``simulation-batch@1``
-        (their cache entries are interchangeable), while
-        statistically-equivalent backends like cupy own their token, so
-        entries can never cross an equivalence boundary.
+        only statistically equivalent, so its requests carry the
+        distinct ``simulation-batch@1`` namespace.  Every batch backend
+        is bit-identical to numpy, so the backend stays out of the key
+        and their cache entries are interchangeable.
         """
         from repro.parallel.cache import case_payload
 
         payload = case_payload(request.case())
         payload["method"] = str(self.capabilities.method)
         if request.kernel == "batch":
-            from repro.bus.backends import backend_engine_token
+            from repro.bus.backends import BATCH_ENGINE_TOKEN
 
-            payload["engine"] = backend_engine_token(request.backend)
+            payload["engine"] = BATCH_ENGINE_TOKEN
         else:
             payload["engine"] = self.capabilities.engine_token
         return payload

@@ -233,7 +233,7 @@ class P2Quantile:
 
         Marker heights are order statistics of the buffered sample at
         the canonical P² rank fractions ``(0, q/2, q, (1+q)/2, 1)``;
-        marker positions are the (1-based) ranks those heights occupy,
+        marker positions are the (1-based) ranks those heights hold,
         forced strictly increasing so the update invariants hold.
         """
         buffer = sorted(self._buffer or ())

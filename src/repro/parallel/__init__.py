@@ -37,12 +37,7 @@ tests under ``tests/properties/test_parallel_equivalence.py`` assert
 directly.
 """
 
-from repro.parallel.fleet import (
-    fleet_key,
-    group_fleets,
-    replicate_batch,
-    run_fleet,
-)
+from repro.parallel.fleet import replicate_batch, run_fleet
 from repro.parallel.cache import (
     ENV_CACHE_DIR,
     CacheStats,
@@ -68,8 +63,6 @@ from repro.parallel.workers import (
 __all__ = [
     "ParallelReplicator",
     "ResultCache",
-    "fleet_key",
-    "group_fleets",
     "replicate_batch",
     "run_fleet",
     "CacheStats",

@@ -4,7 +4,7 @@ The pool map in :mod:`repro.parallel.pool` parallelises *across* runs;
 the batch kernel (:mod:`repro.bus.batch`) vectorises *within* one call.
 This module is the bridge: it groups a list of
 :class:`~repro.parallel.workers.SimulationCase` items into lockstep
-fleets - cases sharing the batch shape and measurement window - and
+fleets - cases sharing the pack fields and measurement window - and
 executes each fleet with a single :class:`~repro.bus.batch.BatchBusKernel`
 invocation instead of pool-mapping the runs one by one.
 
@@ -27,39 +27,17 @@ from repro.des.replications import ReplicationResult, replication_seeds
 from repro.workloads.spec import WorkloadSpec
 
 
-def fleet_key(case: SimulationCase) -> tuple:
-    """The lockstep-grouping key of one simulation case.
-
-    Extends :func:`repro.bus.batch.fleet_shape` with the measurement
-    window - rows of one kernel advance through identical cycle counts,
-    so ``cycles`` and ``warmup`` must match too - and with
-    ``collect_latency``, because latency collection is a whole-kernel
-    lever (one sketch pair per fleet): latency and non-latency cases
-    never share a kernel.  ``backend`` is part of the key for the same
-    reason - one kernel instance runs on one array substrate - even
-    though bit-identical backends would produce the same bytes either
-    way.
-    """
-    from repro.bus.batch import fleet_shape
-
-    return fleet_shape(case.config) + (
-        case.cycles,
-        case.warmup,
-        case.collect_latency,
-        case.backend,
-    )
-
-
 def pack_key(case: SimulationCase) -> tuple:
     """The super-fleet grouping key: pack fields plus the window.
 
-    The packed layer above :func:`fleet_key`: shape numbers (``n``,
-    ``m``, ``r``, buffer depth) are per-row kernel state now, so only
-    the :data:`~repro.bus.batch.PACK_FIELDS` - arbitration branch and
-    buffering mode - plus the measurement window and backend must
-    match for rows to share one padded lockstep program.  Cases with
-    equal :func:`fleet_key` always have equal ``pack_key``, so packing
-    strictly coarsens the fleet grouping.
+    Shape numbers (``n``, ``m``, ``r``, buffer depth) are per-row
+    kernel state, so only the :data:`~repro.bus.batch.PACK_FIELDS` -
+    arbitration branch and buffering mode - must match for rows to
+    share one padded lockstep program.  So must the measurement window
+    (rows of one kernel advance through identical cycle counts),
+    ``collect_latency`` (a whole-kernel lever: one sketch pair per
+    fleet) and ``backend`` (one kernel instance runs on one array
+    substrate, even though every backend produces the same bytes).
     """
     from repro.bus.batch import PACK_FIELDS
 
@@ -73,26 +51,15 @@ def pack_key(case: SimulationCase) -> tuple:
     )
 
 
-def group_fleets(cases: Sequence[SimulationCase]) -> list[list[int]]:
-    """Partition case positions into homogeneous lockstep fleets.
-
-    Groups are keyed on :func:`fleet_key` and ordered by each key's
-    first appearance, so the grouping is a deterministic function of the
-    case list alone.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for position, case in enumerate(cases):
-        groups.setdefault(fleet_key(case), []).append(position)
-    return list(groups.values())
-
-
 def pack_fleets(cases: Sequence[SimulationCase]) -> list[list[int]]:
     """Partition case positions into shape-packed super-fleets.
 
-    Like :func:`group_fleets` but keyed on :func:`pack_key`, so a
-    fragmented sweep - many shapes, few replications each - lands in
-    one padded batch call per arbitration/window/backend combination
-    instead of one tiny fleet per shape.  By the packing contract each
+    Groups are keyed on :func:`pack_key` and ordered by each key's
+    first appearance, so the grouping is a deterministic function of
+    the case list alone.  A fragmented sweep - many shapes, few
+    replications each - lands in one padded batch call per
+    arbitration/window/backend combination instead of one tiny fleet
+    per shape.  By the packing contract each
     row's bytes are independent of the grouping (proven in
     ``tests/properties/test_fleet_packing.py``), so this is purely a
     wall-clock lever.
@@ -103,9 +70,7 @@ def pack_fleets(cases: Sequence[SimulationCase]) -> list[list[int]]:
     return list(groups.values())
 
 
-def run_fleet(
-    cases: Sequence[SimulationCase], pack: bool = True
-) -> list[SimulationResult]:
+def run_fleet(cases: Sequence[SimulationCase]) -> list[SimulationResult]:
     """Execute simulation cases through lockstep batch fleets.
 
     The batch counterpart of
@@ -116,19 +81,14 @@ def run_fleet(
     cases run through per-row quantile sketches and come back with
     sketch-based :class:`~repro.metrics.LatencyReport` values attached;
     raises :class:`ConfigurationError` when numpy is unavailable.
-
-    ``pack=True`` (the default) groups by :func:`pack_key`, running
-    shape-heterogeneous cases as padded super-fleets; ``pack=False``
-    keeps the homogeneous :func:`fleet_key` grouping.  The two produce
-    identical bytes - packing only changes how many kernel calls are
-    made.
+    Cases are grouped by :func:`pack_key`, so shape-heterogeneous cases
+    run as padded super-fleets.
     """
     from repro.bus.batch import BatchBusKernel
 
     cases = list(cases)
     results: dict[int, SimulationResult] = {}
-    grouping = pack_fleets(cases) if pack else group_fleets(cases)
-    for positions in grouping:
+    for positions in pack_fleets(cases):
         configs = []
         seeds = []
         targets = []

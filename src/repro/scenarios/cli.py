@@ -24,6 +24,7 @@ import sys
 import time
 from typing import Sequence
 
+from repro.bus.backends import DEFAULT_BACKEND, KNOWN_BACKENDS
 from repro.core.errors import ConfigurationError, ReproError
 from repro.scenarios.compiler import compile_scenario, parse_shard, shard_units
 from repro.scenarios.execute import run_units, unit_line
@@ -153,25 +154,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("numpy", "numba", "numba-parallel", "cupy"),
-        default="numpy",
+        choices=KNOWN_BACKENDS,
+        default=DEFAULT_BACKEND,
         help="array substrate for the batch kernel (requires --kernel "
         "batch): 'numpy' (default), 'numba' (JIT-compiled cycle loop, "
-        "bit-identical to numpy, [batch-jit] extra), 'numba-parallel' "
-        "(same loop under prange over fleet rows, bit-identical, "
-        "[batch-jit] extra) or 'cupy' (GPU, statistically equivalent, "
-        "own cache namespace, [batch-gpu] extra); a missing backend "
-        "fails loudly naming its extra",
-    )
-    parser.add_argument(
-        "--pack",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="pack shape-heterogeneous batch-kernel units into padded "
-        "super-fleets, one vectorized call per arbitration/window/"
-        "backend combination (default on; bytes are identical either "
-        "way, packing only changes wall clock); --no-pack restores "
-        "one fleet per shape for A/B timing",
+        "bit-identical to numpy, [batch-jit] extra) or 'numba-parallel' "
+        "(same loop compiled with prange over fleet rows on threads, "
+        "bit-identical, [batch-jit] extra); a missing backend fails "
+        "loudly naming its extra",
     )
     parser.add_argument(
         "--chart",
@@ -218,16 +208,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--lease-size requires --workers")
         if args.lease_size < 1:
             parser.error("--lease-size must be a positive integer")
-    if not args.pack and args.workers is not None:
-        # The sweep service's planner already groups leases by pack
-        # key; an unpacked service run would misreport what executed.
-        parser.error("--no-pack requires the serial path (no --workers)")
     if args.fast and args.kernel == "batch":
         # fast and batch produce deliberately different bytes, so a
         # silent precedence pick would hand back the wrong tier.
         parser.error("--fast conflicts with --kernel batch; pick one")
     kernel = "fast" if args.fast else args.kernel
-    if args.backend != "numpy" and kernel != "batch":
+    if args.backend != DEFAULT_BACKEND and kernel != "batch":
         # Backends are the batch kernel's array substrate; silently
         # ignoring --backend on another kernel would misreport what ran.
         parser.error("--backend requires --kernel batch")
@@ -289,9 +275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 telemetry=telemetry,
             )
         else:
-            results = run_units(
-                units, jobs=args.jobs, cache=cache, pack=args.pack
-            )
+            results = run_units(units, jobs=args.jobs, cache=cache)
     except ReproError as exc:
         # Covers simulation and model failures too - any library error
         # surfaces as the CLI's curated one-line diagnostic.

@@ -24,7 +24,7 @@ import dataclasses
 import re
 from typing import Any, Iterable, Sequence
 
-from repro.bus.backends import DEFAULT_BACKEND, KNOWN_BACKENDS
+from repro.bus.backends import DEFAULT_BACKEND, check_backend
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.engine.base import EvalRequest
@@ -71,10 +71,9 @@ class WorkUnit:
     ``simulation-batch@1`` engine token instead of ``simulation@1``."""
     backend: str = DEFAULT_BACKEND
     """Array substrate of the batch kernel (:mod:`repro.bus.backends`).
-    Like ``kernel`` it is an execution lever and stays out of
-    :meth:`payload` *except* through the engine token: bit-identical
-    backends (numpy/numba) share ``simulation-batch@1``, while
-    statistically-equivalent backends (cupy) carry their own token."""
+    Every backend is bit-identical to numpy, so like ``kernel`` it is an
+    execution lever and never enters :meth:`payload`: all backends share
+    ``simulation-batch@1``."""
 
     @property
     def collects_latency(self) -> bool:
@@ -151,27 +150,19 @@ def compile_scenario(
             f"unknown simulation kernel {kernel!r}; "
             f"known kernels: {', '.join(KNOWN_KERNELS)}"
         )
-    if backend not in KNOWN_BACKENDS:
+    try:
+        check_backend(kernel, backend)
+    except ConfigurationError as exc:
         raise ConfigurationError(
-            f"unknown batch backend {backend!r}; "
-            f"known backends: {', '.join(KNOWN_BACKENDS)}"
-        )
-    if backend != DEFAULT_BACKEND:
-        from repro.bus.backends import check_backend
-
-        try:
-            check_backend(kernel, backend, metrics=spec.metrics)
-        except ConfigurationError as exc:
-            raise ConfigurationError(
-                f"scenario {spec.name!r} cannot run under "
-                f"backend={backend!r}: {exc}"
-            ) from exc
+            f"scenario {spec.name!r} cannot run under "
+            f"backend={backend!r}: {exc}"
+        ) from exc
     capabilities = get_evaluator(spec.method).capabilities
     if kernel == "batch" and spec.method is EvaluationMethod.SIMULATION:
         from repro.bus.batch import check_batch_features
 
         try:
-            check_batch_features(metrics=spec.metrics, backend=backend)
+            check_batch_features(metrics=spec.metrics)
         except ConfigurationError as exc:
             raise ConfigurationError(
                 f"scenario {spec.name!r} cannot run under "

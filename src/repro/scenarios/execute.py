@@ -63,9 +63,7 @@ def evaluate_unit(unit: WorkUnit) -> dict[str, Any]:
     return get_evaluator(unit.method).evaluate(unit.request()).payload()
 
 
-def evaluate_fleet(
-    units: Sequence[WorkUnit], pack: bool = True
-) -> list[dict[str, Any]]:
+def evaluate_fleet(units: Sequence[WorkUnit]) -> list[dict[str, Any]]:
     """Evaluate batch-kernel simulation units as one lockstep fleet.
 
     The fleet-aggregation fast path of :func:`run_units`: instead of
@@ -74,12 +72,10 @@ def evaluate_fleet(
     Fleet rows are independent, so each unit's payload is byte-identical
     to the payload :func:`evaluate_unit` would produce for it alone
     (property-tested); the aggregation is purely a wall-clock lever.
-    ``pack`` selects shape-packed super-fleets versus homogeneous
-    grouping inside the call - identical bytes either way.
     """
     from repro.parallel.fleet import run_fleet
 
-    results = run_fleet([unit.case() for unit in units], pack=pack)
+    results = run_fleet([unit.case() for unit in units])
     return [
         EvalResult(
             ebw=result.ebw,
@@ -100,16 +96,15 @@ def _evaluate_task(task) -> list[dict[str, Any]]:
     kind, payload = task
     if kind == "unit":
         return [evaluate_unit(payload)]
-    fleet_units, pack = payload
-    return evaluate_fleet(fleet_units, pack=pack)
+    return evaluate_fleet(payload)
 
 
 def _batchable(unit: WorkUnit) -> bool:
     """Whether a unit can join a lockstep fleet.
 
     Latency-metric units qualify: the batch kernel collects wait/total
-    distributions through per-row quantile sketches, and the fleet key
-    (:func:`repro.parallel.fleet.fleet_key`) separates latency fleets
+    distributions through per-row quantile sketches, and the pack key
+    (:func:`repro.parallel.fleet.pack_key`) separates latency fleets
     from plain ones.
     """
     return (
@@ -121,27 +116,21 @@ def _batchable(unit: WorkUnit) -> bool:
 def pack_groups(
     units: Sequence[WorkUnit],
     positions: Iterable[int] | None = None,
-    pack: bool = True,
 ) -> list[list[int]]:
     """Group ``positions`` (default: all) of ``units`` into batch calls.
 
-    Batch-kernel simulation positions sharing a grouping key form one
-    group - one lockstep fleet call; every other position is its own
-    singleton group.  Groups are first-appearance ordered.
-    ``pack=True`` (the default) keys fleets on
-    :func:`repro.parallel.fleet.pack_key`, so shape-heterogeneous
-    sweeps land in one padded super-fleet per batch call;
-    ``pack=False`` keeps the homogeneous
-    :func:`~repro.parallel.fleet.fleet_key` grouping.  This is the one
-    grouping rule of both the executor (:func:`_evaluation_tasks`) and
-    the sweep planner (:func:`repro.scenarios.plan.carve_leases`), so a
-    lease built from whole groups runs as exactly one batch call per
-    group.  Because fleet rows are independent, grouping can never
+    Batch-kernel simulation positions sharing a
+    :func:`repro.parallel.fleet.pack_key` form one group - one padded
+    super-fleet call, so shape-heterogeneous sweeps land in one batch
+    call; every other position is its own singleton group.  Groups are
+    first-appearance ordered.  This is the one grouping rule of both
+    the executor (:func:`_evaluation_tasks`) and the sweep planner
+    (:func:`repro.scenarios.plan.carve_leases`), so a lease built from
+    whole groups runs as exactly one batch call per group.  Because fleet rows are independent, grouping can never
     change any unit's bytes.
     """
-    from repro.parallel.fleet import fleet_key, pack_key
+    from repro.parallel.fleet import pack_key
 
-    grouping_key = pack_key if pack else fleet_key
     fleets: dict[tuple, list[int]] = {}
     groups: list[list[int]] = []
     for position in range(len(units)) if positions is None else positions:
@@ -149,7 +138,7 @@ def pack_groups(
         if not _batchable(unit):
             groups.append([position])
             continue
-        key = grouping_key(unit.case())
+        key = pack_key(unit.case())
         if key not in fleets:
             fleets[key] = []
             groups.append(fleets[key])
@@ -159,18 +148,17 @@ def pack_groups(
 
 def _evaluation_tasks(
     units: Sequence[WorkUnit],
-    pack: bool = True,
 ) -> tuple[list[tuple], list[list[int]]]:
     """Pool tasks for ``units``, one per :func:`pack_groups` group.
 
-    A batch group travels as one ``("fleet", ((...units...), pack))``
-    task; everything else stays a ``("unit", unit)`` task.  Returns the
+    A batch group travels as one ``("fleet", (...units...))`` task;
+    everything else stays a ``("unit", unit)`` task.  Returns the
     tasks plus, aligned with them, each task's member positions in
     ``units``.
     """
-    groups = pack_groups(units, pack=pack)
+    groups = pack_groups(units)
     tasks = [
-        ("fleet", (tuple(units[i] for i in group), pack))
+        ("fleet", tuple(units[i] for i in group))
         if _batchable(units[group[0]])
         else ("unit", units[group[0]])
         for group in groups
@@ -219,17 +207,15 @@ def run_units(
     units: Sequence[WorkUnit],
     jobs: int | None = 1,
     cache=None,
-    pack: bool = True,
 ) -> list[UnitResult]:
     """Execute ``units`` in order, via pool and cache when available.
 
     The returned list preserves input order, and its values are
-    independent of ``jobs``, cache state and ``pack`` - these levers
-    change wall-clock time, never bytes.  Units whose content-addressed
+    independent of ``jobs`` and cache state - these levers change
+    wall-clock time, never bytes.  Units whose content-addressed
     payloads coincide (e.g. analytic-method replications, whose keys
-    ignore the seed) are computed once and fanned out.  ``pack``
-    selects shape-packed super-fleets for batch-kernel units (the
-    default) versus one fleet per homogeneous shape.
+    ignore the seed) are computed once and fanned out.  Batch-kernel
+    units run as shape-packed super-fleets.
     """
     from repro.parallel.cache import fingerprint
 
@@ -269,7 +255,7 @@ def run_units(
         # vectorized call per fleet) while everything else dispatches
         # per unit; both travel through the same ordered pool map.
         tasks, groups = _evaluation_tasks(
-            [units[position] for position in representatives], pack=pack
+            [units[position] for position in representatives]
         )
         computed_lists = map_ordered(_evaluate_task, tasks, max_workers=jobs)
         metrics_by_key: dict[str, Any] = {}
@@ -297,7 +283,6 @@ def run_scenario(
     cache=None,
     kernel: str = "reference",
     backend: str = "numpy",
-    pack: bool = True,
 ) -> list[UnitResult]:
     """Compile ``spec``, optionally take one shard, and execute it.
 
@@ -308,16 +293,14 @@ def run_scenario(
     shards, jobs and grouping) but deliberately different from the
     exact kernels' - never mix batch and exact shards of one sweep.
     ``backend`` selects the batch kernel's array substrate
-    (:mod:`repro.bus.backends`); the numpy/numba pair is bit-identical,
-    so that choice too changes wall-clock only.  ``pack`` toggles
-    shape-packed super-fleets for batch units (on by default; also a
-    pure wall-clock lever).
+    (:mod:`repro.bus.backends`); every backend is bit-identical to
+    numpy, so that choice too changes wall-clock only.
     """
     units = compile_scenario(spec, kernel=kernel, backend=backend)
     if shard is not None:
         shard_index, shard_count = shard
         units = shard_units(units, shard_index, shard_count)
-    return run_units(units, jobs=jobs, cache=cache, pack=pack)
+    return run_units(units, jobs=jobs, cache=cache)
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ import sys
 import time
 from typing import Sequence
 
+from repro.bus.backends import DEFAULT_BACKEND, KNOWN_BACKENDS
 from repro.core.errors import ReproError
 from repro.scenarios.compiler import parse_shard
 from repro.scenarios.execute import unit_line
@@ -61,8 +62,8 @@ def _add_shared_scenario_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=("numpy", "numba", "numba-parallel", "cupy"),
-        default="numpy",
+        choices=KNOWN_BACKENDS,
+        default=DEFAULT_BACKEND,
         help="array substrate for the batch kernel (requires "
         "--kernel batch)",
     )
@@ -125,7 +126,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         parser.error("--workers must be a positive integer")
     if args.lease_size is not None and args.lease_size < 1:
         parser.error("--lease-size must be a positive integer")
-    if args.backend != "numpy" and args.kernel != "batch":
+    if args.backend != DEFAULT_BACKEND and args.kernel != "batch":
         parser.error("--backend requires --kernel batch")
     try:
         results = _serve(args)

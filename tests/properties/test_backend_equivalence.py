@@ -20,9 +20,11 @@ equality of
   differ while the streams are identical).
 
 The interpreted backend (``NumbaBackend(jit=False)``) runs the same
-loop functions in plain Python, so this gate holds on hosts without
-numba; when numba is importable the identical properties run again
-under the JIT (``@pytest.mark.jit``-free: plain parametrize + skip).
+loop functions and driver in plain Python, so this gate holds on hosts
+without numba; when numba is importable the identical properties run
+again under both JIT compilations, ``parallel=False`` (``numba``) and
+``parallel=True`` (``numba-parallel``) (``@pytest.mark.jit``-free:
+plain parametrize + skip).
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ BACKENDS = [
             not _numba_importable(),
             reason="numba not installed ([batch-jit] extra)",
         ),
-    ),
-    pytest.param(
-        lambda: NumbaParallelBackend(jit=False),
-        id="numba-parallel-interpreted",
     ),
     pytest.param(
         lambda: NumbaParallelBackend(jit=True),

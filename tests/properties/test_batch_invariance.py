@@ -27,7 +27,7 @@ np = pytest.importorskip("numpy")
 from repro.bus.batch import BatchBusKernel, run_batch  # noqa: E402
 from repro.core.config import SystemConfig  # noqa: E402
 from repro.core.policy import Priority, TieBreak  # noqa: E402
-from repro.parallel.fleet import group_fleets, run_fleet  # noqa: E402
+from repro.parallel.fleet import pack_fleets, run_fleet  # noqa: E402
 from repro.parallel.workers import SimulationCase  # noqa: E402
 from repro.scenarios.execute import (  # noqa: E402
     merge_reports,
@@ -211,7 +211,7 @@ class TestShardInvariance:
         spec = _batch_scenario()
         units = compile_scenario(spec, kernel="batch")
         cases = [unit.case() for unit in units]
-        assert group_fleets(cases) == group_fleets(list(cases))
+        assert pack_fleets(cases) == pack_fleets(list(cases))
 
 
 class TestSeedStreams:

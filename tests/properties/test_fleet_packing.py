@@ -27,8 +27,8 @@ row) on the numpy and numba backends and assert exact equality of
   wherever both kernels hold the stream.
 
 The layer above is covered too: :func:`repro.parallel.fleet.run_fleet`
-with ``pack=True``/``pack=False`` and the scenario executor's packed
-task grouping must produce identical bytes.
+and the scenario executor's packed task grouping must produce the
+bytes of one call per shape group.
 """
 
 from __future__ import annotations
@@ -39,11 +39,8 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
-from repro.bus.backends import (  # noqa: E402
-    NumbaBackend,
-    NumbaParallelBackend,
-)
-from repro.bus.batch import BatchBusKernel, fleet_shape  # noqa: E402
+from repro.bus.backends import NumbaBackend  # noqa: E402
+from repro.bus.batch import BatchBusKernel  # noqa: E402
 from repro.core.config import SystemConfig  # noqa: E402
 from repro.core.policy import Priority, TieBreak  # noqa: E402
 from repro.parallel.fleet import run_fleet  # noqa: E402
@@ -67,10 +64,6 @@ BACKENDS = [
     pytest.param("numpy", id="numpy"),
     pytest.param(lambda: NumbaBackend(jit=False), id="numba-interpreted"),
     pytest.param(
-        lambda: NumbaParallelBackend(jit=False),
-        id="numba-parallel-interpreted",
-    ),
-    pytest.param(
         lambda: NumbaBackend(jit=True),
         id="numba-jit",
         marks=pytest.mark.skipif(
@@ -79,6 +72,27 @@ BACKENDS = [
         ),
     ),
 ]
+
+
+def shape_of(config):
+    """A row's homogeneous lockstep shape (what packing pads over)."""
+    return (
+        config.processors,
+        config.memories,
+        config.memory_cycle_ratio,
+        config.priority,
+        config.tie_break,
+        config.buffered,
+        config.buffer_depth,
+    )
+
+
+def shape_groups(cases):
+    """Positions of ``cases`` grouped by shape, first appearance first."""
+    groups: dict = {}
+    for position, case in enumerate(cases):
+        groups.setdefault(shape_of(case.config), []).append(position)
+    return list(groups.values())
 
 
 def result_key(result):
@@ -269,7 +283,7 @@ class TestPackingBitIdentity:
             geometric,
             collect_latency,
             backend,
-            lambda _, row: fleet_shape(row[0]),
+            lambda _, row: shape_of(row[0]),
         )
         singles, single_locators = _run_grouped(
             rows,
@@ -386,13 +400,16 @@ class TestFleetLayerPacking:
                     )
         return cases
 
-    def test_run_fleet_pack_toggle_changes_no_bytes(self):
+    def test_run_fleet_matches_per_shape_calls(self):
         cases = self._fragmented_cases()
-        packed = run_fleet(cases, pack=True)
-        unpacked = run_fleet(cases, pack=False)
-        for row_packed, row_unpacked in zip(packed, unpacked):
-            assert result_key(row_packed) == result_key(row_unpacked)
-            assert latency_key(row_packed) == latency_key(row_unpacked)
+        packed = run_fleet(cases)
+        for group in shape_groups(cases):
+            per_shape = run_fleet([cases[i] for i in group])
+            for position, row_alone in zip(group, per_shape):
+                assert result_key(packed[position]) == result_key(row_alone)
+                assert latency_key(packed[position]) == latency_key(
+                    row_alone
+                )
 
     def test_packed_scenario_units_are_byte_identical(self):
         from repro.scenarios.compiler import compile_scenario
@@ -416,15 +433,20 @@ class TestFleetLayerPacking:
             metrics=("latency",),
         )
         units = compile_scenario(spec, kernel="batch")
-        packed = render_report(run_units(units, pack=True))
-        unpacked = render_report(run_units(units, pack=False))
-        assert packed == unpacked
+        packed = render_report(run_units(units))
+        per_shape = {}
+        for group in shape_groups([unit.case() for unit in units]):
+            results = run_units([units[i] for i in group])
+            per_shape.update(zip(group, results))
+        assert render_report(
+            per_shape[position] for position in range(len(units))
+        ) == packed
 
     def test_packing_coarsens_kernel_call_count(self):
         """The wall-clock lever itself: the fragmented sweep above is
         one packed kernel call instead of one per shape."""
-        from repro.parallel.fleet import group_fleets, pack_fleets
+        from repro.parallel.fleet import pack_fleets
 
         cases = self._fragmented_cases()
         assert len(pack_fleets(cases)) == 1
-        assert len(group_fleets(cases)) == 6
+        assert len(shape_groups(cases)) == 6

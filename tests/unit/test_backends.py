@@ -4,15 +4,16 @@ Covers the registry surface (:mod:`repro.bus.backends`), the
 missing-dependency diagnostics (each optional backend must fail loudly
 naming its install extra - never fall back to numpy silently), the
 backend/kernel validation shared by ``simulate``, ``compile_scenario``
-and the ``scenario`` CLI, and the engine-token routing that keeps
-bit-identical backends in one cache namespace and statistically
-equivalent ones out of it.  The numerical numpy == numba contract lives
-in ``tests/properties/test_backend_equivalence.py``.
+and the ``scenario`` CLI, and the shared ``simulation-batch@1`` cache
+namespace.  The numerical numpy == numba contract lives in
+``tests/properties/test_backend_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import builtins
+import sys
+import types
 
 import pytest
 
@@ -45,7 +46,7 @@ class TestRegistry:
         from repro.bus.backends import get_backend
 
         with pytest.raises(
-            ConfigurationError, match="numpy, numba, numba-parallel, cupy"
+            ConfigurationError, match="numpy, numba, numba-parallel$"
         ):
             get_backend("torch")
 
@@ -55,22 +56,71 @@ class TestRegistry:
         instance = NumbaBackend(jit=False)
         assert get_backend(instance) is instance
 
-    def test_engine_tokens_split_on_bit_identity(self):
-        from repro.bus.backends import (
-            BATCH_ENGINE_TOKEN,
-            CUPY_ENGINE_TOKEN,
-            backend_engine_token,
-        )
+    def test_cupy_is_not_a_registered_backend(self):
+        from repro.bus.backends import KNOWN_BACKENDS, get_backend
 
-        # numpy and numba are proven bit-identical, so their cache
-        # entries are interchangeable: one shared namespace.
-        assert backend_engine_token("numpy") == BATCH_ENGINE_TOKEN
-        assert backend_engine_token("numba") == BATCH_ENGINE_TOKEN
-        assert backend_engine_token("numba-parallel") == BATCH_ENGINE_TOKEN
-        # cupy is only statistically equivalent: its entries must never
-        # be served to (or from) the bit-identical pair.
-        assert backend_engine_token("cupy") == CUPY_ENGINE_TOKEN
-        assert CUPY_ENGINE_TOKEN != BATCH_ENGINE_TOKEN
+        assert "cupy" not in KNOWN_BACKENDS
+        with pytest.raises(ConfigurationError, match="known backends"):
+            get_backend("cupy")
+
+
+class TestNumbaLoopSource:
+    """Both numba backends run one loop source; only the JIT flag differs."""
+
+    def test_parallel_backend_sets_only_name_and_flag(self):
+        from repro.bus.backends import NumbaBackend, NumbaParallelBackend
+
+        assert issubclass(NumbaParallelBackend, NumbaBackend)
+        own = {
+            attribute
+            for attribute in vars(NumbaParallelBackend)
+            if not attribute.startswith("__")
+        }
+        assert own == {"name", "parallel"}
+        assert NumbaBackend.parallel is False
+        assert NumbaParallelBackend.parallel is True
+        assert NumbaParallelBackend.extra == NumbaBackend.extra
+
+    def test_interpreted_backends_share_one_loop_source(self):
+        from repro.bus.backends import NumbaBackend, NumbaParallelBackend
+
+        serial = NumbaBackend(jit=False)._loops()
+        threaded = NumbaParallelBackend(jit=False)._loops()
+        assert len(serial) == 2
+        assert all(a is b for a, b in zip(serial, threaded))
+
+    @pytest.mark.parametrize(
+        ("backend_name", "parallel"),
+        [("numba", False), ("numba-parallel", True)],
+    )
+    def test_jit_compiles_the_loops_with_the_backend_flag(
+        self, monkeypatch, backend_name, parallel
+    ):
+        """A stand-in ``numba`` records the ``njit`` options, so the
+        flag routing is checked on hosts without numba."""
+        from repro.bus.backends import KNOWN_BACKENDS, get_backend
+        from repro.bus.backends import numba_backend
+
+        options = []
+
+        def njit(**kwargs):
+            options.append(kwargs)
+            return lambda loop: ("compiled", kwargs["parallel"], loop)
+
+        monkeypatch.setitem(
+            sys.modules, "numba", types.SimpleNamespace(njit=njit)
+        )
+        numba_backend._jit_loops.cache_clear()
+        try:
+            assert backend_name in KNOWN_BACKENDS
+            compiled = type(get_backend(backend_name))(jit=True)._loops()
+        finally:
+            numba_backend._jit_loops.cache_clear()
+        interpreted = type(get_backend(backend_name))(jit=False)._loops()
+        assert [opts["parallel"] for opts in options] == [parallel]
+        assert compiled == tuple(
+            ("compiled", parallel, loop) for loop in interpreted
+        )
 
 
 class TestMissingDependencies:
@@ -93,17 +143,6 @@ class TestMissingDependencies:
         assert not backend.available()
         with pytest.raises(
             ConfigurationError, match=r"repro-single-bus\[batch-jit\]"
-        ):
-            backend.require()
-
-    def test_missing_cupy_raises_naming_batch_gpu_extra(self, monkeypatch):
-        from repro.bus.backends import CupyBackend
-
-        backend = CupyBackend()
-        _block_import(monkeypatch, "cupy")
-        assert not backend.available()
-        with pytest.raises(
-            ConfigurationError, match=r"repro-single-bus\[batch-gpu\]"
         ):
             backend.require()
 
@@ -153,21 +192,54 @@ class TestValidation:
                     backend="numba",
                 )
 
-    def test_cupy_rejects_latency_collection(self):
-        from repro.bus.backends import get_backend
+    def test_simulate_rejects_unknown_backend_name(self):
+        from repro.bus import simulate
 
-        with pytest.raises(ConfigurationError, match="latency"):
-            get_backend("cupy").check_features(metrics=("latency",))
-        # The non-latency path passes validation (availability is a
-        # separate, later check).
-        get_backend("cupy").check_features(metrics=())
+        with pytest.raises(ConfigurationError, match="known backends"):
+            simulate(
+                SystemConfig(2, 2, 2),
+                cycles=100,
+                kernel="batch",
+                backend="torch",
+            )
 
-    def test_check_batch_features_threads_backend(self):
-        from repro.bus.batch import check_batch_features
 
-        with pytest.raises(ConfigurationError, match="latency"):
-            check_batch_features(metrics=("latency",), backend="cupy")
-        check_batch_features(metrics=("latency",), backend="numba")
+class TestCheckBackend:
+    """``check_backend(kernel, backend)``: the one compile-time check."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "numba", "numba-parallel"])
+    def test_known_backends_pass_on_the_batch_kernel(self, backend):
+        from repro.bus.backends import check_backend
+
+        # Availability is a later, separate check: validation passes
+        # whether or not the substrate is installed.
+        check_backend("batch", backend)
+
+    def test_default_backend_passes_on_every_kernel(self):
+        from repro.bus.backends import DEFAULT_BACKEND, check_backend
+        from repro.scenarios.compiler import KNOWN_KERNELS
+
+        for kernel in KNOWN_KERNELS:
+            check_backend(kernel, DEFAULT_BACKEND)
+
+    @pytest.mark.parametrize("backend", ["numba", "numba-parallel"])
+    @pytest.mark.parametrize("kernel", ["reference", "fast"])
+    def test_other_backends_require_the_batch_kernel(self, kernel, backend):
+        from repro.bus.backends import check_backend
+
+        with pytest.raises(
+            ConfigurationError,
+            match=f"backend='{backend}' .* got kernel='{kernel}'",
+        ):
+            check_backend(kernel, backend)
+
+    def test_unknown_backend_names_the_known_table(self):
+        from repro.bus.backends import check_backend
+
+        with pytest.raises(
+            ConfigurationError, match="numpy, numba, numba-parallel$"
+        ):
+            check_backend("batch", "cupy")
 
 
 class TestScenarioCompiler:
@@ -209,19 +281,11 @@ class TestScenarioCompiler:
         for parallel_unit, numpy_unit in zip(parallel_units, numpy_units):
             assert parallel_unit.payload() == numpy_unit.payload()
 
-    def test_cupy_units_live_in_their_own_namespace(self):
-        from repro.scenarios.compiler import compile_scenario
-
-        units = compile_scenario(
-            self._spec(), kernel="batch", backend="cupy"
-        )
-        assert units[0].payload()["engine"] == "simulation-batch-cupy@1"
-
     def test_unknown_backend_rejected_at_compile_time(self):
         from repro.scenarios.compiler import compile_scenario
 
         with pytest.raises(
-            ConfigurationError, match="numpy, numba, numba-parallel, cupy"
+            ConfigurationError, match="numpy, numba, numba-parallel$"
         ):
             compile_scenario(self._spec(), kernel="batch", backend="mlx")
 
@@ -233,21 +297,11 @@ class TestScenarioCompiler:
         ):
             compile_scenario(self._spec(), kernel="fast", backend="numba")
 
-    def test_cupy_latency_scenario_rejected_at_compile_time(self):
-        from repro.scenarios.compiler import compile_scenario
-
-        with pytest.raises(ConfigurationError, match="latency"):
-            compile_scenario(
-                self._spec(metrics=("latency",)),
-                kernel="batch",
-                backend="cupy",
-            )
-
 
 class TestFleetGrouping:
-    def test_fleet_key_separates_backends(self):
+    def test_pack_key_separates_backends(self):
         pytest.importorskip("numpy")
-        from repro.parallel.fleet import fleet_key, group_fleets
+        from repro.parallel.fleet import pack_fleets, pack_key
         from repro.parallel.workers import SimulationCase
 
         config = SystemConfig(2, 2, 2)
@@ -255,8 +309,8 @@ class TestFleetGrouping:
         numba_case = SimulationCase(
             config, 500, 0, kernel="batch", backend="numba"
         )
-        assert fleet_key(numpy_case) != fleet_key(numba_case)
-        groups = group_fleets([numpy_case, numba_case, numpy_case])
+        assert pack_key(numpy_case) != pack_key(numba_case)
+        groups = pack_fleets([numpy_case, numba_case, numpy_case])
         assert groups == [[0, 2], [1]]
 
 
@@ -285,3 +339,21 @@ class TestCli:
             )
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scenario", "sweep-serve"])
+    def test_backend_choices_are_the_known_table(self, command, capsys):
+        from repro.bus.backends import KNOWN_BACKENDS
+        from repro.experiments.runner import main
+        from repro.service.cli import serve_main
+
+        argv = ["figure2", "--kernel", "batch", "--backend", "cupy"]
+        with pytest.raises(SystemExit) as excinfo:
+            if command == "scenario":
+                main(["scenario", *argv])
+            else:
+                serve_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        for name in KNOWN_BACKENDS:
+            assert name in err

@@ -124,12 +124,12 @@ class TestCarveLeases:
         leases = carve_leases(
             units, range(len(units)), workers=1, lease_size=len(units)
         )
-        from repro.parallel.fleet import fleet_key
+        from repro.parallel.fleet import pack_key
 
         ordered_keys = [
-            fleet_key(units[p].case()) for lease in leases for p in lease
+            pack_key(units[p].case()) for lease in leases for p in lease
         ]
-        # Affine order visits each fleet key as one contiguous run.
+        # Affine order visits each pack key as one contiguous run.
         seen = []
         for key in ordered_keys:
             if not seen or seen[-1] != key:

@@ -274,23 +274,6 @@ class TestBatchKernelCli:
             shard_outputs.append(capsys.readouterr().out)
         assert merge_reports(shard_outputs) + "\n" == unsharded
 
-    def test_pack_and_no_pack_are_byte_identical(self, tiny_toml, capsys):
-        """Packing coarsens fleet grouping only; the unit lines - the
-        scenario's whole byte surface - must not move."""
-        pytest.importorskip("numpy")
-        assert main(["scenario", tiny_toml, "--kernel", "batch",
-                     "--no-cache"]) == 0
-        packed = capsys.readouterr().out
-        assert main(["scenario", tiny_toml, "--kernel", "batch",
-                     "--no-cache", "--no-pack"]) == 0
-        unpacked = capsys.readouterr().out
-        assert packed == unpacked
-
-    def test_no_pack_conflicts_with_workers(self, tiny_toml, capsys):
-        with pytest.raises(SystemExit):
-            main(["scenario", tiny_toml, "--no-pack", "--workers", "2"])
-        assert "serial path" in capsys.readouterr().err
-
     def test_batch_kernel_renders_latency_percentiles(
         self, tiny_toml, capsys
     ):
@@ -300,6 +283,33 @@ class TestBatchKernelCli:
         out = capsys.readouterr().out
         for column in ("lat_count=", "wait_p90=", "lat_p50=", "lat_p99="):
             assert column in out
+
+    @pytest.mark.parametrize("backend", ["numba", "numba-parallel"])
+    def test_jit_backend_names_print_the_numpy_bytes(
+        self, backend, tiny_toml, capsys, monkeypatch
+    ):
+        """The CLI route of each numba backend name, with its loops
+        interpreted so the check runs without numba (CI repeats it on
+        the JIT-compiled loops)."""
+        pytest.importorskip("numpy")
+        from repro.bus import backends
+
+        interpreted = type(backends.get_backend(backend))(jit=False)
+        monkeypatch.setitem(backends._REGISTRY, backend, interpreted)
+        argv = ["scenario", tiny_toml, "--kernel", "batch", "--metrics",
+                "latency", "--no-cache"]
+        assert main(argv) == 0
+        numpy_out = capsys.readouterr().out
+        assert main([*argv, "--backend", backend]) == 0
+        assert capsys.readouterr().out == numpy_out
+
+    @pytest.mark.parametrize("flag", ["--pack", "--no-pack"])
+    def test_pack_flags_are_not_options(self, flag, tiny_toml, capsys):
+        """Packing is the only fleet grouping; its A/B lever is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", tiny_toml, "--kernel", "batch", flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestChartFlag:
