@@ -58,8 +58,8 @@ optional numpy extra and are skipped (with a warning) when it is
 missing.
 
 The ``sweep_*`` entries time the distributed sweep service itself:
-``sweep_workers_{1,2,4,8}`` run figure2 end-to-end over real
-subprocess workers (the scaling curve), ``sweep_cache_{cold,warm}``
+``sweep_workers_{1,2,4,8}`` run figure2 end-to-end over workers
+forked from the coordinator (the scaling curve), ``sweep_cache_{cold,warm}``
 run the same sweep twice against one result store (the ``warm``
 leg is served entirely from the coordinator's pre-lease probe -
 the ``warm_cache_collapse`` speedup), and ``sweep_plan_affine``
@@ -284,18 +284,16 @@ def compare_reports(old: dict, new: dict, threshold: float = 0.25):
 
 def time_sweep_service(workers: int, cycles: int) -> Callable[[], object]:
     """Figure2 end-to-end through the sweep service over ``workers``
-    real subprocess workers, cache disabled (pure scheduling signal)."""
+    forked workers, cache disabled (pure scheduling signal)."""
     import dataclasses
 
+    from repro.scenarios.execute import run_scenario
     from repro.scenarios.registry import get_scenario
-    from repro.service.coordinator import run_service
 
     spec = dataclasses.replace(get_scenario("figure2"), cycles=cycles)
 
     def run():
-        return run_service(
-            spec, workers=workers, kernel="fast", cache_enabled=False
-        )
+        return run_scenario(spec, kernel="fast", workers=workers)
 
     return run
 
@@ -306,18 +304,15 @@ def time_cached_sweep(store: str, cycles: int) -> Callable[[], object]:
     the coordinator's pre-lease probe."""
     import dataclasses
 
+    from repro.parallel.cache import ResultCache
+    from repro.scenarios.execute import run_scenario
     from repro.scenarios.registry import get_scenario
-    from repro.service.coordinator import run_service
 
     spec = dataclasses.replace(get_scenario("figure2"), cycles=cycles)
 
     def run():
-        return run_service(
-            spec,
-            workers=2,
-            kernel="fast",
-            cache_enabled=True,
-            cache_dir=store,
+        return run_scenario(
+            spec, kernel="fast", workers=2, cache=ResultCache(store)
         )
 
     return run

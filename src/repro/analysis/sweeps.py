@@ -5,12 +5,12 @@ the other parameters fixed; these helpers centralise the loop so all
 callers simulate with identical settings and seeds.  Each sweep is
 expressed as a one-axis :class:`~repro.scenarios.spec.ScenarioSpec` and
 lowered through the scenario compiler
-(:mod:`repro.scenarios.compiler`), which dispatches the grid points
-through :mod:`repro.parallel` - pass ``max_workers`` to fan a sweep out
-over a process pool; the points are independent seeded runs, so the
-resulting curve is identical to the serial one.  ``max_workers``
-follows the pool convention: the default ``1`` runs serially, an
-explicit ``None`` uses the CPU count.
+(:mod:`repro.scenarios.compiler`) and run by
+:func:`~repro.scenarios.execute.run_scenario` - pass ``max_workers`` to
+fan a sweep out over that many sweep-service workers; the points are
+independent seeded runs, so the resulting curve is identical to the
+serial one.  ``max_workers`` follows the pool convention: the default
+``1`` runs serially, an explicit ``None`` uses the CPU count.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def _run_sweep(
     max_workers: int | None,
 ) -> Sweep:
     """Compile the one-axis scenario for this sweep and execute it."""
-    from repro.scenarios.compiler import compile_scenario
-    from repro.scenarios.execute import run_units
+    from repro.parallel.pool import resolve_workers
+    from repro.scenarios.execute import run_scenario
     from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
 
     spec = ScenarioSpec(
@@ -93,7 +93,8 @@ def _run_sweep(
         plan=ReplicationPlan(1, seed),
         description=f"one-axis {axis} sweep ({label})",
     )
-    results = run_units(compile_scenario(spec), jobs=max_workers)
+    workers = resolve_workers(max_workers)
+    results = run_scenario(spec, workers=workers if workers > 1 else None)
     points = tuple(
         SweepPoint(
             config=result.unit.config,

@@ -27,7 +27,7 @@ instead:
   keyed by the library's :func:`~repro.des.rng.derive_seed` scheme on
   the row's seed alone.  Rows never interact, so a row's result is a
   pure function of its own ``(config, workload, seed, cycles, warmup)``
-  - independent of fleet composition, row order, ``--jobs`` and
+  - independent of fleet composition, row order, ``--workers`` and
   ``--shard i/k`` (property-tested in
   ``tests/properties/test_batch_invariance.py``);
 * **statistically equivalent** to the exact kernels: EBW and mean

@@ -30,7 +30,7 @@ cycles, total latency, batch EBWs and streaming latency summaries are
 equal as Python values, and the final RNG states match.  The contract is
 enforced by the hypothesis fleet in
 ``tests/properties/test_kernel_equivalence.py``; because of it, the
-kernel choice is an execution lever (like ``--jobs``) and never enters a
+kernel choice is an execution lever (like ``--workers``) and never enters a
 cache key.
 
 **Coverage.**  The kernel supports the library's own target samplers

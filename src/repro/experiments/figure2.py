@@ -6,8 +6,8 @@ priority to memories (g''), and for large ``r`` the crossbar EBW acts as
 a lower bound on the single-bus EBW.
 
 The curve family is the registered ``figure2`` scenario: one compile
-produces the whole (system, priority, r) grid, so ``--jobs`` parallelism
-spans every curve at once instead of one sweep at a time.
+produces the whole (system, priority, r) grid, so sweep-service workers
+share every curve at once instead of one sweep at a time.
 """
 
 from __future__ import annotations
@@ -19,18 +19,18 @@ from repro.core.policy import Priority
 from repro.engine import EvaluationMethod, evaluate_config
 from repro.experiments import paper_data
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
-from repro.scenarios.compiler import compile_scenario
-from repro.scenarios.execute import run_units
+from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ReplicationPlan
 
 
 def run(
-    cycles: int = 50_000, seed: int = 1985, jobs: int | None = 1
+    cycles: int = 50_000, seed: int = 1985, workers: int | None = None
 ) -> ExperimentResult:
     """Regenerate the Figure 2 curve family.
 
-    ``jobs`` parallelises the scenario grid over worker processes; the
+    ``workers`` runs the scenario grid on that many sweep-service
+    workers (:func:`~repro.scenarios.execute.run_scenario`); the
     measured values are identical for any value.
     """
     spec = dataclasses.replace(
@@ -46,7 +46,7 @@ def run(
             result.unit.config.priority,
             result.unit.config.memory_cycle_ratio,
         ): result.ebw
-        for result in run_units(compile_scenario(spec), jobs=jobs)
+        for result in run_scenario(spec, workers=workers)
     }
     measured: dict[tuple[str, str], float] = {}
     rows: list[str] = []

@@ -14,14 +14,13 @@ from repro.core.config import SystemConfig
 from repro.engine import EvaluationMethod, evaluate_config
 from repro.experiments import paper_data
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
-from repro.scenarios.compiler import compile_scenario
-from repro.scenarios.execute import run_units
+from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ReplicationPlan
 
 
 def run(
-    cycles: int = 50_000, seed: int = 1985, jobs: int | None = 1
+    cycles: int = 50_000, seed: int = 1985, workers: int | None = None
 ) -> ExperimentResult:
     """Regenerate the Figure 5 curve family."""
     spec = dataclasses.replace(
@@ -36,7 +35,7 @@ def run(
             result.unit.config.buffered,
             result.unit.config.memory_cycle_ratio,
         ): result.ebw
-        for result in run_units(compile_scenario(spec), jobs=jobs)
+        for result in run_scenario(spec, workers=workers)
     }
     measured: dict[tuple[str, str], float] = {}
     rows: list[str] = []

@@ -11,14 +11,13 @@ import dataclasses
 
 from repro.experiments import paper_data
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
-from repro.scenarios.compiler import compile_scenario
-from repro.scenarios.execute import run_units
+from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ReplicationPlan
 
 
 def run(
-    cycles: int = 60_000, seed: int = 1985, jobs: int | None = 1
+    cycles: int = 60_000, seed: int = 1985, workers: int | None = None
 ) -> ExperimentResult:
     """Regenerate the Figure 6 curve family (buffered system)."""
     spec = dataclasses.replace(
@@ -31,7 +30,7 @@ def run(
             result.unit.config.memory_cycle_ratio,
             result.unit.config.request_probability,
         ): result.processor_utilization
-        for result in run_units(compile_scenario(spec), jobs=jobs)
+        for result in run_scenario(spec, workers=workers)
     }
     measured: dict[tuple[str, str], float] = {}
     rows = []

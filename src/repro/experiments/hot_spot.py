@@ -14,8 +14,7 @@ import dataclasses
 
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
 from repro.scenarios.builtin import HOT_SPOT_FRACTIONS, HOT_SPOT_SYSTEMS
-from repro.scenarios.compiler import compile_scenario
-from repro.scenarios.execute import run_units
+from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ReplicationPlan
 
@@ -24,7 +23,7 @@ _SYSTEMS = HOT_SPOT_SYSTEMS
 
 
 def run(
-    cycles: int = 50_000, seed: int = 1985, jobs: int | None = 1
+    cycles: int = 50_000, seed: int = 1985, workers: int | None = None
 ) -> ExperimentResult:
     """EBW vs hot-spot fraction for buffered and unbuffered systems."""
     spec = dataclasses.replace(
@@ -40,7 +39,7 @@ def run(
             result.unit.config.buffered,
             result.unit.workload.hot_fraction,
         ): result.ebw
-        for result in run_units(compile_scenario(spec), jobs=jobs)
+        for result in run_scenario(spec, workers=workers)
     }
     measured: dict[tuple[str, str], float] = {}
     rows = []

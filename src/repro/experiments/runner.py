@@ -8,7 +8,7 @@ Usage::
     python -m repro.experiments table1 figure5
     python -m repro.experiments figure5 --chart
     python -m repro.experiments scenario       # list declarative scenarios
-    python -m repro.experiments scenario figure2 --shard 1/4 --jobs 8
+    python -m repro.experiments scenario figure2 --shard 1/4 --workers 8
     python -m repro.experiments scenario figure2 --workers 4
     python -m repro.experiments sweep-serve figure2 --workers 4
     python -m repro.experiments sweep-work     # one stdio protocol worker
@@ -22,9 +22,10 @@ curves.
 Parallelism and caching
 -----------------------
 ``--jobs N`` fans experiments out over ``N`` worker processes (and, for
-a single experiment that supports it, parallelises its internal sweep
-grid).  Results are deterministic functions of ``(experiment, seed,
-cycles)``, so the report bytes are identical whatever ``N`` is.
+a single experiment that supports it, runs its scenario grid on ``N``
+sweep-service workers).  Results are deterministic functions of
+``(experiment, seed, cycles)``, so the report bytes are identical
+whatever ``N`` is.
 
 Completed results are cached by default under ``$REPRO_CACHE_DIR``
 (``~/.cache/repro-single-bus`` if unset), keyed on a content hash of the
@@ -44,8 +45,8 @@ The sweep service
 -----------------
 ``sweep-serve`` runs a scenario through the distributed sweep service
 (:mod:`repro.service`): a coordinator leases planned position lists to
-``--workers N`` subprocess workers (each a ``sweep-work`` process
-speaking newline-delimited JSON over stdio), retries the leases of
+``--workers N`` local workers (forked from the coordinator, each
+speaking newline-delimited JSON over a pipe pair), retries the leases of
 dead or straggling workers, and merges the streamed results into
 stdout byte-identical to the serial ``scenario`` run.  ``scenario
 --workers N`` is the same machinery behind the familiar subcommand.
@@ -113,9 +114,9 @@ def _accepts_cycles(experiment_id: str) -> bool:
     return experiment_id not in {"table1", "table2", "table3b"}
 
 
-def _accepts_jobs(spec: ExperimentSpec) -> bool:
+def _accepts_workers(spec: ExperimentSpec) -> bool:
     try:
-        return "jobs" in inspect.signature(spec.run).parameters
+        return "workers" in inspect.signature(spec.run).parameters
     except (TypeError, ValueError):  # pragma: no cover - exotic callables
         return False
 
@@ -190,16 +191,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not args.ids:
         print(list_experiments())
         return 0
-    cache = None
-    if args.cache:
-        from repro.core.errors import ConfigurationError
-        from repro.parallel.cache import ResultCache
+    from repro.scenarios.cli import open_cache
 
-        try:
-            cache = ResultCache(cache_dir=args.cache_dir)
-        except (ConfigurationError, OSError) as exc:
-            # A broken cache location must never block the science run.
-            print(f"warning: caching disabled: {exc}", file=sys.stderr)
+    cache = open_cache(args)
     collected = []
     for outcome in _run_outcomes(
         args.ids, fast=args.fast, chart=args.chart, jobs=args.jobs, cache=cache
@@ -349,8 +343,8 @@ def _run_outcomes(
         from concurrent.futures import ProcessPoolExecutor
 
         # Workers beyond the experiment count are handed down to each
-        # experiment's own grid (the cache payload keeps the jobs-free
-        # kwargs, so worker counts never reach a cache key).
+        # experiment's own grid (the cache payload keeps the
+        # workers-free kwargs, so worker counts never reach a cache key).
         share = max(1, jobs // len(pending))
         try:
             executor = ProcessPoolExecutor(
@@ -358,8 +352,8 @@ def _run_outcomes(
             )
             for index in pending:
                 kwargs = dict(run_kwargs[index])
-                if share > 1 and _accepts_jobs(specs[index]):
-                    kwargs["jobs"] = share
+                if share > 1 and _accepts_workers(specs[index]):
+                    kwargs["workers"] = share
                 futures[index] = executor.submit(
                     _run_registered, (specs[index].experiment_id, kwargs)
                 )
@@ -383,8 +377,8 @@ def _run_outcomes(
                 cached = False
             else:
                 kwargs = dict(run_kwargs[index])
-                if jobs > 1 and _accepts_jobs(spec):
-                    kwargs["jobs"] = jobs
+                if jobs > 1 and _accepts_workers(spec):
+                    kwargs["workers"] = jobs
                 started = time.time()
                 result = spec.run(**kwargs)
                 elapsed = time.time() - started

@@ -12,14 +12,13 @@ import dataclasses
 
 from repro.experiments import paper_data
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
-from repro.scenarios.compiler import compile_scenario
-from repro.scenarios.execute import run_units
+from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ReplicationPlan
 
 
 def run_simulation(
-    cycles: int = 100_000, seed: int = 1985, jobs: int | None = 1
+    cycles: int = 100_000, seed: int = 1985, workers: int | None = None
 ) -> ExperimentResult:
     """Table 3(a): simulate every (m, r) cell with n = 8, p = 1."""
     spec = dataclasses.replace(
@@ -27,7 +26,7 @@ def run_simulation(
     )
     measured: dict[tuple[str, str], float] = {}
     reference: dict[tuple[str, str], float] = {}
-    for result in run_units(compile_scenario(spec), jobs=jobs):
+    for result in run_scenario(spec, workers=workers):
         m = result.unit.config.memories
         r = result.unit.config.memory_cycle_ratio
         key = (f"m={m}", f"r={r}")
@@ -52,7 +51,7 @@ def run_model() -> ExperimentResult:
     spec = get_scenario("table3b")
     measured: dict[tuple[str, str], float] = {}
     reference: dict[tuple[str, str], float] = {}
-    for result in run_units(compile_scenario(spec)):
+    for result in run_scenario(spec):
         m = result.unit.config.memories
         r = result.unit.config.memory_cycle_ratio
         key = (f"m={m}", f"r={r}")

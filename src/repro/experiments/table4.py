@@ -10,14 +10,13 @@ import dataclasses
 
 from repro.experiments import paper_data
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
-from repro.scenarios.compiler import compile_scenario
-from repro.scenarios.execute import run_units
+from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ReplicationPlan
 
 
 def run(
-    cycles: int = 100_000, seed: int = 1985, jobs: int | None = 1
+    cycles: int = 100_000, seed: int = 1985, workers: int | None = None
 ) -> ExperimentResult:
     """Simulate the Section 6 buffered machine over the Table 4 grid."""
     spec = dataclasses.replace(
@@ -25,7 +24,7 @@ def run(
     )
     measured: dict[tuple[str, str], float] = {}
     reference: dict[tuple[str, str], float] = {}
-    for result in run_units(compile_scenario(spec), jobs=jobs):
+    for result in run_scenario(spec, workers=workers):
         m = result.unit.config.memories
         r = result.unit.config.memory_cycle_ratio
         key = (f"m={m}", f"r={r}")

@@ -185,6 +185,9 @@ class CacheStats:
     """Proven-corrupt entries deleted on read."""
     transient_errors: int = 0
     """Reads that failed on I/O (counted as misses, entry left alone)."""
+    put_errors: int = 0
+    """Writes that failed on I/O (full disk, read-only store); the
+    caller decides whether the failure is fatal."""
 
 
 class ResultCache:
@@ -282,12 +285,15 @@ class ResultCache:
         path = self.path_for(key)
         entry = {"key": key, "version": self.version_tag, "value": value}
         encoded = json.dumps(entry, sort_keys=True, indent=None)
-        path.parent.mkdir(parents=True, exist_ok=True)
         token = os.urandom(4).hex()
         temp = path.with_name(f".{path.name}.{os.getpid()}.{token}.tmp")
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             temp.write_text(encoded, encoding="utf-8")
             os.replace(temp, path)
+        except OSError:
+            self.stats.put_errors += 1
+            raise
         finally:
             temp.unlink(missing_ok=True)
         self.stats.stores += 1

@@ -12,7 +12,7 @@ Because fleet rows are fully independent (see the batch-kernel
 reproducibility contract), *how* cases are grouped can never change any
 case's result: a case executed alone, inside its scenario's fleet, or
 inside some other fleet produces identical bytes.  Grouping is therefore
-an execution lever exactly like ``--jobs`` - with the one twist that the
+an execution lever exactly like ``--workers`` - with the one twist that the
 batch kernel's numbers differ from the exact kernels', which is why
 batch results carry their own engine cache token.
 """

@@ -14,11 +14,11 @@ package makes that sweep a *value*:
   spec into a deterministic, stably-ordered tuple of :class:`WorkUnit`
   items with content-addressed cache keys; :func:`shard_units` splits
   that list for multi-machine execution.
-* :func:`run_units` / :func:`run_scenario`
-  (:mod:`repro.scenarios.execute`) execute units through the
-  :mod:`repro.parallel` pool and cache, and render mergeable reports
-  whose sharded outputs recombine byte-identically
-  (:func:`merge_reports`).
+* :func:`run_scenario` / :func:`run_units`
+  (:mod:`repro.scenarios.execute`) execute units in-process or on the
+  sweep service's local workers (:mod:`repro.service`), through the
+  result cache, and render mergeable reports whose sharded outputs
+  recombine byte-identically (:func:`merge_reports`).
 
 The paper experiments (:mod:`repro.experiments`) run through this
 subsystem; ``repro-experiments scenario`` exposes it on the command

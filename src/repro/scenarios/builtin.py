@@ -14,7 +14,7 @@ Two families register here:
 Every spec here is reachable from the command line::
 
     repro-experiments scenario                      # list them
-    repro-experiments scenario figure2 --jobs 8
+    repro-experiments scenario figure2 --workers 8
     repro-experiments scenario buffer-depth-scaling --shard 1/4
 """
 

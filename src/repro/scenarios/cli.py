@@ -3,7 +3,7 @@
 Usage::
 
     repro-experiments scenario                          # list scenarios
-    repro-experiments scenario figure2 --jobs 8
+    repro-experiments scenario figure2 --workers 8
     repro-experiments scenario my-sweep.toml --shard 2/4
     repro-experiments scenario table3a --shard 1/3 > shard1.out
 
@@ -26,33 +26,10 @@ from typing import Sequence
 
 from repro.bus.backends import DEFAULT_BACKEND, KNOWN_BACKENDS
 from repro.core.errors import ConfigurationError, ReproError
-from repro.scenarios.compiler import compile_scenario, parse_shard, shard_units
-from repro.scenarios.execute import run_units, unit_line
+from repro.scenarios.compiler import parse_shard
+from repro.scenarios.execute import run_scenario, unit_line
 from repro.scenarios.registry import all_scenarios, load_scenario
 from repro.scenarios.spec import ReplicationPlan
-
-
-def apply_spec_overrides(
-    spec,
-    cycles: int | None = None,
-    seed: int | None = None,
-    metrics: Sequence[str] | None = None,
-):
-    """Apply the CLI's ``--cycles``/``--seed``/``--metrics`` overrides.
-
-    Shared by the ``scenario`` and ``sweep-serve`` subcommands so both
-    spell the identical spec - which is what licenses their outputs to
-    be byte-compared.
-    """
-    if cycles is not None:
-        spec = dataclasses.replace(spec, cycles=cycles)
-    if metrics is not None:
-        spec = dataclasses.replace(spec, metrics=spec.metrics + tuple(metrics))
-    if seed is not None:
-        spec = dataclasses.replace(
-            spec, plan=ReplicationPlan(spec.plan.replications, seed)
-        )
-    return spec
 
 
 def list_scenarios() -> str:
@@ -66,24 +43,18 @@ def list_scenarios() -> str:
         )
     lines.append(
         "\nrun one with: repro-experiments scenario <name|file.toml> "
-        "[--shard i/k] [--jobs N]"
+        "[--shard i/k] [--workers N]"
     )
     return "\n".join(lines)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point for ``repro-experiments scenario ...``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments scenario",
-        description="Compile a declarative scenario into work units and "
-        "run them (optionally one shard of a multi-machine sweep).",
-    )
-    parser.add_argument(
-        "scenario",
-        nargs="?",
-        help="registered scenario name or a .toml/.json spec file; "
-        "omit to list registered scenarios",
-    )
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``scenario`` and ``sweep-serve`` share.
+
+    Both subcommands hand them to :func:`run_scenario` through
+    :func:`check_run_flags`, :func:`load_run` and :func:`open_cache`,
+    which is what licenses byte-comparing their outputs.
+    """
     parser.add_argument(
         "--shard",
         metavar="I/K",
@@ -91,29 +62,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "outputs reproduces the unsharded output byte-for-byte",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for unit execution (default 1)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run through the distributed sweep service with N "
-        "subprocess workers leasing planned position lists from a "
-        "coordinator (see 'sweep-serve'); stdout stays byte-identical "
-        "to the serial run",
-    )
-    parser.add_argument(
         "--lease-size",
         type=int,
         default=None,
         metavar="N",
-        help="units per service lease (requires --workers; default: "
-        "cost-weighted planner sizing)",
+        help="units per service lease (with --workers; default: the "
+        "planner's cost-weighted sizing, capped at 256 units)",
     )
     parser.add_argument(
         "--cycles",
@@ -148,11 +102,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "namespace",
     )
     parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="shorthand for --kernel fast",
-    )
-    parser.add_argument(
         "--backend",
         choices=KNOWN_BACKENDS,
         default=DEFAULT_BACKEND,
@@ -162,13 +111,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "(same loop compiled with prange over fleet rows on threads, "
         "bit-identical, [batch-jit] extra); a missing backend fails "
         "loudly naming its extra",
-    )
-    parser.add_argument(
-        "--chart",
-        action="store_true",
-        help="after the unit lines, draw the p50/p90/p99 total-latency "
-        "percentile curves across units as an ASCII chart on stderr "
-        "(requires --metrics latency); stdout stays byte-reproducible",
     )
     parser.add_argument(
         "--cache",
@@ -190,92 +132,120 @@ def main(argv: Sequence[str] | None = None) -> int:
         "probe counters plus units dispatched), so planner skip-rates "
         "are observable",
     )
+
+
+def check_run_flags(parser, args, kernel: str) -> None:
+    """Reject out-of-range :func:`add_run_flags` values."""
+    if args.workers is not None and args.workers < 1:
+        parser.error("--workers must be a positive integer")
+    if args.lease_size is not None and args.lease_size < 1:
+        parser.error("--lease-size must be a positive integer")
+    if args.backend != DEFAULT_BACKEND and kernel != "batch":
+        # Backends are the batch kernel's array substrate; silently
+        # ignoring --backend on another kernel would misreport what ran.
+        parser.error("--backend requires --kernel batch")
+
+
+def load_run(args):
+    """The spec the flags name, with the ``--cycles``, ``--seed`` and
+    ``--metrics`` overrides applied, and the shard designator."""
+    spec = load_scenario(args.scenario)
+    if args.cycles is not None:
+        spec = dataclasses.replace(spec, cycles=args.cycles)
+    if args.metrics is not None:
+        spec = dataclasses.replace(
+            spec, metrics=spec.metrics + tuple(args.metrics)
+        )
+    if args.seed is not None:
+        spec = dataclasses.replace(
+            spec, plan=ReplicationPlan(spec.plan.replications, args.seed)
+        )
+    shard = parse_shard(args.shard) if args.shard is not None else None
+    return spec, shard
+
+
+def open_cache(args):
+    """The result store the flags name, or ``None``.
+
+    A broken cache location only disables caching: it must never block
+    the science run.
+    """
+    if not args.cache:
+        return None
+    from repro.parallel.cache import ResultCache
+
+    try:
+        return ResultCache(cache_dir=args.cache_dir)
+    except (ConfigurationError, OSError) as exc:
+        print(f"warning: caching disabled: {exc}", file=sys.stderr)
+        return None
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Entry point for ``repro-experiments scenario ...``."""
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments scenario",
+        description="Compile a declarative scenario into work units and "
+        "run them (optionally one shard of a multi-machine sweep).",
+    )
+    parser.add_argument(
+        "scenario",
+        nargs="?",
+        help="registered scenario name or a .toml/.json spec file; "
+        "omit to list registered scenarios",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="run through the sweep service: a coordinator leases "
+        "planned position lists to N local workers forked from it (see "
+        "'sweep-serve'); stdout stays byte-identical to the serial run",
+    )
+    parser.add_argument(
+        "--fast",
+        action="store_true",
+        help="shorthand for --kernel fast",
+    )
+    parser.add_argument(
+        "--chart",
+        action="store_true",
+        help="after the unit lines, draw the p50/p90/p99 total-latency "
+        "percentile curves across units as an ASCII chart on stderr "
+        "(requires --metrics latency); stdout stays byte-reproducible",
+    )
+    add_run_flags(parser)
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be a positive integer")
-    if args.workers is not None:
-        if args.workers < 1:
-            parser.error("--workers must be a positive integer")
-        if args.jobs != 1:
-            # Two parallelism levers at once would obscure which one
-            # ran; the service's workers already parallelise the sweep.
-            parser.error(
-                "--jobs and --workers conflict: --workers delegates "
-                "parallelism to the sweep service's worker fleet"
-            )
-    if args.lease_size is not None:
-        if args.workers is None:
-            parser.error("--lease-size requires --workers")
-        if args.lease_size < 1:
-            parser.error("--lease-size must be a positive integer")
+    if args.lease_size is not None and args.workers is None:
+        parser.error("--lease-size requires --workers")
     if args.fast and args.kernel == "batch":
         # fast and batch produce deliberately different bytes, so a
         # silent precedence pick would hand back the wrong tier.
         parser.error("--fast conflicts with --kernel batch; pick one")
     kernel = "fast" if args.fast else args.kernel
-    if args.backend != DEFAULT_BACKEND and kernel != "batch":
-        # Backends are the batch kernel's array substrate; silently
-        # ignoring --backend on another kernel would misreport what ran.
-        parser.error("--backend requires --kernel batch")
+    check_run_flags(parser, args, kernel)
     if args.scenario is None:
         print(list_scenarios())
         return 0
-    shard = None
-    try:
-        spec = load_scenario(args.scenario)
-        spec = apply_spec_overrides(
-            spec, cycles=args.cycles, seed=args.seed, metrics=args.metrics
-        )
-        units = compile_scenario(spec, kernel=kernel, backend=args.backend)
-        total = len(units)
-        if args.shard is not None:
-            shard = parse_shard(args.shard)
-            units = shard_units(units, shard[0], shard[1])
-            print(
-                f"[scenario {spec.name}: shard {shard[0]}/{shard[1]}, "
-                f"{len(units)} of {total} units]",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"[scenario {spec.name}: {total} units]",
-                file=sys.stderr,
-            )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cache = None
-    if args.cache and args.workers is None:
-        from repro.parallel.cache import ResultCache
-
-        try:
-            cache = ResultCache(cache_dir=args.cache_dir)
-        except (ConfigurationError, OSError) as exc:
-            # A broken cache location must never block the science run.
-            print(f"warning: caching disabled: {exc}", file=sys.stderr)
-    started = time.time()
     telemetry: dict = {}
     try:
-        if args.workers is not None:
-            # The distributed sweep service: a coordinator probing the
-            # shared store, then leasing planned position lists to
-            # subprocess workers.  Byte-identical to the serial path
-            # below, property- and golden-tested.
-            from repro.service.coordinator import run_service
-
-            results = run_service(
-                spec,
-                workers=args.workers,
-                kernel=kernel,
-                backend=args.backend,
-                shard=shard,
-                lease_size=args.lease_size,
-                cache_enabled=args.cache,
-                cache_dir=args.cache_dir,
-                telemetry=telemetry,
-            )
-        else:
-            results = run_units(units, jobs=args.jobs, cache=cache)
+        spec, shard = load_run(args)
+        total = spec.grid_size() * spec.plan.replications
+        part = f"shard {shard[0]}/{shard[1]} of " if shard else ""
+        print(f"[scenario {spec.name}: {part}{total} units]", file=sys.stderr)
+        cache = open_cache(args)
+        started = time.time()
+        results = run_scenario(
+            spec,
+            shard=shard,
+            cache=cache,
+            kernel=kernel,
+            backend=args.backend,
+            workers=args.workers,
+            lease_size=args.lease_size,
+            telemetry=telemetry,
+        )
     except ReproError as exc:
         # Covers simulation and model failures too - any library error
         # surfaces as the CLI's curated one-line diagnostic.
@@ -307,8 +277,9 @@ def render_cache_stats(cache, telemetry: dict) -> str:
     Serial runs report the run cache's own
     :class:`~repro.parallel.cache.CacheStats`; service runs report the
     coordinator's pre-lease probe counters, how many units were
-    actually dispatched to workers (zero on a fully-warm sweep), and
-    how many leases were issued and re-queued after a worker failure.
+    actually dispatched to workers (zero on a fully-warm sweep), how
+    many leases were issued and re-queued after a worker failure, and
+    how many results the workers failed to store.
     """
     if telemetry:
         stats = telemetry.get("probe_stats")
@@ -324,12 +295,13 @@ def render_cache_stats(cache, telemetry: dict) -> str:
                 f" hits={stats.hits} misses={stats.misses} "
                 f"transient_errors={stats.transient_errors}"
             )
-        return line + "]"
+        return line + f" put_errors={telemetry.get('put_errors', 0)}]"
     if cache is None:
         return "[cache-stats disabled]"
     stats = cache.stats
     return (
         f"[cache-stats hits={stats.hits} misses={stats.misses} "
         f"stores={stats.stores} evictions={stats.evictions} "
-        f"transient_errors={stats.transient_errors}]"
+        f"transient_errors={stats.transient_errors} "
+        f"put_errors={stats.put_errors}]"
     )

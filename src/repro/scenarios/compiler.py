@@ -65,7 +65,7 @@ class WorkUnit:
     kernel: str = DEFAULT_KERNEL
     """Simulation-loop implementation (``"reference"``, ``"fast"`` or
     ``"batch"``).  Reference and fast are property-tested bit-identical,
-    so for them the kernel is an execution lever like ``--jobs`` and
+    so for them the kernel is an execution lever like ``--workers`` and
     never enters :meth:`payload`.  Batch results are reproducible in
     themselves but not bit-identical, so their payloads carry the
     ``simulation-batch@1`` engine token instead of ``simulation@1``."""

@@ -1,9 +1,12 @@
 """Execute compiled work units and render mergeable reports.
 
-:func:`evaluate_unit` is the single module-level (hence pool- and
-spawn-safe) dispatcher from a :class:`~repro.scenarios.compiler.WorkUnit`
-to its metrics; :func:`run_units` fans uncached units over the
-:mod:`repro.parallel` pool map and serves repeats from a
+:func:`run_scenario` is the one entry point: it compiles a spec once
+and executes the units in this process (:func:`run_units`) or hands
+them to the sweep service's coordinator with N local workers
+(:class:`repro.service.coordinator.Coordinator`).  :func:`evaluate_unit`
+is the single dispatcher from a
+:class:`~repro.scenarios.compiler.WorkUnit` to its metrics;
+:func:`run_units` serves repeats from a
 :class:`~repro.parallel.cache.ResultCache` keyed on each unit's
 content-addressed payload (which covers the workload spec, so hot-spot
 and trace results can never collide with uniform entries).
@@ -20,13 +23,13 @@ reproduces the unsharded report byte-for-byte.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Any, Iterable, Sequence
 
 from repro.core.errors import ConfigurationError, ExperimentError
 from repro.engine.base import EvalResult, EvaluationMethod, LittlesLawLatency
 from repro.engine.registry import get_evaluator
 from repro.metrics import LatencyReport
-from repro.parallel.pool import map_ordered
 from repro.scenarios.compiler import WorkUnit, compile_scenario, shard_units
 from repro.scenarios.spec import ScenarioSpec
 
@@ -48,7 +51,7 @@ class UnitResult:
 
 
 def evaluate_unit(unit: WorkUnit) -> dict[str, Any]:
-    """Evaluate one work unit (module-level, hence pool-safe).
+    """Evaluate one work unit.
 
     Resolves the unit's method in the evaluator registry
     (:mod:`repro.engine.registry`) and returns the evaluation's plain
@@ -87,18 +90,6 @@ def evaluate_fleet(units: Sequence[WorkUnit]) -> list[dict[str, Any]]:
     ]
 
 
-def _evaluate_task(task) -> list[dict[str, Any]]:
-    """Pool task: one single unit or one batch fleet (module-level).
-
-    Returns a list of payloads aligned with the task's units, so single
-    units and fleets flow through one :func:`map_ordered` call.
-    """
-    kind, payload = task
-    if kind == "unit":
-        return [evaluate_unit(payload)]
-    return evaluate_fleet(payload)
-
-
 def _batchable(unit: WorkUnit) -> bool:
     """Whether a unit can join a lockstep fleet.
 
@@ -124,10 +115,11 @@ def pack_groups(
     super-fleet call, so shape-heterogeneous sweeps land in one batch
     call; every other position is its own singleton group.  Groups are
     first-appearance ordered.  This is the one grouping rule of both
-    the executor (:func:`_evaluation_tasks`) and the sweep planner
+    the executor (:func:`run_units`) and the sweep planner
     (:func:`repro.scenarios.plan.carve_leases`), so a lease built from
-    whole groups runs as exactly one batch call per group.  Because fleet rows are independent, grouping can never
-    change any unit's bytes.
+    whole groups runs as exactly one batch call per group.  Because
+    fleet rows are independent, grouping can never change any unit's
+    bytes.
     """
     from repro.parallel.fleet import pack_key
 
@@ -144,26 +136,6 @@ def pack_groups(
             groups.append(fleets[key])
         fleets[key].append(position)
     return groups
-
-
-def _evaluation_tasks(
-    units: Sequence[WorkUnit],
-) -> tuple[list[tuple], list[list[int]]]:
-    """Pool tasks for ``units``, one per :func:`pack_groups` group.
-
-    A batch group travels as one ``("fleet", (...units...))`` task;
-    everything else stays a ``("unit", unit)`` task.  Returns the
-    tasks plus, aligned with them, each task's member positions in
-    ``units``.
-    """
-    groups = pack_groups(units)
-    tasks = [
-        ("fleet", tuple(units[i] for i in group))
-        if _batchable(units[group[0]])
-        else ("unit", units[group[0]])
-        for group in groups
-    ]
-    return tasks, groups
 
 
 def _expectations(unit: WorkUnit) -> tuple[bool, bool]:
@@ -203,19 +175,17 @@ def result_from_metrics(
         ) from exc
 
 
-def run_units(
-    units: Sequence[WorkUnit],
-    jobs: int | None = 1,
-    cache=None,
-) -> list[UnitResult]:
-    """Execute ``units`` in order, via pool and cache when available.
+def run_units(units: Sequence[WorkUnit], cache=None) -> list[UnitResult]:
+    """Execute ``units`` in order in this process, via the cache when given.
 
+    The in-process executor behind serial runs and every worker lease.
     The returned list preserves input order, and its values are
-    independent of ``jobs`` and cache state - these levers change
-    wall-clock time, never bytes.  Units whose content-addressed
-    payloads coincide (e.g. analytic-method replications, whose keys
-    ignore the seed) are computed once and fanned out.  Batch-kernel
-    units run as shape-packed super-fleets.
+    independent of cache state, which changes wall-clock time, never
+    bytes.  Units whose content-addressed payloads coincide (e.g.
+    analytic-method replications, whose keys ignore the seed) are
+    computed once and fanned out.  Batch-kernel units run as
+    shape-packed super-fleets.  A failed cache write is counted in the
+    cache's ``stats.put_errors`` and otherwise ignored.
     """
     from repro.parallel.cache import fingerprint
 
@@ -230,8 +200,8 @@ def run_units(
         )
     if cache is not None:
         # One batched probe resolves every cached unit up front
-        # (repeated keys are probed once), so a warm sweep never reaches
-        # the pool at all.
+        # (repeated keys are probed once), so a warm sweep evaluates
+        # nothing.
         cached_values = cache.get_many(keys)
         for position, unit in enumerate(units):
             value = cached_values.get(keys[position])
@@ -252,16 +222,18 @@ def run_units(
                 seen.add(keys[position])
                 representatives.append(position)
         # Batch-kernel units aggregate into lockstep fleets (one
-        # vectorized call per fleet) while everything else dispatches
-        # per unit; both travel through the same ordered pool map.
-        tasks, groups = _evaluation_tasks(
-            [units[position] for position in representatives]
-        )
-        computed_lists = map_ordered(_evaluate_task, tasks, max_workers=jobs)
+        # vectorized call per fleet) while everything else evaluates
+        # per unit.
         metrics_by_key: dict[str, Any] = {}
-        for members, payloads in zip(groups, computed_lists):
-            for member, metrics in zip(members, payloads):
-                metrics_by_key[keys[representatives[member]]] = metrics
+        for group in pack_groups(units, representatives):
+            members = [units[position] for position in group]
+            payloads = (
+                evaluate_fleet(members)
+                if _batchable(members[0])
+                else [evaluate_unit(members[0])]
+            )
+            for position, metrics in zip(group, payloads):
+                metrics_by_key[keys[position]] = metrics
         for position in pending:
             results[position] = result_from_metrics(
                 units[position], metrics_by_key[keys[position]], False
@@ -271,7 +243,9 @@ def run_units(
                 try:
                     cache.put(keys[position], metrics_by_key[keys[position]])
                 except (OSError, ConfigurationError):
-                    # A full disk must not block the science run.
+                    # A full disk must not block the science run; the
+                    # cache counted the failure and run_scenario
+                    # reports it once.
                     pass
     return [results[position] for position in range(len(units))]
 
@@ -279,18 +253,34 @@ def run_units(
 def run_scenario(
     spec: ScenarioSpec,
     shard: tuple[int, int] | None = None,
-    jobs: int | None = 1,
     cache=None,
     kernel: str = "reference",
     backend: str = "numpy",
+    workers: int | None = None,
+    *,
+    lease_size: int | None = None,
+    deadline: float | None = None,
+    chaos_kill_after: int | None = None,
+    telemetry: dict | None = None,
 ) -> list[UnitResult]:
-    """Compile ``spec``, optionally take one shard, and execute it.
+    """Compile ``spec`` once, optionally take one shard, and execute it.
+
+    ``workers=None`` executes in this process (:func:`run_units`);
+    ``workers=N`` hands the units to a
+    :class:`~repro.service.coordinator.Coordinator` with N
+    :class:`~repro.service.transports.LocalWorkers`, which it forks
+    only once its plan leases something, sharing ``cache``'s directory
+    and version tag.  ``chaos_kill_after`` kills the first worker after
+    that many results (the retry drill of tests and CI); ``telemetry``
+    is filled with the service's planning counters for CLI reporting.
+    Neither choice moves a byte.  A run whose results could not all be
+    stored in ``cache`` prints one warning on stderr.
 
     ``kernel`` selects the simulation loop: ``"reference"`` and
     ``"fast"`` are bit-identical, so that choice changes wall-clock
-    only - exactly like ``jobs`` and ``cache``.  ``"batch"`` runs
+    only - exactly like ``workers`` and ``cache``.  ``"batch"`` runs
     lockstep fleets whose bytes are reproducible in themselves (across
-    shards, jobs and grouping) but deliberately different from the
+    shards, workers and grouping) but deliberately different from the
     exact kernels' - never mix batch and exact shards of one sweep.
     ``backend`` selects the batch kernel's array substrate
     (:mod:`repro.bus.backends`); every backend is bit-identical to
@@ -298,9 +288,55 @@ def run_scenario(
     """
     units = compile_scenario(spec, kernel=kernel, backend=backend)
     if shard is not None:
-        shard_index, shard_count = shard
-        units = shard_units(units, shard_index, shard_count)
-    return run_units(units, jobs=jobs, cache=cache)
+        units = shard_units(units, shard[0], shard[1])
+    if workers is None:
+        failed = cache.stats.put_errors if cache is not None else 0
+        results = run_units(units, cache=cache)
+        if cache is not None:
+            failed = cache.stats.put_errors - failed
+    else:
+        from repro.parallel.cache import reset_code_version_tag
+        from repro.service.coordinator import DEFAULT_DEADLINE, Coordinator
+        from repro.service.transports import LocalWorkers
+
+        if workers < 1:
+            raise ExperimentError(f"workers must be >= 1, got {workers}")
+        # A coordinator may be long-lived (or embedded in a long-lived
+        # process); never let it stamp a version tag memoized before the
+        # sources last changed.
+        reset_code_version_tag()
+        coordinator = Coordinator(
+            spec,
+            LocalWorkers(workers, exit_after=chaos_kill_after),
+            kernel=kernel,
+            backend=backend,
+            shard=shard,
+            lease_size=lease_size,
+            deadline=DEFAULT_DEADLINE if deadline is None else deadline,
+            cache_enabled=cache is not None,
+            cache_dir=str(cache.cache_dir) if cache is not None else None,
+            cache_version=cache.version_tag if cache is not None else None,
+            units=units,
+        )
+        results = coordinator.run()
+        failed = coordinator.put_errors
+        if telemetry is not None:
+            telemetry.update(
+                units=len(units),
+                dispatched=coordinator.units_dispatched,
+                probe_hits=coordinator.probe_hits,
+                probe_stats=coordinator.probe_stats,
+                leases_issued=coordinator.leases_issued,
+                leases_retried=coordinator.leases_retried,
+                put_errors=failed,
+            )
+    if failed:
+        print(
+            f"warning: {failed} result(s) could not be stored in the "
+            f"cache; later runs will compute them again",
+            file=sys.stderr,
+        )
+    return results
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ store (sharded content-addressed layout, crash-safe writes), so a fleet
 deduplicates work across workers, runs and machines.
 """
 
-from repro.service.coordinator import Coordinator, run_service
+from repro.service.coordinator import Coordinator
 from repro.service.transports import (
     LoopbackTransport,
     SubprocessTransport,
@@ -32,7 +32,6 @@ from repro.service.worker import WorkerSession, serve_stdio
 
 __all__ = [
     "Coordinator",
-    "run_service",
     "WorkerSession",
     "serve_stdio",
     "WorkerTransport",

@@ -1,4 +1,4 @@
-"""The sweep coordinator: compile once, plan, lease, merge exactly.
+"""The sweep coordinator: plan, lease, merge exactly.
 
 The coordinator owns the canonical compiled unit list and drives any
 number of :class:`~repro.service.transports.WorkerTransport` endpoints
@@ -8,7 +8,8 @@ through the lease protocol (:mod:`repro.service.protocol`):
   (:func:`repro.scenarios.plan.probe_cached`) resolves every
   already-cached position against the shared store, so warm or resumed
   sweeps never ship cached work to workers (a fully-warm sweep
-  dispatches zero units and skips the handshake entirely);
+  dispatches zero units, skips the handshake entirely and, with
+  :class:`~repro.service.transports.LocalWorkers`, starts no worker);
 * the remaining work is cut by the **sweep planner**
   (:func:`repro.scenarios.plan.carve_leases`) into position-list
   leases: each batch super-fleet stays one lease (one vectorized fleet
@@ -35,20 +36,24 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.core.errors import ConfigurationError, ExperimentError
-from repro.scenarios.compiler import compile_scenario, shard_units
+from repro.scenarios.compiler import WorkUnit, compile_scenario, shard_units
 from repro.scenarios.execute import UnitResult, result_from_metrics
 from repro.scenarios.spec import ScenarioSpec
 from repro.service import protocol
-from repro.service.transports import WorkerTransport
+from repro.service.transports import LocalWorkers, WorkerTransport
 
 DEFAULT_DEADLINE = 300.0
 """Seconds a lease may run before its worker is declared failed."""
 
 DEFAULT_MAX_RETRIES = 3
 """Times one position may be re-leased before the sweep aborts."""
+
+POLL_INTERVAL = 0.02
+"""Seconds the coordinator sleeps when a pass over its workers made no
+progress."""
 
 
 @dataclasses.dataclass
@@ -69,12 +74,20 @@ class _Worker:
 
 
 class Coordinator:
-    """Drive one compiled scenario across a set of worker transports."""
+    """Drive one compiled scenario across a set of worker transports.
+
+    ``transports`` are started worker endpoints, or
+    :class:`~repro.service.transports.LocalWorkers` to start only once
+    the plan leases something.  ``units`` is ``spec``'s compiled (and
+    sharded) unit list when the caller already holds it.  The probe and
+    the workers share the store at ``cache_dir`` under the version tag
+    ``cache_version`` (default: the code version).
+    """
 
     def __init__(
         self,
         spec: ScenarioSpec,
-        transports: Sequence[WorkerTransport],
+        transports: Sequence[WorkerTransport] | LocalWorkers,
         kernel: str = "reference",
         backend: str = "numpy",
         shard: tuple[int, int] | None = None,
@@ -83,15 +96,15 @@ class Coordinator:
         max_retries: int = DEFAULT_MAX_RETRIES,
         cache_enabled: bool = True,
         cache_dir: str | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-        poll_interval: float = 0.02,
+        cache_version: str | None = None,
+        units: Sequence[WorkUnit] | None = None,
     ) -> None:
-        if not transports:
+        if not len(transports):
             raise ExperimentError("the sweep service needs at least one worker")
-        units = compile_scenario(spec, kernel=kernel, backend=backend)
-        if shard is not None:
-            units = shard_units(units, shard[0], shard[1])
+        if units is None:
+            units = compile_scenario(spec, kernel=kernel, backend=backend)
+            if shard is not None:
+                units = shard_units(units, shard[0], shard[1])
         self.spec = spec
         self.units = units
         self.kernel = kernel
@@ -99,6 +112,7 @@ class Coordinator:
         self.shard = shard
         self.cache_enabled = cache_enabled
         self.cache_dir = cache_dir
+        self.cache_version = cache_version
         self.deadline = deadline
         self.max_retries = max_retries
         if lease_size is not None and lease_size < 1:
@@ -106,10 +120,12 @@ class Coordinator:
                 f"lease size must be >= 1, got {lease_size}"
             )
         self.lease_size = lease_size
-        self._clock = clock
-        self._sleep = sleep
-        self._poll_interval = poll_interval
-        self._workers = [_Worker(transport) for transport in transports]
+        self._fleet = transports
+        self._workers = (
+            []
+            if isinstance(transports, LocalWorkers)
+            else [_Worker(transport) for transport in transports]
+        )
         self._leases: dict[int, _Lease] = {}
         self._next_lease_id = 0
         self._queue: list[list[int]] = []
@@ -120,11 +136,12 @@ class Coordinator:
         self.units_dispatched = 0
         self.probe_hits = 0
         self.probe_stats = None
+        self.put_errors = 0
 
     # ------------------------------------------------------------------
     def run(self) -> list[UnitResult]:
         """Execute every unit and return results in canonical order."""
-        self._started = self._clock()
+        self._started = time.monotonic()
         self._probe_cache()
         self._queue = self._plan_leases(
             [
@@ -135,7 +152,9 @@ class Coordinator:
         )
         if self._queue:
             # A fully-warm sweep skips the handshake entirely: there is
-            # nothing to dispatch, so workers need not compile.
+            # nothing to dispatch, so workers need not start or compile.
+            # The hello is built first so that forked workers inherit
+            # the memoized code version tag.
             hello = protocol.hello_message(
                 self.spec,
                 self.kernel,
@@ -143,16 +162,22 @@ class Coordinator:
                 shard=self.shard,
                 cache_dir=self.cache_dir,
                 cache_enabled=self.cache_enabled,
+                cache_version=self.cache_version,
             )
+            if isinstance(self._fleet, LocalWorkers):
+                self._workers = [
+                    _Worker(transport)
+                    for transport in self._fleet.start(len(self._queue))
+                ]
             for worker in self._workers:
                 worker.transport.send(hello)
         try:
-            while len(self._metrics) < len(self.units):
+            while not self._finished():
                 progressed = self._drain_messages()
                 self._retire_dead_workers()
                 self._expire_leases()
                 progressed |= self._assign_leases()
-                if len(self._metrics) >= len(self.units):
+                if self._finished():
                     break
                 if not any(w.state != "dead" for w in self._workers):
                     missing = len(self.units) - len(self._metrics)
@@ -161,16 +186,24 @@ class Coordinator:
                         f"unit(s) outstanding"
                     )
                 if not progressed:
-                    self._sleep(self._poll_interval)
+                    time.sleep(POLL_INTERVAL)
         finally:
             for worker in self._workers:
                 if worker.state != "dead":
                     worker.transport.send(protocol.shutdown_message())
+            for worker in self._workers:
                 worker.transport.close()
         return [
             result_from_metrics(self.units[position], metrics, cached)
             for position, (metrics, cached) in sorted(self._metrics.items())
         ]
+
+    def _finished(self) -> bool:
+        """Every position has a result and every live lease is done, so
+        each worker's ``lease_done`` counters have arrived."""
+        return len(self._metrics) >= len(self.units) and not any(
+            lease.active for lease in self._leases.values()
+        )
 
     # ------------------------------------------------------------------
     def _probe_cache(self) -> None:
@@ -188,7 +221,9 @@ class Coordinator:
         from repro.scenarios.plan import probe_cached
 
         try:
-            cache = ResultCache(cache_dir=self.cache_dir)
+            cache = ResultCache(
+                cache_dir=self.cache_dir, version_tag=self.cache_version
+            )
         except (ConfigurationError, OSError) as exc:
             print(
                 f"[sweep] pre-lease cache probe disabled: {exc}",
@@ -212,7 +247,7 @@ class Coordinator:
         return carve_leases(
             self.units,
             positions,
-            workers=len(self._workers),
+            workers=len(self._fleet),
             lease_size=self.lease_size,
         )
 
@@ -256,6 +291,7 @@ class Coordinator:
                     bool(message.get("cached", False)),
                 )
         elif kind == "lease_done":
+            self.put_errors += int(message.get("put_errors", 0))
             lease = self._leases.get(message["lease_id"])
             if lease is not None:
                 lease.active = False
@@ -282,7 +318,7 @@ class Coordinator:
                 self._fail_worker(worker_index)
 
     def _expire_leases(self) -> None:
-        now = self._clock()
+        now = time.monotonic()
         # The handshake honours the same deadline: a worker that never
         # answers hello must not stall the sweep.
         for worker_index, worker in enumerate(self._workers):
@@ -360,7 +396,7 @@ class Coordinator:
                 lease_id=self._next_lease_id,
                 worker=worker_index,
                 positions=tuple(positions),
-                issued=self._clock(),
+                issued=time.monotonic(),
                 remaining=set(positions),
             )
             self._next_lease_id += 1
@@ -391,70 +427,3 @@ class Coordinator:
             if positions:
                 return positions
         return []
-
-
-def run_service(
-    spec: ScenarioSpec,
-    workers: int = 2,
-    kernel: str = "reference",
-    backend: str = "numpy",
-    shard: tuple[int, int] | None = None,
-    lease_size: int | None = None,
-    deadline: float = DEFAULT_DEADLINE,
-    cache_enabled: bool = True,
-    cache_dir: str | None = None,
-    chaos_kill_after: int | None = None,
-    telemetry: dict | None = None,
-) -> list[UnitResult]:
-    """Run ``spec`` under the coordinator with local subprocess workers.
-
-    The one-call service entry point behind ``repro-experiments
-    sweep-serve`` and ``scenario --workers N``.  ``chaos_kill_after``
-    is the fault-injection hook for tests and the CI smoke job: the
-    first worker is spawned with ``--exit-after`` so it dies abruptly
-    mid-lease, exercising the retry path on a real subprocess fleet.
-    ``telemetry``, when given, is filled in place with the run's
-    planning counters (units, dispatched, probe hits, the probe
-    cache's :class:`~repro.parallel.cache.CacheStats`, lease counts)
-    for CLI reporting.
-    """
-    from repro.parallel.cache import reset_code_version_tag
-    from repro.service.transports import SubprocessTransport, sweep_work_argv
-
-    if workers < 1:
-        raise ExperimentError(f"workers must be >= 1, got {workers}")
-    # A coordinator may be long-lived (or embedded in a long-lived
-    # process); never let it stamp a version tag memoized before the
-    # sources last changed.
-    reset_code_version_tag()
-    transports = [
-        SubprocessTransport(
-            sweep_work_argv(
-                exit_after=chaos_kill_after if index == 0 else None
-            ),
-            name=f"worker-{index}",
-        )
-        for index in range(workers)
-    ]
-    coordinator = Coordinator(
-        spec,
-        transports,
-        kernel=kernel,
-        backend=backend,
-        shard=shard,
-        lease_size=lease_size,
-        deadline=deadline,
-        cache_enabled=cache_enabled,
-        cache_dir=cache_dir,
-    )
-    results = coordinator.run()
-    if telemetry is not None:
-        telemetry.update(
-            units=len(coordinator.units),
-            dispatched=coordinator.units_dispatched,
-            probe_hits=coordinator.probe_hits,
-            probe_stats=coordinator.probe_stats,
-            leases_issued=coordinator.leases_issued,
-            leases_retried=coordinator.leases_retried,
-        )
-    return results

@@ -9,11 +9,13 @@ unchanged.  The conversation is deliberately tiny:
 == ==================== ============================================
 →  ``hello``             coordinator → worker: the full scenario spec
                          (file-schema mapping), kernel/backend, the
-                         optional shard designator and the shared
-                         cache configuration.  The worker compiles the
-                         *same* deterministic unit list locally, so
-                         leases can name positions instead of shipping
-                         units.
+                         optional shard designator, the shared cache
+                         configuration and the coordinator's
+                         :func:`~repro.parallel.cache.code_version_tag`
+                         (a worker on other code answers ``error``).
+                         The worker compiles the *same* deterministic
+                         unit list locally, so leases can name
+                         positions instead of shipping units.
 ←  ``ready``             worker → coordinator: unit count (checked
                          against the coordinator's own compile - a
                          mismatch means version skew) and the worker
@@ -29,7 +31,9 @@ unchanged.  The conversation is deliberately tiny:
                          metrics payload (exact float round-trip, so
                          merged output is byte-identical to a serial
                          run) and whether it was served from cache.
-←  ``lease_done``        the whole range has been streamed.
+←  ``lease_done``        the whole lease has been streamed; carries how
+                         many of its results the worker could not
+                         store in the shared cache.
 ←  ``error``             the worker failed; the message is diagnostic
                          and the coordinator re-leases remaining work.
 →  ``shutdown``          coordinator → worker: drain and exit.
@@ -46,13 +50,15 @@ import json
 from typing import Any, Mapping
 
 from repro.core.errors import ConfigurationError
+from repro.parallel.cache import code_version_tag
 from repro.scenarios.spec import ScenarioSpec, spec_from_mapping
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 """Bumped on any incompatible message-shape change; ``hello`` carries
 it and workers reject mismatches, so mixed-version fleets fail fast.
 Version 2 replaced the contiguous ``[start, stop)`` range lease with an
-explicit position list, so planners can compose fleet-affine leases."""
+explicit position list, so planners can compose fleet-affine leases.
+Version 3 made ``hello``'s ``code_version`` field required."""
 
 MESSAGE_TYPES = frozenset(
     {"hello", "ready", "lease", "result", "lease_done", "error", "shutdown"}
@@ -135,16 +141,25 @@ def hello_message(
     shard: tuple[int, int] | None = None,
     cache_dir: str | None = None,
     cache_enabled: bool = True,
+    cache_version: str | None = None,
 ) -> dict[str, Any]:
-    """The coordinator's opening message."""
+    """The coordinator's opening message.
+
+    ``cache_version`` is the shared store's version tag; without one,
+    workers key their entries on their own code version.
+    """
+    cache: dict[str, Any] = {"enabled": bool(cache_enabled), "dir": cache_dir}
+    if cache_version is not None:
+        cache["version"] = cache_version
     return {
         "type": "hello",
         "protocol": PROTOCOL_VERSION,
+        "code_version": code_version_tag(),
         "spec": spec_to_mapping(spec),
         "kernel": kernel,
         "backend": backend,
         "shard": list(shard) if shard is not None else None,
-        "cache": {"enabled": bool(cache_enabled), "dir": cache_dir},
+        "cache": cache,
     }
 
 
@@ -191,9 +206,14 @@ def result_message(
     }
 
 
-def lease_done_message(lease_id: int) -> dict[str, Any]:
-    """Every position of the lease has been streamed."""
-    return {"type": "lease_done", "lease_id": int(lease_id)}
+def lease_done_message(lease_id: int, put_errors: int = 0) -> dict[str, Any]:
+    """Every position of the lease has been streamed; ``put_errors`` of
+    its results could not be stored in the shared cache."""
+    return {
+        "type": "lease_done",
+        "lease_id": int(lease_id),
+        "put_errors": int(put_errors),
+    }
 
 
 def error_message(message: str) -> dict[str, Any]:

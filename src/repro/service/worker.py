@@ -2,11 +2,13 @@
 
 :class:`WorkerSession` is the transport-agnostic protocol machine: feed
 it decoded messages, and it emits replies through the ``send`` callable
-it was constructed with.  :func:`serve_stdio` wires a session to
-stdin/stdout as newline-delimited JSON - the form ``repro-experiments
-sweep-work`` runs, whether spawned by the local subprocess transport or
-remotely (``ssh host repro-experiments sweep-work`` works unchanged,
-which is what keeps the lease protocol transport-agnostic).
+it was constructed with.  :func:`serve_stdio` wires a session to a pair
+of text streams as newline-delimited JSON.  Local workers forked from
+the coordinator run it over a pipe pair; ``repro-experiments
+sweep-work`` runs it over stdin/stdout, whether spawned by the local
+subprocess transport or remotely (``ssh host repro-experiments
+sweep-work`` works unchanged, which is what keeps the lease protocol
+transport-agnostic).
 
 A worker compiles the scenario it receives in ``hello`` locally -
 compilation is deterministic, so coordinator and worker hold identical
@@ -27,6 +29,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.errors import ConfigurationError, ReproError
 from repro.engine.base import EvalResult
+from repro.parallel.cache import ResultCache, code_version_tag
 from repro.scenarios.compiler import WorkUnit, compile_scenario, shard_units
 from repro.service import protocol
 
@@ -93,6 +96,12 @@ class WorkerSession:
                 f"{message.get('protocol')!r}, worker speaks "
                 f"{protocol.PROTOCOL_VERSION}"
             )
+        if message.get("code_version") != code_version_tag():
+            raise ConfigurationError(
+                f"code version mismatch: coordinator runs "
+                f"{message.get('code_version')!r}, worker runs "
+                f"{code_version_tag()!r}"
+            )
         spec = protocol.spec_from_wire(message["spec"])
         units: Sequence[WorkUnit] = compile_scenario(
             spec,
@@ -106,10 +115,11 @@ class WorkerSession:
         self._units = units
         cache_config = message.get("cache") or {}
         if cache_config.get("enabled", False):
-            from repro.parallel.cache import ResultCache
-
             try:
-                self._cache = ResultCache(cache_dir=cache_config.get("dir"))
+                self._cache = ResultCache(
+                    cache_dir=cache_config.get("dir"),
+                    version_tag=cache_config.get("version"),
+                )
             except (ConfigurationError, OSError) as exc:
                 # A broken cache location must never block the sweep;
                 # the worker just computes everything.
@@ -133,7 +143,8 @@ class WorkerSession:
                 f"unit list (0..{len(self._units)})"
             )
         block = [self._units[position] for position in positions]
-        results = run_units(block, jobs=1, cache=self._cache)
+        put_errors = self._put_errors()
+        results = run_units(block, cache=self._cache)
         for position, result in zip(positions, results):
             self._send(
                 protocol.result_message(
@@ -147,7 +158,15 @@ class WorkerSession:
             self._results_sent += 1
             if self._result_hook is not None:
                 self._result_hook(self._results_sent)
-        self._send(protocol.lease_done_message(lease_id))
+        self._send(
+            protocol.lease_done_message(
+                lease_id, self._put_errors() - put_errors
+            )
+        )
+
+    def _put_errors(self) -> int:
+        """Results this session has failed to store in the cache."""
+        return self._cache.stats.put_errors if self._cache is not None else 0
 
 
 def serve_stdio(
@@ -155,7 +174,9 @@ def serve_stdio(
     stdout=None,
     exit_after: int | None = None,
 ) -> int:
-    """Run one worker session over newline-delimited JSON on stdio.
+    """Run one worker session over newline-delimited JSON text streams.
+
+    ``stdin`` and ``stdout`` default to the process's own.
 
     ``exit_after`` is the crash-injection hook behind ``sweep-work
     --exit-after N``: the process dies abruptly (``os._exit``, no

@@ -1,10 +1,11 @@
 """End-to-end tests for the distributed sweep service.
 
-These drive the real ``repro-experiments`` CLI with real subprocess
-workers over stdio pipes - the exact production configuration - and
-byte-compare against the serial path.  One test kills a worker
-mid-lease with the built-in chaos hook to prove retries preserve the
-bytes.
+These drive the real ``repro-experiments`` CLI, whose workers are
+forked from the coordinator, and byte-compare against the serial path.
+One test kills a worker mid-lease with the built-in chaos hook to prove
+retries preserve the bytes.  No CLI path spawns ``sweep-work`` where it
+can fork, so :class:`TestSpawnedWorkers` drives the coordinator over
+spawned ``sweep-work`` processes directly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ import subprocess
 import sys
 
 import pytest
+
+from repro.scenarios.execute import render_report, run_scenario
+from repro.scenarios.registry import load_scenario
+from repro.service.coordinator import Coordinator
+from repro.service.transports import SubprocessTransport, sweep_work_argv
 
 _SPEC_TEXT = json.dumps(
     {
@@ -149,3 +155,19 @@ class TestScenarioWorkersFlag:
             "--no-cache",
         )
         assert served.stdout == serial.stdout
+
+
+class TestSpawnedWorkers:
+    def test_spawned_peers_one_killed_match_serial_bytes(self, spec_file):
+        """Peer w0 dies after its first result if it wins a lease before
+        w1 has drained the queue; either way the bytes hold."""
+        spec = load_scenario(spec_file)
+        transports = [
+            SubprocessTransport(sweep_work_argv(exit_after=1), name="w0"),
+            SubprocessTransport(sweep_work_argv(), name="w1"),
+        ]
+        coordinator = Coordinator(
+            spec, transports, lease_size=2, cache_enabled=False
+        )
+        served = render_report(coordinator.run())
+        assert served == render_report(run_scenario(spec))

@@ -32,6 +32,7 @@ from repro.parallel.workers import SimulationCase  # noqa: E402
 from repro.scenarios.execute import (  # noqa: E402
     merge_reports,
     render_report,
+    run_scenario,
     run_units,
 )
 from repro.scenarios.compiler import (  # noqa: E402
@@ -192,20 +193,19 @@ class TestShardInvariance:
     def test_sharded_batch_reports_merge_byte_identically(self):
         spec = _batch_scenario()
         units = compile_scenario(spec, kernel="batch")
-        unsharded = render_report(run_units(units, jobs=1))
+        unsharded = render_report(run_units(units))
         for shard_count in (2, 3):
             shard_reports = []
             for shard_index in range(1, shard_count + 1):
                 shard = shard_units(units, shard_index, shard_count)
-                shard_reports.append(render_report(run_units(shard, jobs=1)))
+                shard_reports.append(render_report(run_units(shard)))
             assert merge_reports(shard_reports) == unsharded
 
     def test_worker_count_changes_no_bytes(self):
         spec = _batch_scenario()
-        units = compile_scenario(spec, kernel="batch")
-        serial = render_report(run_units(units, jobs=1))
-        pooled = render_report(run_units(units, jobs=2))
-        assert pooled == serial
+        serial = render_report(run_scenario(spec, kernel="batch"))
+        served = render_report(run_scenario(spec, kernel="batch", workers=2))
+        assert served == serial
 
     def test_grouping_is_deterministic(self):
         spec = _batch_scenario()

@@ -17,7 +17,12 @@ from repro.scenarios.compiler import (
     merge_units,
     shard_units,
 )
-from repro.scenarios.execute import merge_reports, render_report, run_units
+from repro.scenarios.execute import (
+    merge_reports,
+    render_report,
+    run_scenario,
+    run_units,
+)
 from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
 from repro.workloads.spec import HotSpotWorkload
 
@@ -96,10 +101,9 @@ class TestShardUnionProperty:
     )
     def test_worker_count_invisible_in_latency_columns(self, r_count, base_seed):
         spec = build_spec(r_count, 2, base_seed, hot=False, metrics=("latency",))
-        units = compile_scenario(spec)
-        serial = render_report(run_units(units, jobs=1))
-        pooled = render_report(run_units(units, jobs=3))
-        assert serial == pooled
+        serial = render_report(run_scenario(spec))
+        served = render_report(run_scenario(spec, workers=3))
+        assert serial == served
 
     @settings(max_examples=12, deadline=None)
     @given(

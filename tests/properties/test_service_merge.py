@@ -35,7 +35,7 @@ _SPEC = ScenarioSpec(
 )
 
 _UNITS = compile_scenario(_SPEC)
-_SERIAL = render_report(run_units(_UNITS, jobs=1, cache=None))
+_SERIAL = render_report(run_units(_UNITS, cache=None))
 
 
 def _workers(count: int, kill: tuple[int, int] | None) -> list[LoopbackTransport]:
@@ -114,7 +114,6 @@ class TestMergeInvariance:
                 render_report(
                     run_units(
                         shard_units(_UNITS, shard_index, shard_count),
-                        jobs=1,
                         cache=None,
                     )
                 )
@@ -179,7 +178,6 @@ class TestPlanInvariance:
         serial = render_report(
             run_units(
                 compile_scenario(_SPEC, kernel="batch", backend=backend),
-                jobs=1,
                 cache=None,
             )
         )

@@ -248,7 +248,7 @@ class TestWholeFleetCarving:
     def test_each_batch_lease_runs_as_one_fleet_call(self):
         # The planner and the executor share one grouping rule, so a
         # batch lease never turns into more than one batch call.
-        from repro.scenarios.execute import _evaluation_tasks
+        from repro.scenarios.execute import _batchable, pack_groups
 
         simulation = compile_scenario(
             _spec(
@@ -268,10 +268,9 @@ class TestWholeFleetCarving:
         )
         fleet_leases = 0
         for lease in leases:
-            tasks, _ = _evaluation_tasks([mixed[p] for p in lease])
-            kinds = [kind for kind, _ in tasks]
-            if "fleet" in kinds:
-                assert kinds == ["fleet"]
+            batch = [_batchable(mixed[g[0]]) for g in pack_groups(mixed, lease)]
+            if any(batch):
+                assert batch == [True]
                 fleet_leases += 1
         # buffered and unbuffered rows pack into two super-fleets.
         assert fleet_leases == 2
@@ -281,7 +280,7 @@ class TestProbeCached:
     def test_probe_resolves_exactly_the_stored_positions(self, tmp_path):
         units = compile_scenario(_spec())
         cache = ResultCache(cache_dir=tmp_path / "store")
-        run_units(units[:3], jobs=1, cache=cache)
+        run_units(units[:3], cache=cache)
         found = probe_cached(units, range(len(units)), cache)
         assert sorted(found) == [0, 1, 2]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import os
 import textwrap
 
 import pytest
@@ -134,6 +136,34 @@ class TestCaching:
             ["scenario", tiny_toml, "--no-cache", "--cache-stats"]
         ) == 0
         assert "[cache-stats disabled]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+    def test_full_disk_is_counted_and_reported_once(
+        self, tiny_toml, capsys, tmp_path, monkeypatch, workers
+    ):
+        """Every cache write fails with ENOSPC; the run still succeeds,
+        warns once on stderr, and --cache-stats shows the count.  Forked
+        workers inherit the patched ``os.replace``."""
+        assert main(["scenario", tiny_toml, "--no-cache"]) == 0
+        expected = capsys.readouterr().out
+        store = tmp_path / "full"
+        real_replace = os.replace
+
+        def full_disk(source, target):
+            if str(source).endswith(".tmp"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        argv = ["scenario", tiny_toml, "--cache-dir", str(store)]
+        assert main(argv + workers + ["--cache-stats"]) == 0
+        run = capsys.readouterr()
+        assert run.out == expected
+        assert run.err.count("could not be stored") == 1
+        assert "warning: 8 result(s) could not be stored" in run.err
+        assert "put_errors=8]" in run.err
+        assert list(store.rglob("*.json")) == []
+        assert list(store.rglob("*.tmp")) == []
 
     def test_cache_stats_with_workers_reports_probe_and_dispatch(
         self, tiny_toml, capsys, tmp_path, monkeypatch

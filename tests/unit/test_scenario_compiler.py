@@ -143,12 +143,13 @@ class TestExecution:
         results = run_units(units)
         assert [result.unit for result in results] == list(units)
 
-    def test_jobs_do_not_change_values(self):
-        units = compile_scenario(tiny_spec())
-        serial = run_units(units, jobs=1)
-        pooled = run_units(units, jobs=2)
+    def test_workers_do_not_change_values(self):
+        from repro.scenarios.execute import run_scenario
+
+        serial = run_scenario(tiny_spec())
+        served = run_scenario(tiny_spec(), workers=2)
         assert [(r.ebw, r.processor_utilization) for r in serial] == [
-            (r.ebw, r.processor_utilization) for r in pooled
+            (r.ebw, r.processor_utilization) for r in served
         ]
 
     def test_cache_round_trip_preserves_bytes(self, tmp_path):

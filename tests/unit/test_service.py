@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro.core.errors import ConfigurationError, ExperimentError
+from repro.parallel.cache import code_version_tag
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
 from repro.service import protocol
 from repro.service.coordinator import Coordinator
 from repro.service.transports import LoopbackTransport
-from repro.service.worker import WorkerSession
+from repro.service.worker import WorkerSession, serve_stdio
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -72,6 +75,7 @@ class TestProtocol:
         assert message["shard"] == [2, 3]
         assert message["cache"] == {"enabled": False, "dir": "/tmp/x"}
         assert message["protocol"] == protocol.PROTOCOL_VERSION
+        assert message["code_version"] == code_version_tag()
 
 
 class TestWorkerSession:
@@ -86,6 +90,26 @@ class TestWorkerSession:
         hello["protocol"] = 999
         with pytest.raises(ConfigurationError, match="version mismatch"):
             session.handle(hello)
+
+    def test_code_version_mismatch_answers_error_naming_both_tags(self):
+        """A peer on other code refuses the sweep instead of caching
+        results under the coordinator's tag."""
+        hello = protocol.hello_message(tiny_spec(), "reference", "numpy")
+        hello["code_version"] = "0123456789abcdef"
+        session = WorkerSession(lambda message: None)
+        with pytest.raises(ConfigurationError, match="code version mismatch"):
+            session.handle(hello)
+        stdout = io.StringIO()
+        code = serve_stdio(
+            io.StringIO(protocol.encode_message(hello) + "\n"), stdout
+        )
+        assert code == 2
+        [line] = stdout.getvalue().splitlines()
+        reply = protocol.decode_message(line)
+        assert reply["type"] == "error"
+        assert "code version mismatch" in reply["message"]
+        assert "0123456789abcdef" in reply["message"]
+        assert code_version_tag() in reply["message"]
 
     def test_out_of_range_lease_is_rejected(self):
         outbox = []
@@ -261,14 +285,6 @@ class TestServiceCli:
 
         assert serve_main(["no-such-scenario", "--workers", "1"]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_scenario_rejects_jobs_with_workers(self, capsys):
-        from repro.scenarios.cli import main as scenario_main
-
-        with pytest.raises(SystemExit):
-            scenario_main(
-                ["figure2", "--jobs", "2", "--workers", "2"]
-            )
 
     def test_scenario_rejects_nonpositive_workers(self, capsys):
         from repro.scenarios.cli import main as scenario_main
