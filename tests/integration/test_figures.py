@@ -1,11 +1,13 @@
 """Integration: the figure experiments reproduce the paper's shapes.
 
-The benchmarks run these at measurement strength; here short runs verify
-the qualitative structure that the paper reads off each figure, keeping
-the assertion thresholds generous enough for the reduced cycle counts.
+Short runs verify the qualitative structure that the paper reads off
+each figure, keeping the assertion thresholds generous enough for the
+reduced cycle counts.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -18,6 +20,9 @@ from repro.experiments.figure3 import run as run_figure3
 from repro.experiments.figure5 import check_claims as check_figure5
 from repro.experiments.figure5 import run as run_figure5
 from repro.experiments.figure6 import run as run_figure6
+from repro.scenarios.execute import run_scenario
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.spec import ReplicationPlan
 
 CYCLES = 3_000
 SEED = 99
@@ -43,6 +48,20 @@ def figure5_result():
 @pytest.fixture(scope="module")
 def figure6_result():
     return run_figure6(cycles=CYCLES, seed=SEED)
+
+
+def utilisation_range(scenario: str) -> tuple[float, float]:
+    """Lowest and highest processor utilisation of a whole figure at
+    8,000 cycles under seed 7 on the fast kernel (bit-identical to the
+    reference loop)."""
+    spec = dataclasses.replace(
+        get_scenario(scenario), cycles=8_000, plan=ReplicationPlan(1, 7)
+    )
+    values = [
+        result.processor_utilization
+        for result in run_scenario(spec, kernel="fast")
+    ]
+    return min(values), max(values)
 
 
 class TestFigure2:
@@ -75,6 +94,11 @@ class TestFigure3:
             heavy = figure3_result.measured[(f"r={r}", "p=1")]
             assert light > heavy
 
+    def test_utilisation_in_range(self):
+        # A finite window can overshoot 1 slightly at its edges.
+        low, high = utilisation_range("figure3")
+        assert 0.0 < low and high <= 1.1
+
     def test_larger_r_more_efficient_at_heavy_load(self, figure3_result):
         heavy = [
             figure3_result.measured[(f"r={r}", "p=1")]
@@ -100,6 +124,10 @@ class TestFigure5:
 
 
 class TestFigure6:
+    def test_utilisation_in_range(self):
+        low, high = utilisation_range("figure6")
+        assert 0.0 < low and high <= 1.1
+
     def test_buffered_utilisation_dominates_unbuffered(
         self, figure3_result, figure6_result
     ):

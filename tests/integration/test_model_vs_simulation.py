@@ -13,7 +13,7 @@ pytestmark = pytest.mark.slow
 
 from repro.bus import simulate
 from repro.core.config import SystemConfig
-from repro.core.policy import Priority
+from repro.core.policy import Priority, TieBreak
 from repro.models.approx_memory_priority import approximate_memory_priority_ebw
 from repro.models.exact_memory_priority import exact_memory_priority_ebw
 from repro.models.processor_priority import processor_priority_ebw
@@ -74,6 +74,19 @@ class TestPolicyOrdering:
         ).ebw
         assert g_prime >= g_second * 0.99
 
+    def test_tie_break_rule_is_second_order(self):
+        # Random (hypothesis (h)) against FCFS intra-class arbitration
+        # moves EBW by less than 5% on 8x8, r = 8.
+        random_ebw = simulate(
+            SystemConfig(8, 8, 8, priority=Priority.PROCESSORS),
+            cycles=8_000, seed=5, kernel="fast",
+        ).ebw
+        fcfs_ebw = simulate(
+            SystemConfig(8, 8, 8, tie_break=TieBreak.FCFS),
+            cycles=8_000, seed=5, kernel="fast",
+        ).ebw
+        assert abs(random_ebw - fcfs_ebw) / random_ebw < 0.05
+
 
 class TestBufferingOrdering:
     @pytest.mark.parametrize("n,m,r", [(8, 8, 8), (8, 4, 12), (8, 16, 10)])
@@ -88,3 +101,17 @@ class TestBufferingOrdering:
         depth1 = simulate(config.with_buffers(1), cycles=15_000, seed=5).ebw
         depth4 = simulate(config.with_buffers(4), cycles=15_000, seed=5).ebw
         assert depth4 >= depth1 * 0.99
+
+    def test_first_buffer_slot_gives_most_of_the_gain(self):
+        # Depth 1 (the paper's design) captures more of the buffering
+        # gain on 8x8, r = 8 than depths 2 to 4 add after it.
+        config = SystemConfig(8, 8, 8, priority=Priority.PROCESSORS)
+        depth0 = simulate(config, cycles=8_000, seed=5, kernel="fast").ebw
+        depth1, depth4 = (
+            simulate(config.with_buffers(depth), cycles=8_000, seed=5,
+                     kernel="fast").ebw
+            for depth in (1, 4)
+        )
+        assert depth1 >= depth0
+        assert depth4 >= depth1 * 0.98
+        assert depth1 - depth0 >= depth4 - depth1

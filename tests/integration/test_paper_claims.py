@@ -2,8 +2,7 @@
 
 Each test reproduces one sentence of the paper's Sections 3, 6 and 7.
 Simulation lengths are chosen to keep the suite fast while leaving
-comfortable statistical margins; the full-strength versions run in the
-benchmark harness.
+comfortable statistical margins.
 """
 
 from __future__ import annotations

@@ -10,15 +10,36 @@ cells are checked with simulation tolerances.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bus import simulate
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority
 from repro.experiments import paper_data
+from repro.experiments.table2 import run as run_table2
 from repro.models.approx_memory_priority import approximate_memory_priority_ebw
 from repro.models.exact_memory_priority import exact_memory_priority_ebw
 from repro.models.processor_priority import processor_priority_ebw
+from repro.scenarios.execute import run_scenario
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.spec import ReplicationPlan
+
+
+def worst_grid_error(scenario: str, reference: dict) -> float:
+    """Worst relative EBW error of a whole simulated table against the
+    printed one, at 8,000 cycles under seed 7 on the fast kernel
+    (bit-identical to the reference loop)."""
+    spec = dataclasses.replace(
+        get_scenario(scenario), cycles=8_000, plan=ReplicationPlan(1, 7)
+    )
+    worst = 0.0
+    for result in run_scenario(spec, kernel="fast"):
+        config = result.unit.config
+        printed = reference[(config.memories, config.memory_cycle_ratio)]
+        worst = max(worst, abs(result.ebw - printed) / printed)
+    return worst
 
 
 class TestTable1DigitExact:
@@ -44,6 +65,12 @@ class TestTable2DigitExact:
         # One ulp of the printed third decimal: the paper truncated
         # rather than rounded some cells (2.77853 prints as 2.778).
         assert ebw == pytest.approx(reference, abs=1.1e-3)
+
+    def test_symmetric_variant_in_range(self):
+        # The symmetrised variant Section 5 suggests has no printed
+        # reference; every cell must stay a plausible EBW.
+        for value in run_table2(symmetric=True).measured.values():
+            assert 1.0 < value < 5.5
 
     def test_first_row_equals_table1(self):
         # n = 2 rows of Tables 1 and 2 coincide (the memoryless profile
@@ -101,6 +128,9 @@ class TestTable3aSimulation:
         reference = paper_data.TABLE3A_SIMULATION[(m, r)]
         assert result.ebw == pytest.approx(reference, rel=tolerance)
 
+    def test_whole_grid_within_10_percent(self):
+        assert worst_grid_error("table3a", paper_data.TABLE3A_SIMULATION) < 0.10
+
 
 @pytest.mark.slow
 class TestTable4Simulation:
@@ -117,6 +147,12 @@ class TestTable4Simulation:
         result = simulate(config, cycles=16_000, seed=123)
         reference = paper_data.TABLE4_BUFFERED_SIMULATION[(m, r)]
         assert result.ebw == pytest.approx(reference, rel=0.05)
+
+    def test_whole_grid_within_10_percent(self):
+        assert (
+            worst_grid_error("table4", paper_data.TABLE4_BUFFERED_SIMULATION)
+            < 0.10
+        )
 
     def test_table4_peak_structure(self):
         # Each Table 4 row rises to a peak and then declines toward the

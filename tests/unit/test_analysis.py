@@ -64,6 +64,12 @@ class TestTradeoffs:
     def test_crossbar_target_known_value(self):
         assert crossbar_target(2, 2) == pytest.approx(1.5)
 
+    def test_crossbar_targets_for_paper_sizes(self):
+        # The exact crossbar EBWs Section 7 measures single buses against.
+        assert 4.9 < crossbar_target(8, 8) < 5.0
+        assert 9.5 < crossbar_target(16, 16) < 9.7
+        assert 6.2 < crossbar_target(8, 16) < 6.4
+
     def test_find_crossbar_equivalent_finds_small_case(self):
         # A 2x2 crossbar (EBW 1.5) is matched by a single-bus system with
         # generous m and r.

@@ -9,7 +9,10 @@ the regression gate testable without timing anything.
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
+
+import pytest
 
 _SCRIPT = (
     pathlib.Path(__file__).resolve().parent.parent.parent
@@ -130,3 +133,27 @@ def test_benchmark_missing_from_new_report_regresses():
     lines, regressions = run_benchmarks.compare_reports(old, new)
     assert regressions == ["batch_fleet_batch"]
     assert any("MISSING" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "quick, baseline",
+    [(False, "BENCH_kernels.json"), (True, "BENCH_kernels_quick.json")],
+)
+def test_tables_cover_the_committed_baseline(quick, baseline, tmp_path):
+    # Builds both tables without timing anything, so dropping or
+    # renaming a row or a speedup pair fails here rather than only in
+    # CI's warn-only compare.
+    rows, pairs = run_benchmarks.table(quick, str(tmp_path))
+    metas = {row.name: row.meta for row in rows}
+    assert len(metas) == len(rows)
+    keys = {key for key, _, _ in pairs}
+    assert len(keys) == len(pairs)
+    for _, numerator, denominator in pairs:
+        assert numerator in metas and denominator in metas
+    report = json.loads((_SCRIPT.parent.parent / baseline).read_text())
+    expected = run_benchmarks.QUICK if quick else run_benchmarks.FULL
+    assert report["parameters"] == expected
+    for entry in report["results"]:
+        assert entry["name"] in metas
+        assert metas[entry["name"]] == entry["meta"]
+    assert set(report["speedups"]) <= keys

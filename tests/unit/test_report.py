@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import SystemConfig
+from repro.core.policy import Priority
 from repro.experiments.hot_spot import degradation_at, run as run_hot_spot
 from repro.experiments.registry import ExperimentResult
 from repro.experiments.report import (
@@ -12,6 +14,8 @@ from repro.experiments.report import (
     results_to_markdown,
     write_markdown_report,
 )
+from repro.parallel.workers import SimulationCase, run_case
+from repro.workloads.spec import HotSpotWorkload
 
 
 def make_result() -> ExperimentResult:
@@ -74,6 +78,27 @@ class TestHotSpotExperiment:
         # uniform traffic.
         for row in result.rows:
             assert degradation_at(result, row, 0.5) > 0.0
+
+    def test_buffering_softens_the_8x8_loss(self):
+        # The "8x8 r=8" rows at hot = 0.5, 8,000 cycles, seed 7, on the
+        # fast kernel (bit-identical to the experiment's reference loop):
+        # half the traffic on one module costs over 20% of EBW, and
+        # buffering loses less.
+        def degradation(buffered):
+            config = SystemConfig(8, 8, 8, priority=Priority.PROCESSORS,
+                                  buffered=buffered)
+            uniform, hot = (
+                run_case(SimulationCase(
+                    config, 8_000, 7, workload=HotSpotWorkload(fraction),
+                    kernel="fast",
+                )).ebw
+                for fraction in (0.0, 0.5)
+            )
+            return (uniform - hot) / uniform
+
+        unbuffered = degradation(False)
+        assert unbuffered > 0.2
+        assert degradation(True) < unbuffered
 
     def test_uniform_column_recovers_paper_numbers(self, hot_spot_result):
         result = hot_spot_result
