@@ -25,9 +25,10 @@ Two tables drive a run (:func:`table`): one :class:`Row` per
 per ``speedups`` key.  Each row runs its warm-up calls untimed, then its
 timed repeats: ``seconds`` is their minimum (the low-noise signal the
 compare reads), ``mean`` their average (far above the min on a noisy
-host).  A row whose backend does not import here is skipped with a
-warning naming the extra, never retimed on another substrate.  Timings
-are machine-dependent; the speedups are the portable signal.
+host).  A row on an optional backend that does not import here is
+skipped with a warning naming the extra, never retimed on another
+substrate.  Timings are machine-dependent; the speedups are the
+portable signal.
 
 ``--compare OLD.json`` exits 4 when a same-meta entry slowed down, or a
 speedup dropped, by more than :data:`THRESHOLD`, or an entry went
@@ -109,8 +110,12 @@ class Row(NamedTuple):
     repeat: int = 2
     warmup: int = 1
     backend: str | None = None
-    """The array backend the row needs (the Markov chains need numpy
-    too), or ``None``."""
+    """The optional array backend the row needs, or ``None``."""
+
+
+def optional(backend: str) -> str | None:
+    """``backend`` if a row on it can be skipped here, else ``None``."""
+    return backend if backend in OPTIONAL_BACKENDS else None
 
 
 def row(name: str, build, meta: dict, *, repeat: int = 2, warmup: int = 1,
@@ -310,7 +315,7 @@ def fleet_row(name: str, kernel: str, rows: int, cycles: int,
     return row(name, partial(time_fleet, kernel, rows, cycles, config,
                              collect_latency, backend),
                meta, repeat=repeat, warmup=warmup,
-               backend=backend if kernel == "batch" else None)
+               backend=optional(backend))
 
 
 def table(quick: bool,
@@ -358,10 +363,9 @@ def table(quick: bool,
     rows += [
         row("model_occupancy_chain", time_occupancy_chain,
             {"n": 16, "m": 16, "service_width": 9, "loops": 1}, repeat=1,
-            warmup=0, backend=DEFAULT_BACKEND),
+            warmup=0),
         row("model_reduced_chain", partial(time_reduced_chain, 64),
-            {"n": 8, "m": 16, "r": 12, "loops": 64}, warmup=0,
-            backend=DEFAULT_BACKEND),
+            {"n": 8, "m": 16, "r": 12, "loops": 64}, warmup=0),
         row("model_mva", partial(time_mva, 512),
             {"config": BUFFERED_FLEET_CONFIG.describe(), "loops": 512},
             warmup=0),
@@ -454,7 +458,7 @@ def table(quick: bool,
     rows.append(row("sweep_plan_affine",
                     partial(time_planned_sweep, replications, plan_cycles),
                     {"replications": replications, "cycles": plan_cycles,
-                     "kernel": "batch", "workers": 2}, backend=DEFAULT_BACKEND))
+                     "kernel": "batch", "workers": 2}))
 
     # Fleet packing: the shape-fragmented grid as one super-fleet call,
     # on every backend.
@@ -468,7 +472,8 @@ def table(quick: bool,
                           "packed_sweep_packed", name))
         rows.append(row(name, partial(time_packed_sweep, packed["replications"],
                                       packed["cycles"], backend),
-                        {**packed, "backend": backend}, backend=backend))
+                        {**packed, "backend": backend},
+                        backend=optional(backend)))
     return rows, pairs
 
 

@@ -4,7 +4,7 @@
 The paper validates its models in Section 5 by comparing them with
 simulations.  This example redoes that validation across a parameter
 sweep and prints the per-model error profile, which is how we establish
-the tolerances used in the test suite and EXPERIMENTS.md.
+the tolerances used in tests/integration/test_model_vs_simulation.py.
 
 Run:  python examples/model_validation.py
 """

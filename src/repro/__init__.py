@@ -14,9 +14,11 @@ Public API tour
 * :mod:`repro.queueing` solves the Section 6 product-form comparison;
 * :mod:`repro.experiments` regenerates every table and figure
   (``repro-experiments all`` or ``python -m repro.experiments all``);
-* :mod:`repro.parallel` fans replications, sweeps and experiments out
-  over process pools and caches their results, without changing a
-  single output byte (``repro-experiments all --jobs 8``);
+* :mod:`repro.parallel` holds the seeded simulation tasks, batch
+  fleets and the content-addressed result cache; scenario grids run on
+  forked sweep workers through ``run_scenario(spec, workers=N)``
+  (``repro-experiments scenario figure2 --workers 8``), without
+  changing a single output byte;
 * :mod:`repro.scenarios` declares whole design-space sweeps as
   validated specs, compiles them to shardable work-unit lists, and runs
   them - see ``SCENARIOS.md`` (``repro-experiments scenario``);

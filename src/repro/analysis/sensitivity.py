@@ -18,7 +18,7 @@ import dataclasses
 
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
-from repro.parallel.workers import SimulationCase, simulate_cases
+from repro.parallel.workers import SimulationCase, run_case
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,16 +89,13 @@ def sensitivity_analysis(
     load_step: float = -0.2,
     cycles: int = 30_000,
     seed: int = 0,
-    max_workers: int | None = 1,
 ) -> SensitivityReport:
     """Perturb each design factor of ``base`` once and measure EBW.
 
     Factors: ``memories`` (+memory_step), ``memory_cycle_ratio``
     (+ratio_step), ``request_probability`` (+load_step, clipped to
     (0, 1]), and ``buffering`` (toggled).  The base point and every
-    perturbation are independent seeded runs, so with ``max_workers``
-    (``1`` = serial, ``None`` = CPU count) they are dispatched through
-    one process-pool batch; the report is identical to the serial one.
+    perturbation are independent runs under the same ``seed``.
     """
     if memory_step == 0 or ratio_step == 0 or load_step == 0.0:
         raise ConfigurationError("perturbation steps must be non-zero")
@@ -143,7 +140,7 @@ def sensitivity_analysis(
         SimulationCase(config, cycles, seed)
         for _, _, _, config in perturbations
     ]
-    results = simulate_cases(cases, max_workers=max_workers)
+    results = [run_case(case) for case in cases]
     base_ebw = results[0].ebw
     effects = tuple(
         FactorEffect(

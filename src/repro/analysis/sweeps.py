@@ -5,12 +5,11 @@ the other parameters fixed; these helpers centralise the loop so all
 callers simulate with identical settings and seeds.  Each sweep is
 expressed as a one-axis :class:`~repro.scenarios.spec.ScenarioSpec` and
 lowered through the scenario compiler
-(:mod:`repro.scenarios.compiler`) and run by
-:func:`~repro.scenarios.execute.run_scenario` - pass ``max_workers`` to
-fan a sweep out over that many sweep-service workers; the points are
-independent seeded runs, so the resulting curve is identical to the
-serial one.  ``max_workers`` follows the pool convention: the default
-``1`` runs serially, an explicit ``None`` uses the CPU count.
+(:mod:`repro.scenarios.compiler`) and run serially by
+:func:`~repro.scenarios.execute.run_scenario`.  To spread a grid over
+sweep workers, build the :class:`~repro.scenarios.spec.ScenarioSpec`
+and call ``run_scenario(spec, workers=N)``; the points are independent
+seeded runs, so the curve is the same either way.
 """
 
 from __future__ import annotations
@@ -78,10 +77,8 @@ def _run_sweep(
     axis: str,
     cycles: int,
     seed: int,
-    max_workers: int | None,
 ) -> Sweep:
     """Compile the one-axis scenario for this sweep and execute it."""
-    from repro.parallel.pool import resolve_workers
     from repro.scenarios.execute import run_scenario
     from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
 
@@ -93,8 +90,7 @@ def _run_sweep(
         plan=ReplicationPlan(1, seed),
         description=f"one-axis {axis} sweep ({label})",
     )
-    workers = resolve_workers(max_workers)
-    results = run_scenario(spec, workers=workers if workers > 1 else None)
+    results = run_scenario(spec)
     points = tuple(
         SweepPoint(
             config=result.unit.config,
@@ -113,12 +109,10 @@ def sweep_r(
     label: str,
     cycles: int = 50_000,
     seed: int = 0,
-    max_workers: int | None = 1,
 ) -> Sweep:
     """Simulate ``base`` for each memory-cycle ratio in ``r_values``."""
     return _run_sweep(
-        base, _AXIS_FIELDS["r"], tuple(r_values), label, "r", cycles, seed,
-        max_workers,
+        base, _AXIS_FIELDS["r"], tuple(r_values), label, "r", cycles, seed
     )
 
 
@@ -128,12 +122,10 @@ def sweep_p(
     label: str,
     cycles: int = 50_000,
     seed: int = 0,
-    max_workers: int | None = 1,
 ) -> Sweep:
     """Simulate ``base`` for each request probability in ``p_values``."""
     return _run_sweep(
-        base, _AXIS_FIELDS["p"], tuple(p_values), label, "p", cycles, seed,
-        max_workers,
+        base, _AXIS_FIELDS["p"], tuple(p_values), label, "p", cycles, seed
     )
 
 
@@ -143,12 +135,10 @@ def sweep_m(
     label: str,
     cycles: int = 50_000,
     seed: int = 0,
-    max_workers: int | None = 1,
 ) -> Sweep:
     """Simulate ``base`` for each module count in ``m_values``."""
     return _run_sweep(
-        base, _AXIS_FIELDS["m"], tuple(m_values), label, "m", cycles, seed,
-        max_workers,
+        base, _AXIS_FIELDS["m"], tuple(m_values), label, "m", cycles, seed
     )
 
 

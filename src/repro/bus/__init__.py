@@ -64,7 +64,7 @@ def simulate(
       :mod:`repro.bus.kernel`, property-tested bit-identical (counters,
       latency summaries, RNG consumption) and several times faster;
     * ``"batch"`` - the vectorized lockstep kernel of
-      :mod:`repro.bus.batch` (requires the optional ``numpy`` extra).
+      :mod:`repro.bus.batch` (a numpy array program).
       Batch results are reproducible in themselves but **not**
       bit-identical to the other kernels - they are statistically
       equivalent and live in their own cache namespace.  The batch

@@ -38,9 +38,10 @@ class BatchBackend:
     ``name``
         The registry key (``--backend`` value).
     ``extra``
-        The pip extra that installs the substrate, named in the
+        The pip extra that installs an optional substrate, named in the
         :class:`ConfigurationError` raised when it is missing - never a
-        silent fallback to another backend.
+        silent fallback to another backend.  numpy is a runtime
+        dependency, so the default backend has none.
     ``draw_chunk``
         Uniform draws buffered per row and stream between Philox
         refills.  Each row consumes its stream strictly in sequence, so
@@ -56,7 +57,7 @@ class BatchBackend:
     # -- availability ---------------------------------------------------
     def available(self) -> bool:
         """Whether every module this substrate needs is importable."""
-        raise NotImplementedError
+        return True
 
     def require(self):
         """Import and return the array namespace, or raise naming the extra."""

@@ -661,15 +661,13 @@ class NumbaBackend(BatchBackend):
     def available(self) -> bool:
         try:
             import numba  # noqa: F401
-            import numpy  # noqa: F401
         except ImportError:
             return False
         return True
 
     def require(self):
-        from repro.bus.batch import require_numpy
+        import numpy as np
 
-        np = require_numpy()
         if self._jit:
             try:
                 import numba  # noqa: F401

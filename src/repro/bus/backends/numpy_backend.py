@@ -14,21 +14,12 @@ class NumpyBackend(BatchBackend):
     """
 
     name = "numpy"
-    extra = "batch"
     # 2 KB per row and stream.  A sweep worker running the whole 70-row
     # Table 4 super-fleet peaked at 40.1 MB, against 41.9 MB with 2048,
     # and 512-row fleets ran no slower.
     draw_chunk = 256
 
-    def available(self) -> bool:
-        from repro.bus.batch import numpy_available
-
-        return numpy_available()
-
     def require(self):
-        # Delegates to the kernel's own importer so the error message
-        # (naming the [batch] extra and the stdlib fallback) stays the
-        # single one every numpy-missing path raises.
-        from repro.bus.batch import require_numpy
+        import numpy
 
-        return require_numpy()
+        return numpy

@@ -80,9 +80,8 @@ counters), so a push or pop is a flat fancy-indexed scatter over the
 affected modules only - no per-cycle FIFO shifting - and stall
 bookkeeping travels through the same flat index lists.
 
-NumPy is an optional dependency (``pip install repro-single-bus[batch]``);
-without it every batch entry point raises a
-:class:`~repro.core.errors.ConfigurationError` naming the extra.
+NumPy is imported lazily, through the backend's ``require``, so the
+exact kernels and the scenario coordinator never load it.
 """
 
 from __future__ import annotations
@@ -112,9 +111,6 @@ from repro.workloads.generators import (
     UniformTargets,
 )
 
-BATCH_EXTRA = "batch"
-"""Name of the optional dependency extra that provides numpy."""
-
 PACK_FIELDS = (
     "priority",
     "tie_break",
@@ -136,29 +132,6 @@ _NEVER = 1 << 30
 Cycle-indexed state lives in ``int32`` arrays (half the memory traffic
 of ``int64`` on the hot loop), so one batch run is capped at ``2**30``
 bus cycles - six orders of magnitude beyond the paper's windows."""
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency is importable."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def require_numpy():
-    """Import and return numpy, or raise naming the install extra."""
-    try:
-        import numpy
-    except ImportError:
-        raise ConfigurationError(
-            "kernel='batch' requires numpy, which is an optional "
-            "dependency of this package; install it with "
-            f"pip install 'repro-single-bus[{BATCH_EXTRA}]' "
-            "(or use kernel='fast', which is pure stdlib)"
-        ) from None
-    return numpy
 
 
 BATCH_METRICS = frozenset({"latency"})

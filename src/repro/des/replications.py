@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.core.errors import ConfigurationError
 from repro.des.rng import mean_and_half_width
@@ -81,11 +81,10 @@ def _z_value(confidence: float) -> float:
 def replication_seeds(base_seed: int, replications: int) -> tuple[int, ...]:
     """The canonical seed tuple ``base_seed, base_seed + 1, ...``.
 
-    Single source of truth for the seed-to-replication mapping: both the
-    serial path below and :class:`repro.parallel.ParallelReplicator`
-    derive their seeds here, which is what makes serial and parallel
-    replication results bit-for-bit identical.  Distinct seeds produce
-    independent random streams (see :mod:`repro.des.rng`).
+    Single source of truth for the seed-to-replication mapping: the
+    replicators below and :func:`repro.parallel.fleet.replicate_batch`
+    derive their seeds here.  Distinct seeds produce independent random
+    streams (see :mod:`repro.des.rng`).
     """
     if replications < 2:
         raise ConfigurationError(
@@ -99,27 +98,15 @@ def replicate(
     replications: int,
     base_seed: int = 0,
     confidence: float = 0.95,
-    parallel: bool = False,
-    max_workers: int | None = None,
 ) -> ReplicationResult:
-    """Run a fixed number of independent replications.
+    """Run a fixed number of independent replications, one per seed.
 
-    With ``parallel=True`` - or simply a ``max_workers`` value - the
-    replications are fanned out over a process pool (``max_workers``
-    processes, defaulting to the CPU count); the estimator must then be
-    picklable - e.g. the task returned by :func:`ebw_estimator` or any
-    module-level function.  The result is identical to the serial run
-    either way.
+    For many replications of one configuration, the batch kernel's
+    :func:`repro.parallel.fleet.replicate_batch` runs them as one
+    lockstep fleet, and a :class:`~repro.scenarios.spec.ReplicationPlan`
+    run through ``run_scenario(spec, workers=N)`` spreads them over N
+    forked workers.
     """
-    if parallel or max_workers is not None:
-        from repro.parallel.replicator import ParallelReplicator
-
-        return ParallelReplicator(max_workers=max_workers).run(
-            estimator,
-            replications,
-            base_seed=base_seed,
-            confidence=confidence,
-        )
     seeds = replication_seeds(base_seed, replications)
     estimates = tuple(estimator(seed) for seed in seeds)
     return ReplicationResult(
@@ -180,8 +167,7 @@ class LatencyReplication:
     ``reports`` holds one :class:`~repro.metrics.LatencyReport` per
     replication, ordered by seed; :attr:`merged` folds them with the
     exactly-associative summary merge, so the aggregate is a
-    deterministic function of the per-seed reports alone - serial and
-    parallel execution produce bit-identical values.
+    deterministic function of the per-seed reports alone.
     """
 
     reports: tuple  # tuple[LatencyReport, ...]
@@ -210,24 +196,13 @@ def replicate_latency(
     estimator,
     replications: int,
     base_seed: int = 0,
-    parallel: bool = False,
-    max_workers: int | None = None,
 ) -> LatencyReplication:
     """Aggregate per-seed latency reports across replications.
 
     ``estimator`` maps a seed to a :class:`~repro.metrics.LatencyReport`
     (e.g. :class:`repro.parallel.workers.LatencyTask`).  Seeds follow
-    the canonical :func:`replication_seeds` mapping; with
-    ``parallel=True`` (or an explicit ``max_workers``) the replications
-    fan out over :class:`repro.parallel.ParallelReplicator`, whose
-    result is bit-for-bit identical to the serial loop here.
+    the canonical :func:`replication_seeds` mapping.
     """
-    if parallel or max_workers is not None:
-        from repro.parallel.replicator import ParallelReplicator
-
-        return ParallelReplicator(max_workers=max_workers).run_latency(
-            estimator, replications, base_seed=base_seed
-        )
     seeds = replication_seeds(base_seed, replications)
     return LatencyReplication(
         reports=tuple(estimator(seed) for seed in seeds), seeds=seeds
@@ -241,7 +216,7 @@ def latency_estimator(
     """A seed-to-:class:`~repro.metrics.LatencyReport` estimator.
 
     The latency analogue of :func:`ebw_estimator`: a picklable task for
-    :func:`replicate_latency`, serial or parallel alike.
+    :func:`replicate_latency`.
     """
     from repro.parallel.workers import LatencyTask
 
@@ -256,8 +231,7 @@ def ebw_estimator(
 
     Convenience factory tying the replication machinery to the bus
     simulator without creating an import cycle at module load.  The
-    returned task is a picklable object, so it works with the serial
-    path and with ``replicate(..., parallel=True)`` alike.
+    returned task is a picklable object.
     """
     from repro.parallel.workers import EbwTask
 

@@ -358,7 +358,7 @@ class Evaluator(Protocol):
     capabilities: EvaluatorCapabilities
 
     def evaluate(self, request: EvalRequest) -> EvalResult:
-        """Evaluate one request (must be process-pool safe)."""
+        """Evaluate one request (also runs inside forked sweep workers)."""
         ...  # pragma: no cover - protocol
 
     def cache_payload(self, request: EvalRequest) -> dict[str, Any]:

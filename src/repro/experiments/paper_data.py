@@ -7,8 +7,7 @@ follow the tables' own axes:
 * Table 3 (a: simulation, b: approximate model) and Table 4: ``(m, r)``
   with ``n = 8``, priority to processors;
 * figure curve sets: the scanned legends are partly illegible, so the
-  reconstruction choices are recorded here once and reused everywhere
-  (see DESIGN.md section 4).
+  reconstruction choices are recorded here once and reused everywhere.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ TABLE3A_SIMULATION: dict[tuple[int, int], float] = {
 Note the (4, 8) entry (3.287): it exceeds both its r-neighbours (3.155,
 3.205) while every other row is monotone in r; our simulation and both
 approximate models indicate it is a statistical outlier of the 1985
-runs (see EXPERIMENTS.md).
+runs.
 """
 
 TABLE3B_APPROX_MODEL: dict[tuple[int, int], float] = {
@@ -115,7 +114,7 @@ The (14, 10) entry is printed as "I867" in the scan, transcribed as
 
 # ----------------------------------------------------------------------
 # Figure reconstructions (scanned legends are partially illegible; these
-# choices are documented in DESIGN.md section 4).
+# choices are recorded here once).
 # ----------------------------------------------------------------------
 FIGURE2_SYSTEMS: tuple[tuple[int, int], ...] = ((4, 4), (8, 8), (16, 16))
 FIGURE2_R_VALUES: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 16, 20, 24)

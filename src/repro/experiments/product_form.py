@@ -26,7 +26,7 @@ pessimistic:
   time beyond the uncontended ``r + 2``), obtained from Little's law;
   this exceeds 25% over much of the grid and is the reading under which
   the paper's ">25%" figure reproduces (the paper does not name its
-  metric).  See EXPERIMENTS.md.
+  metric; ``tests/integration/test_paper_claims.py`` pins both readings).
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def run(cycles: int = 60_000, seed: int = 1985) -> ExperimentResult:
         measured=measured,
         notes="exponential characterisation is pessimistic everywhere; the "
         "paper's '>25% discrepancy' reproduces on the queueing-delay "
-        "metric (the paper does not name its metric - see EXPERIMENTS.md)",
+        "metric (the paper does not name its metric)",
     )
 
 

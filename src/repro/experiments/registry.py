@@ -5,8 +5,8 @@ artefact of the paper's evaluation and returns an
 :class:`ExperimentResult` - a grid of measured values plus, when the
 paper printed numbers, the reference values for side-by-side comparison.
 
-The registry gives the command-line runner, the benchmarks and
-EXPERIMENTS.md a single source of truth.
+The registry gives the command-line runner and the markdown report
+(:mod:`repro.experiments.report`) a single source of truth.
 """
 
 from __future__ import annotations

@@ -1,9 +1,7 @@
 """Markdown report generation from experiment runs.
 
 ``python -m repro.experiments all --markdown report.md`` produces a
-self-contained paper-vs-measured report; EXPERIMENTS.md in the
-repository root is maintained with this generator plus hand-written
-commentary.
+self-contained paper-vs-measured report.
 """
 
 from __future__ import annotations

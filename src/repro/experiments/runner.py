@@ -110,13 +110,10 @@ def run_experiments(
     )
 
 
-def _accepts_cycles(experiment_id: str) -> bool:
-    return experiment_id not in {"table1", "table2", "table3b"}
-
-
-def _accepts_workers(spec: ExperimentSpec) -> bool:
+def _accepts(spec: ExperimentSpec, keyword: str) -> bool:
+    """Whether the experiment's ``run`` takes ``keyword``."""
     try:
-        return "workers" in inspect.signature(spec.run).parameters
+        return keyword in inspect.signature(spec.run).parameters
     except (TypeError, ValueError):  # pragma: no cover - exotic callables
         return False
 
@@ -312,7 +309,7 @@ def _run_outcomes(
     run_kwargs: list[dict] = []
     for spec in specs:
         kwargs: dict = {}
-        if fast and _accepts_cycles(spec.experiment_id):
+        if fast and _accepts(spec, "cycles"):
             kwargs["cycles"] = _FAST_CYCLES
         run_kwargs.append(kwargs)
 
@@ -352,7 +349,7 @@ def _run_outcomes(
             )
             for index in pending:
                 kwargs = dict(run_kwargs[index])
-                if share > 1 and _accepts_workers(specs[index]):
+                if share > 1 and _accepts(specs[index], "workers"):
                     kwargs["workers"] = share
                 futures[index] = executor.submit(
                     _run_registered, (specs[index].experiment_id, kwargs)
@@ -377,7 +374,7 @@ def _run_outcomes(
                 cached = False
             else:
                 kwargs = dict(run_kwargs[index])
-                if jobs > 1 and _accepts_workers(spec):
+                if jobs > 1 and _accepts(spec, "workers"):
                     kwargs["workers"] = jobs
                 started = time.time()
                 result = spec.run(**kwargs)

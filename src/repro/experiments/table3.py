@@ -68,8 +68,8 @@ def run_model() -> ExperimentResult:
         measured=measured,
         reference=reference,
         notes="transition table reconstructed from the OCR-damaged scan "
-        "(see DESIGN.md); both chains approximate the same simulation "
-        "within a few percent",
+        "(see repro.models.processor_priority); both chains approximate "
+        "the same simulation within a few percent",
     )
 
 

@@ -52,10 +52,8 @@ align by collapsing the finer operand, counters add, and the result is
 the sketch the concatenated stream would have produced at the coarser
 width.
 
-NumPy is required (the sketch exists to serve the batch kernel, which
-already needs it); importing this module without numpy raises a
-:class:`~repro.core.errors.ConfigurationError` naming the extra only
-when a sketch is actually constructed.
+NumPy is imported when a sketch is constructed, not when this module
+is, so the scalar latency path never loads it.
 """
 
 from __future__ import annotations
@@ -73,19 +71,6 @@ quantile error is bounded by ``2 / bins`` (< 0.1%)."""
 
 _MIN_BINS = 8
 """Fewer buckets than this would make the collapse loop degenerate."""
-
-
-def _require_numpy():
-    try:
-        import numpy
-    except ImportError:
-        raise ConfigurationError(
-            "FleetQuantileSketch requires numpy, an optional dependency "
-            "of this package; install it with "
-            "pip install 'repro-single-bus[batch]' (scalar runs can use "
-            "repro.metrics.StreamingQuantiles instead)"
-        ) from None
-    return numpy
 
 
 class FleetQuantileSketch:
@@ -106,7 +91,8 @@ class FleetQuantileSketch:
     """
 
     def __init__(self, rows: int, bins: int = DEFAULT_SKETCH_BINS) -> None:
-        np = _require_numpy()
+        import numpy as np
+
         self._np = np
         if rows < 1:
             raise ConfigurationError(f"rows must be >= 1, got {rows}")

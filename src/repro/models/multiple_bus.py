@@ -73,7 +73,8 @@ def minimum_buses_matching_rate(
 
     Under this normalisation the Section 7 sentence "four buses are
     needed with a multiple-bus network" (to match the 8x8 crossbar with
-    m = 10, r = 8) reproduces exactly; see EXPERIMENTS.md.
+    m = 10, r = 8) reproduces exactly (pinned by
+    ``tests/unit/test_crossbar_and_multiple_bus.py``).
     """
     if memory_cycle_ratio < 1:
         raise ConfigurationError(

@@ -1,40 +1,36 @@
-"""Parallel replication, sweep execution, and result caching.
+"""Simulation tasks, batch fleets and result caching.
 
-This subsystem turns the library's embarrassingly parallel workloads -
-independent simulation replications, sweep grids, whole experiments -
-into process-pool jobs without giving up the reproduction's core
-guarantee: *the numbers do not depend on how they were scheduled*.
+This subsystem holds the pieces every execution path shares, without
+giving up the reproduction's core guarantee: *the numbers do not depend
+on how they were scheduled*.
 
-Three pieces cooperate:
-
-* :class:`ParallelReplicator` (:mod:`repro.parallel.replicator`) fans
-  independent replications over a pool while preserving the serial
-  seed-to-estimate mapping, returning the same
-  :class:`~repro.des.replications.ReplicationResult` bit-for-bit;
+* :mod:`repro.parallel.workers` supplies :class:`SimulationCase` and
+  :func:`run_case`, the one seeded simulator invocation, plus the
+  seed-to-estimate tasks (:class:`EbwTask`, :class:`LatencyTask`) that
+  :func:`repro.des.replications.replicate` and
+  :func:`~repro.des.replications.replicate_latency` loop over;
 * :class:`ResultCache` (:mod:`repro.parallel.cache`) is a
   content-addressed JSON store keyed on a canonical hash of the work
   description plus a code-version tag, so repeated sweeps and experiment
   runs skip already-computed points;
-* :mod:`repro.parallel.pool` and :mod:`repro.parallel.workers` supply
-  the order-preserving pool map and the spawn-safe picklable tasks the
-  other layers (``des.replications``, ``analysis.sweeps``,
-  ``analysis.sensitivity``, ``experiments.runner``) dispatch through;
 * :mod:`repro.parallel.fleet` aggregates batch-kernel simulation cases
   into lockstep fleets (:func:`~repro.parallel.fleet.run_fleet`,
   :func:`~repro.parallel.fleet.replicate_batch`), handing whole
   replication blocks to one vectorized
-  :class:`~repro.bus.batch.BatchBusKernel` call instead of pool-mapping
-  single runs.
+  :class:`~repro.bus.batch.BatchBusKernel` call.
+
+Parallel execution lives elsewhere: a scenario grid runs on N forked
+sweep workers through
+:func:`run_scenario(spec, workers=N) <repro.scenarios.execute.run_scenario>`
+(:mod:`repro.service`), and ``repro-experiments all --jobs N`` fans
+whole experiments out over the runner's process pool.
 
 Determinism guarantee
 ---------------------
-Every parallel entry point takes the exact work list its serial
-counterpart would execute, evaluates items in isolated processes (each
-item's randomness derives solely from its own seed via
-:mod:`repro.des.rng`), and reassembles results in input order.  Serial
-and parallel runs therefore produce identical bytes, which the property
-tests under ``tests/properties/test_parallel_equivalence.py`` assert
-directly.
+Each item's randomness derives solely from its own seed via
+:mod:`repro.des.rng`, so a case computes the same bytes in whichever
+process runs it, and cached values are the bytes a fresh run would
+produce.
 """
 
 from repro.parallel.fleet import replicate_batch, run_fleet
@@ -50,18 +46,14 @@ from repro.parallel.cache import (
     fingerprint,
     reset_code_version_tag,
 )
-from repro.parallel.pool import map_ordered, resolve_workers
-from repro.parallel.replicator import ParallelReplicator
 from repro.parallel.workers import (
     EbwTask,
     LatencyTask,
     SimulationCase,
     run_case,
-    simulate_cases,
 )
 
 __all__ = [
-    "ParallelReplicator",
     "ResultCache",
     "replicate_batch",
     "run_fleet",
@@ -70,9 +62,6 @@ __all__ = [
     "LatencyTask",
     "SimulationCase",
     "run_case",
-    "simulate_cases",
-    "map_ordered",
-    "resolve_workers",
     "canonical_json",
     "fingerprint",
     "config_payload",

@@ -1,12 +1,11 @@
 """Fleet aggregation: hand whole replication blocks to one batch call.
 
-The pool map in :mod:`repro.parallel.pool` parallelises *across* runs;
-the batch kernel (:mod:`repro.bus.batch`) vectorises *within* one call.
-This module is the bridge: it groups a list of
+The batch kernel (:mod:`repro.bus.batch`) vectorises many runs *within*
+one call.  This module is the bridge: it groups a list of
 :class:`~repro.parallel.workers.SimulationCase` items into lockstep
 fleets - cases sharing the pack fields and measurement window - and
 executes each fleet with a single :class:`~repro.bus.batch.BatchBusKernel`
-invocation instead of pool-mapping the runs one by one.
+invocation instead of running the cases one by one.
 
 Because fleet rows are fully independent (see the batch-kernel
 reproducibility contract), *how* cases are grouped can never change any
@@ -73,14 +72,13 @@ def pack_fleets(cases: Sequence[SimulationCase]) -> list[list[int]]:
 def run_fleet(cases: Sequence[SimulationCase]) -> list[SimulationResult]:
     """Execute simulation cases through lockstep batch fleets.
 
-    The batch counterpart of
-    :func:`repro.parallel.workers.simulate_cases`: results come back in
+    The batch counterpart of a
+    :func:`~repro.parallel.workers.run_case` loop: results come back in
     input order, and each case's result is independent of the grouping
     (rows are independent; property-tested in
     ``tests/properties/test_batch_invariance.py``).  Latency-collecting
     cases run through per-row quantile sketches and come back with
-    sketch-based :class:`~repro.metrics.LatencyReport` values attached;
-    raises :class:`ConfigurationError` when numpy is unavailable.
+    sketch-based :class:`~repro.metrics.LatencyReport` values attached.
     Cases are grouped by :func:`pack_key`, so shape-heterogeneous cases
     run as padded super-fleets.
     """

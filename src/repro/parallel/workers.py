@@ -1,26 +1,21 @@
-"""Spawn-safe worker tasks for process-pool execution.
+"""Picklable simulation tasks: one seeded simulator invocation each.
 
-Everything a worker process touches must be importable at module level
-and picklable: no closures, no lambdas, no objects holding open
-resources.  The tasks here are small frozen dataclasses that carry a
+The tasks here are small frozen dataclasses that carry a
 :class:`~repro.core.config.SystemConfig` (itself a frozen dataclass of
-primitives and enums) plus the run parameters, so they cross process
-boundaries unchanged under both the ``fork`` and ``spawn`` start
-methods.
+primitives and enums) plus the run parameters, so they hash, compare
+and pickle as plain values.
 
 Non-uniform workloads travel as declarative specs
 (:mod:`repro.workloads.spec`) rather than live generators: a
 :class:`SimulationCase` carries the spec, and :func:`run_case` builds
 the matching generator *inside* the executing process from the case's
 own seed.  Live generators hold random streams and replay positions, so
-shipping the spec (not the object) is what keeps the tasks spawn-safe
-and the results independent of which process runs them.
+shipping the spec (not the object) is what keeps a result independent
+of which process computes it.
 
 Determinism contract: a task called with a given seed performs exactly
-the computation the serial code path performs with that seed - the
-worker functions call the same :func:`repro.bus.simulate` entry point
-with the same arguments, so estimates are bit-for-bit identical
-regardless of which process (or how many) produced them.
+the computation a direct :func:`repro.bus.simulate` call performs with
+that seed and workload, so its estimate is bit-for-bit the same.
 """
 
 from __future__ import annotations
@@ -71,7 +66,7 @@ class SimulationCase:
 
 
 def run_case(case: SimulationCase) -> SimulationResult:
-    """Execute one :class:`SimulationCase` (module-level, hence pool-safe)."""
+    """Execute one :class:`SimulationCase`."""
     from repro.bus import simulate
 
     targets = None
@@ -93,31 +88,14 @@ def run_case(case: SimulationCase) -> SimulationResult:
     )
 
 
-def simulate_cases(
-    cases, max_workers: int | None = None, mp_context=None
-) -> list[SimulationResult]:
-    """Run many :class:`SimulationCase` items, results in input order.
-
-    The grid-point dispatcher behind the parallel sweep and experiment
-    paths; with ``max_workers=1`` it is exactly the serial loop.
-    """
-    from repro.parallel.pool import map_ordered
-
-    return map_ordered(
-        run_case, cases, max_workers=max_workers, mp_context=mp_context
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class EbwTask:
     """A picklable seed-to-EBW estimator for replication runs.
 
-    Equivalent to the closure built by
-    :func:`repro.des.replications.ebw_estimator` but safe to ship to a
-    worker process.  Calling it with a seed returns the simulated EBW of
-    ``config`` under that seed.  An optional workload spec reproduces
-    hot-spot, trace or heterogeneous-p runs; ``None`` is the paper's
-    uniform workload.
+    Returned by :func:`repro.des.replications.ebw_estimator`.  Calling
+    it with a seed returns the simulated EBW of ``config`` under that
+    seed.  An optional workload spec reproduces hot-spot, trace or
+    heterogeneous-p runs; ``None`` is the paper's uniform workload.
     """
 
     config: SystemConfig
@@ -136,11 +114,9 @@ class LatencyTask:
 
     The latency counterpart of :class:`EbwTask`: calling it with a seed
     runs the seeded simulation with latency collection enabled and
-    returns the run's wait/service/total summaries.  Used by
-    :func:`repro.des.replications.replicate_latency` and
-    :meth:`repro.parallel.replicator.ParallelReplicator.run_latency`,
-    whose results are bit-for-bit identical because both merge the same
-    per-seed reports in the same seed order.
+    returns the run's wait/service/total summaries, the per-seed input
+    :func:`repro.des.replications.replicate_latency` merges in seed
+    order.
     """
 
     config: SystemConfig

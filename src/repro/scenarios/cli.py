@@ -97,7 +97,7 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="simulation-loop implementation; 'fast' runs the flattened "
         "bit-identical kernel (repro.bus.kernel) - same bytes, less "
         "time; 'batch' runs whole replication fleets in one vectorized "
-        "lockstep call (repro.bus.batch; needs the numpy extra) - "
+        "lockstep call (repro.bus.batch) - "
         "reproducible in itself, statistically equivalent, own cache "
         "namespace",
     )

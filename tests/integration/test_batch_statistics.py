@@ -19,17 +19,15 @@ import statistics
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.bus.batch import BATCH_ENGINE_TOKEN  # noqa: E402
-from repro.core.config import SystemConfig  # noqa: E402
-from repro.core.policy import Priority, TieBreak  # noqa: E402
-from repro.parallel.cache import ResultCache, fingerprint  # noqa: E402
-from repro.parallel.fleet import replicate_batch, run_fleet  # noqa: E402
-from repro.parallel.workers import SimulationCase, run_case  # noqa: E402
-from repro.scenarios.compiler import compile_scenario  # noqa: E402
-from repro.scenarios.execute import run_units  # noqa: E402
-from repro.scenarios.spec import (  # noqa: E402
+from repro.bus.batch import BATCH_ENGINE_TOKEN
+from repro.core.config import SystemConfig
+from repro.core.policy import Priority, TieBreak
+from repro.parallel.cache import ResultCache, fingerprint
+from repro.parallel.fleet import replicate_batch, run_fleet
+from repro.parallel.workers import SimulationCase, run_case
+from repro.scenarios.compiler import compile_scenario
+from repro.scenarios.execute import run_units
+from repro.scenarios.spec import (
     GridAxis,
     ReplicationPlan,
     ScenarioSpec,

@@ -1,0 +1,63 @@
+"""The scenario CLI's coordinator never loads the heavy modules.
+
+A ``repro-experiments scenario`` run pays for every module it imports
+on each invocation.  The exact kernels need no numpy, and a
+``--workers`` run forks its workers with ``os.fork``, so neither
+``concurrent.futures`` nor ``multiprocessing`` belongs in the
+coordinator; a batch run imports numpy only inside the forked workers.
+Each case runs the CLI in a fresh interpreter and reads that process's
+``sys.modules`` after ``main`` returns.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+HEAVY = ("concurrent.futures", "multiprocessing", "numpy")
+
+_DRIVER = """\
+import json, sys
+from repro.experiments.runner import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as handle:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, handle)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["latency-tail", "--fast"],
+        ["table4", "--kernel", "batch", "--workers", "2"],
+    ],
+    ids=["latency-tail-fast", "table4-batch-workers-2"],
+)
+def test_coordinator_skips_heavy_modules(argv, tmp_path):
+    report = tmp_path / "modules.json"
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _DRIVER, str(report), "scenario", *argv,
+         "--cycles", "1", "--no-cache"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.startswith("unit 000000 ")
+    result = json.loads(report.read_text())
+    assert result["code"] == 0
+    loaded = [name for name in HEAVY if name in result["modules"]]
+    assert loaded == []

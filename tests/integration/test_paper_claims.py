@@ -136,7 +136,8 @@ class TestSection6Claims:
 
     def test_exponential_ebw_pessimism_is_large(self):
         # Section 6 direction: exponential characterisation pessimistic;
-        # on EBW the shortfall reaches ~15-17% (see EXPERIMENTS.md).
+        # on EBW the shortfall reaches ~15-17% (the product_form
+        # experiment's ebw-pess% column).
         worst = 0.0
         for m, r in [(6, 8), (8, 8), (8, 12)]:
             config = SystemConfig(

@@ -4,8 +4,8 @@ Tables 1 and 2 are deterministic model outputs and must match the
 printed values to their three decimals.  Table 3(b) uses the
 reconstructed Section 4 chain (the scan's transition table is
 OCR-damaged), so it is pinned to the printed values with the tolerance
-established in EXPERIMENTS.md.  Tables 3(a) and 4 are stochastic; spot
-cells are checked with simulation tolerances.
+stated in :class:`TestTable3bReconstruction`.  Tables 3(a) and 4 are
+stochastic; spot cells are checked with simulation tolerances.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ class TestTable3bReconstruction:
     0.28 EBW (8.8%), concentrated where the bus is far from saturation;
     in the saturated regime (r <= 4) the reconstruction matches to the
     printed digits.  Both the paper's chain and the reconstruction stay
-    within ~7% of the underlying simulation (see EXPERIMENTS.md).
+    within ~7% of the underlying simulation
+    (``tests/integration/test_model_vs_simulation.py``).
     """
 
     @pytest.mark.parametrize("m,r", list(paper_data.TABLE3B_APPROX_MODEL.keys()))

@@ -33,16 +33,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro.bus.backends import (  # noqa: E402
+from repro.bus.backends import (
     NumbaBackend,
     NumbaParallelBackend,
 )
-from repro.bus.batch import BatchBusKernel  # noqa: E402
-from repro.core.config import SystemConfig  # noqa: E402
-from repro.core.policy import Priority, TieBreak  # noqa: E402
-from repro.workloads.spec import (  # noqa: E402
+from repro.bus.batch import BatchBusKernel
+from repro.core.config import SystemConfig
+from repro.core.policy import Priority, TieBreak
+from repro.workloads.spec import (
     HotSpotWorkload,
     RequestMixWorkload,
     TraceWorkload,

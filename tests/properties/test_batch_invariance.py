@@ -18,33 +18,31 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro.bus.batch import BatchBusKernel, run_batch  # noqa: E402
-from repro.core.config import SystemConfig  # noqa: E402
-from repro.core.policy import Priority, TieBreak  # noqa: E402
-from repro.parallel.fleet import pack_fleets, run_fleet  # noqa: E402
-from repro.parallel.workers import SimulationCase  # noqa: E402
-from repro.scenarios.execute import (  # noqa: E402
+from repro.bus.batch import BatchBusKernel, run_batch
+from repro.core.config import SystemConfig
+from repro.core.policy import Priority, TieBreak
+from repro.parallel.fleet import pack_fleets, run_fleet
+from repro.parallel.workers import SimulationCase
+from repro.scenarios.execute import (
     merge_reports,
     render_report,
     run_scenario,
     run_units,
 )
-from repro.scenarios.compiler import (  # noqa: E402
+from repro.scenarios.compiler import (
     compile_scenario,
     shard_units,
 )
-from repro.scenarios.spec import (  # noqa: E402
+from repro.scenarios.spec import (
     GridAxis,
     ReplicationPlan,
     ScenarioSpec,
 )
-from repro.workloads.spec import (  # noqa: E402
+from repro.workloads.spec import (
     HotSpotWorkload,
     RequestMixWorkload,
     TraceWorkload,

@@ -33,19 +33,18 @@ bytes of one call per shape group.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro.bus.backends import NumbaBackend  # noqa: E402
-from repro.bus.batch import BatchBusKernel  # noqa: E402
-from repro.core.config import SystemConfig  # noqa: E402
-from repro.core.policy import Priority, TieBreak  # noqa: E402
-from repro.parallel.fleet import run_fleet  # noqa: E402
-from repro.parallel.workers import SimulationCase  # noqa: E402
-from repro.workloads.spec import (  # noqa: E402
+from repro.bus.backends import NumbaBackend
+from repro.bus.batch import BatchBusKernel
+from repro.core.config import SystemConfig
+from repro.core.policy import Priority, TieBreak
+from repro.parallel.fleet import run_fleet
+from repro.parallel.workers import SimulationCase
+from repro.workloads.spec import (
     HotSpotWorkload,
     RequestMixWorkload,
     TraceWorkload,

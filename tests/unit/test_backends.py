@@ -147,7 +147,6 @@ class TestMissingDependencies:
             backend.require()
 
     def test_missing_backend_surfaces_through_simulate(self, monkeypatch):
-        pytest.importorskip("numpy")
         from repro.bus import simulate
 
         _block_import(monkeypatch, "numba")
@@ -163,7 +162,6 @@ class TestMissingDependencies:
         """``NumbaBackend(jit=False)`` runs the same loops in plain
         Python - the lever the equivalence suite uses on hosts without
         numba."""
-        pytest.importorskip("numpy")
         from repro.bus.backends import NumbaBackend
         from repro.bus.batch import run_batch
 
@@ -300,7 +298,6 @@ class TestScenarioCompiler:
 
 class TestFleetGrouping:
     def test_pack_key_separates_backends(self):
-        pytest.importorskip("numpy")
         from repro.parallel.fleet import pack_fleets, pack_key
         from repro.parallel.workers import SimulationCase
 

@@ -3,38 +3,17 @@
 The numerical contracts (composition invariance, statistical
 equivalence) live in ``tests/properties/test_batch_invariance.py`` and
 ``tests/integration/test_batch_statistics.py``; this module covers the
-API edges: the optional-dependency error, capability rejections, fleet
-shape validation, the run protocol, and the ``simulate`` entry point.
+API edges: capability rejections, fleet shape validation, the run
+protocol, and the ``simulate`` entry point.
 """
 
 from __future__ import annotations
-
-import builtins
 
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.core.policy import Priority
-
-
-def test_missing_numpy_raises_configuration_error_naming_extra(monkeypatch):
-    """Without numpy, batch entry points name the [batch] extra."""
-    from repro.bus import batch
-
-    real_import = builtins.__import__
-
-    def no_numpy(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("numpy disabled for this test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numpy)
-    assert not batch.numpy_available()
-    with pytest.raises(ConfigurationError, match=r"repro-single-bus\[batch\]"):
-        batch.require_numpy()
-    with pytest.raises(ConfigurationError, match=r"\[batch\]"):
-        batch.run_batch(SystemConfig(2, 2, 2), cycles=100)
 
 
 def test_check_batch_metrics_accepts_latency_rejects_unknown():
@@ -101,7 +80,6 @@ def test_compile_scenario_rejects_unknown_kernel():
 
 
 def test_simulate_batch_collects_latency_and_geometric_combined():
-    pytest.importorskip("numpy")
     from repro.bus import simulate
 
     config = SystemConfig(2, 2, 2)
@@ -131,7 +109,6 @@ def test_batch_geometric_matches_exact_kernels_on_degenerate_r1():
     """r = 1 collapses the geometric draw to the constant path: the
     access-time stream is never consulted, so counters match the
     constant-access batch run bit-for-bit."""
-    pytest.importorskip("numpy")
     from repro.bus.batch import run_batch
 
     config = SystemConfig(3, 3, 1)
@@ -148,9 +125,6 @@ def test_unknown_kernel_error_lists_batch():
 
 
 class TestFleetValidation:
-    def setup_method(self):
-        pytest.importorskip("numpy")
-
     def test_mismatched_shapes_are_packed_not_rejected(self):
         """Shape heterogeneity packs into one padded program now; only
         the pack fields (priority, tie_break, buffered) must match."""
@@ -236,9 +210,6 @@ class TestFleetValidation:
 
 
 class TestRunProtocol:
-    def setup_method(self):
-        pytest.importorskip("numpy")
-
     def test_result_counters_are_python_ints(self):
         from repro.bus.batch import run_batch
 

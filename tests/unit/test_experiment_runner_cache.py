@@ -108,6 +108,34 @@ class TestRunnerCache:
         assert "could not cache table1" in capsys.readouterr().err
 
 
+class TestRunKeywords:
+    """``--fast`` cycles and ``--jobs`` workers reach exactly the
+    experiments whose ``run`` accepts them, so every experiment's
+    keyword arguments, and with them its cache payload, are pinned."""
+
+    def _accepting(self, keyword):
+        from repro.experiments.registry import all_experiments
+        from repro.experiments.runner import _accepts
+
+        return {
+            spec.experiment_id
+            for spec in all_experiments()
+            if _accepts(spec, keyword)
+        }
+
+    def test_fast_cycles_reach_the_simulating_experiments(self):
+        assert self._accepting("cycles") == {
+            "figure2", "figure3", "figure5", "figure6", "hot_spot",
+            "product_form", "table3a", "table4",
+        }
+
+    def test_workers_reach_the_scenario_grids(self):
+        assert self._accepting("workers") == {
+            "figure2", "figure3", "figure5", "figure6", "hot_spot",
+            "table3a", "table4",
+        }
+
+
 class TestMainFlags:
     def test_jobs_flag_byte_identical_output(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c1"))

@@ -12,12 +12,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.core.errors import ConfigurationError  # noqa: E402
-from repro.metrics import (  # noqa: E402
+from repro.core.errors import ConfigurationError
+from repro.metrics import (
     DEFAULT_SKETCH_BINS,
     FleetQuantileSketch,
     LatencySummary,

@@ -289,8 +289,6 @@ class TestSingleProcessorOracle:
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize("memories, r", [(1, 1), (4, 3), (2, 8)])
     def test_every_summary_field_is_exact(self, kernel, buffered, memories, r):
-        if kernel == "batch":
-            pytest.importorskip("numpy")
         result = simulate(
             SystemConfig(1, memories, r, buffered=buffered),
             cycles=3_000,

@@ -1,8 +1,7 @@
 """Unit tests for :mod:`repro.markov.occupancy`.
 
 The hand-solvable cases in these tests were worked out from the paper's
-own construction (see DESIGN.md section 5); they pin the chain's
-transition semantics exactly.
+own construction; they pin the chain's transition semantics exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class TestTransitions:
                 assert sum(successor) == 5
 
     def test_two_processors_two_modules_unlimited(self):
-        # Hand-solved in DESIGN.md: from (1,1) both complete and re-draw:
+        # Hand-solved: from (1,1) both complete and re-draw:
         # collide w.p. 1/2; from (2,) one completes, re-draws: (2,) w.p. 1/2.
         chain = OccupancyChain(2, 2, service_width=None)
         assert chain.transition((1, 1)) == pytest.approx({(2,): 0.5, (1, 1): 0.5})
@@ -104,14 +103,14 @@ class TestStateSpace:
 
 class TestStationaryQuantities:
     def test_two_by_two_busy_distribution(self):
-        # DESIGN.md hand solve: pi(2,0) = pi(1,1) = 1/2.
+        # Hand solve: pi(2,0) = pi(1,1) = 1/2.
         chain = OccupancyChain(2, 2, service_width=None)
         busy = chain.busy_distribution()
         assert busy[1] == pytest.approx(0.5)
         assert busy[2] == pytest.approx(0.5)
 
     def test_two_processors_four_modules_busy_distribution(self):
-        # DESIGN.md hand solve: pi(2,...) = 1/4, pi(1,1,..) = 3/4.
+        # Hand solve: pi(2,...) = 1/4, pi(1,1,..) = 3/4.
         chain = OccupancyChain(2, 4, service_width=None)
         busy = chain.busy_distribution()
         assert busy[1] == pytest.approx(0.25)
@@ -142,7 +141,8 @@ class TestStationaryQuantities:
     def test_near_symmetry_of_expected_busy(self):
         # The paper notes Table 1 is symmetric in n and m.  The chain is
         # only *approximately* symmetric: the printed 3 decimals agree
-        # but machine-precision values do not (see EXPERIMENTS.md).
+        # but machine-precision values do not (Table 1 itself is pinned
+        # digit-exact in tests/integration/test_paper_tables.py).
         a = OccupancyChain(6, 4, service_width=None).expected_busy()
         b = OccupancyChain(4, 6, service_width=None).expected_busy()
         assert a == pytest.approx(b, abs=1e-3)

@@ -18,7 +18,7 @@ def config(n: int, m: int, r: int, **kwargs) -> SystemConfig:
 
 class TestExactModel:
     def test_hand_solved_2x2(self):
-        # DESIGN.md hand solve: EBW = 0.5 + 2*(11/12)*0.5 = 1.41666...
+        # Hand solve: EBW = 0.5 + 2*(11/12)*0.5 = 1.41666...
         result = exact_memory_priority_ebw(config(2, 2, 9))
         assert result.ebw == pytest.approx(17 / 12)
 

@@ -12,6 +12,7 @@ from repro.des.replications import (
     replicate,
     replicate_until,
 )
+from repro.parallel import EbwTask, SimulationCase, run_case
 
 
 def noisy_estimator(seed: int) -> float:
@@ -45,6 +46,10 @@ class TestReplicate:
     def test_requires_two_replications(self):
         with pytest.raises(ConfigurationError):
             replicate(noisy_estimator, replications=1)
+
+    def test_confidence_recorded(self):
+        result = replicate(noisy_estimator, replications=2, confidence=0.99)
+        assert result.confidence == 0.99
 
     def test_unsupported_confidence_rejected(self):
         result = replicate(noisy_estimator, replications=3, confidence=0.8)
@@ -115,3 +120,26 @@ class TestEbwEstimator:
         result = replicate(estimator, replications=3, base_seed=1)
         assert result.relative_half_width < 0.05
         assert result.mean == pytest.approx(2.0, rel=0.02)
+
+
+class TestSimulationTasks:
+    def test_run_case_matches_simulate(self):
+        from repro.bus import simulate
+
+        config = SystemConfig(2, 2, 2)
+        case = SimulationCase(config, 1_500, seed=7)
+        assert run_case(case) == simulate(config, cycles=1_500, seed=7)
+
+    def test_ebw_task_is_picklable_and_correct(self):
+        import pickle
+
+        task = EbwTask(SystemConfig(2, 2, 2), cycles=1_500)
+        clone = pickle.loads(pickle.dumps(task))
+        assert clone(3) == task(3)
+
+    def test_ebw_estimator_returns_picklable_task(self):
+        import pickle
+
+        estimator = ebw_estimator(SystemConfig(2, 2, 2), cycles=1_500)
+        pickle.dumps(estimator)
+        assert isinstance(estimator, EbwTask)

@@ -290,7 +290,6 @@ class TestLatencyMetricsFlag:
 
 class TestBatchKernelCli:
     def test_batch_kernel_runs_and_is_shard_stable(self, tiny_toml, capsys):
-        pytest.importorskip("numpy")
         assert main(["scenario", tiny_toml, "--kernel", "batch",
                      "--no-cache"]) == 0
         unsharded = capsys.readouterr().out
@@ -307,7 +306,6 @@ class TestBatchKernelCli:
     def test_batch_kernel_renders_latency_percentiles(
         self, tiny_toml, capsys
     ):
-        pytest.importorskip("numpy")
         assert main(["scenario", tiny_toml, "--kernel", "batch",
                      "--metrics", "latency", "--no-cache"]) == 0
         out = capsys.readouterr().out
@@ -321,7 +319,6 @@ class TestBatchKernelCli:
         """The CLI route of each numba backend name, with its loops
         interpreted so the check runs without numba (CI repeats it on
         the JIT-compiled loops)."""
-        pytest.importorskip("numpy")
         from repro.bus import backends
 
         interpreted = type(backends.get_backend(backend))(jit=False)
