@@ -132,6 +132,25 @@ def test_a_fully_warm_sweep_forks_no_worker(tmp_path, monkeypatch):
     assert telemetry["dispatched"] == 0
 
 
+def test_a_threaded_coordinator_spawns_its_workers(monkeypatch):
+    """Forking beside a running thread is unsafe, so the local workers
+    start as ``sweep-work`` processes instead; the bytes hold."""
+
+    def no_fork():
+        raise AssertionError("a threaded coordinator must not fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    bystander = threading.Thread(target=release.wait)
+    bystander.start()
+    try:
+        served = render_report(run_scenario(_SPEC, workers=2))
+    finally:
+        release.set()
+        bystander.join()
+    assert served == render_report(run_scenario(_SPEC))
+
+
 def test_workers_key_the_store_on_the_callers_version_tag(tmp_path):
     """A cache built with its own version tag means the same entries
     with and without workers: the workers' writes serve a serial rerun,

@@ -1,33 +1,44 @@
-"""Property tests: parallel execution is invisible in the results.
+"""Property tests: forked execution is invisible in the results.
 
-The central promise of :mod:`repro.parallel` is that fanning work out
-over processes changes wall-clock time and nothing else.  These tests
-state that as properties over randomly drawn configurations and seed
-sets: serial :func:`repro.des.replications.replicate` and
-:class:`repro.parallel.ParallelReplicator` must return identical
-estimates, seeds and confidence-interval half widths, and parallel
-sweeps must trace identical curves.
+``run_scenario(spec, workers=N)`` is the library's one parallel path:
+it hands a scenario's work units to N sweep workers forked from the
+coordinator.  These properties state that fanning the units out
+changes wall-clock time and nothing else.  A
+:class:`~repro.scenarios.spec.ReplicationPlan` run on any number of
+workers returns exactly the estimates, seeds and latency summaries of
+the serial :func:`replicate` and :func:`replicate_latency`, for
+uniform, hot-spot and trace workloads; a grid run on workers traces
+exactly the curves of :func:`sweep_r` and :func:`sweep_p` and the
+runs of :func:`sensitivity_analysis`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sensitivity import sensitivity_analysis
 from repro.analysis.sweeps import sweep_p, sweep_r
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority
 from repro.des.replications import (
     ebw_estimator,
-    latency_estimator,
     replicate,
     replicate_latency,
 )
-from repro.parallel import EbwTask, LatencyTask, ParallelReplicator
-from repro.workloads.spec import HotSpotWorkload, TraceWorkload
+from repro.metrics import merge_latency_reports
+from repro.parallel import EbwTask, LatencyTask
+from repro.scenarios.execute import render_report, run_scenario
+from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
+from repro.workloads.spec import HotSpotWorkload, TraceWorkload, UniformWorkload
+
+pytestmark = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="forked workers need os.fork"
+)
 
 CYCLES = 400
 """Tiny runs: equivalence is exact, so statistical strength is irrelevant."""
@@ -43,48 +54,54 @@ configs = st.builds(
 )
 
 
+def _replications(
+    config, replications, base_seed, workload=None, metrics=(), grid=()
+):
+    return ScenarioSpec(
+        name="parallel-equivalence",
+        base=dataclasses.asdict(config),
+        grid=grid,
+        workload=workload or UniformWorkload(),
+        cycles=CYCLES,
+        plan=ReplicationPlan(replications=replications, base_seed=base_seed),
+        metrics=metrics,
+    )
+
+
 class TestReplicationEquivalence:
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=6, deadline=None)
     @given(
         config=configs,
         replications=st.integers(min_value=2, max_value=4),
         base_seed=st.integers(min_value=0, max_value=10_000),
     )
-    def test_parallel_replicator_matches_serial(
+    def test_forked_replications_match_replicate(
         self, config, replications, base_seed
     ):
-        estimator = ebw_estimator(config, cycles=CYCLES)
-        serial = replicate(estimator, replications, base_seed=base_seed)
-        parallel = ParallelReplicator(max_workers=2).run(
-            estimator, replications, base_seed=base_seed
+        serial = replicate(
+            ebw_estimator(config, cycles=CYCLES), replications,
+            base_seed=base_seed,
         )
-        assert parallel.estimates == serial.estimates
-        assert parallel.seeds == serial.seeds
-        assert parallel.confidence == serial.confidence
-        assert parallel.mean == serial.mean
-        assert parallel.half_width == serial.half_width
+        forked = run_scenario(
+            _replications(config, replications, base_seed), workers=2
+        )
+        assert tuple(result.unit.seed for result in forked) == serial.seeds
+        assert tuple(result.ebw for result in forked) == serial.estimates
 
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=4, deadline=None)
     @given(config=configs, base_seed=st.integers(min_value=0, max_value=100))
     def test_worker_count_is_invisible(self, config, base_seed):
-        estimator = ebw_estimator(config, cycles=CYCLES)
-        results = [
-            ParallelReplicator(max_workers=workers).run(
-                estimator, 3, base_seed=base_seed
-            )
-            for workers in (1, 2, 3)
-        ]
-        assert results[0] == results[1] == results[2]
+        spec = _replications(config, 3, base_seed)
+        serial = run_scenario(spec)
+        for workers in (1, 2, 3):
+            assert run_scenario(spec, workers=workers) == serial
 
 
 class TestWorkloadReplicationEquivalence:
-    """Hot-spot and trace workloads dispatched through the replicator.
+    """Hot-spot and trace workloads travel to the workers as specs and
+    are rebuilt there from each unit's seed; the bytes must not move."""
 
-    Same contract as the uniform-workload properties above: fanning the
-    replications over worker processes must be invisible in the result.
-    """
-
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=6, deadline=None)
     @given(
         config=configs,
         hot_fraction=st.sampled_from([0.0, 0.3, 0.8]),
@@ -93,21 +110,17 @@ class TestWorkloadReplicationEquivalence:
     def test_hot_spot_parallel_matches_serial(
         self, config, hot_fraction, base_seed
     ):
-        estimator = EbwTask(
-            config=config,
-            cycles=CYCLES,
-            workload=HotSpotWorkload(hot_fraction=hot_fraction),
+        workload = HotSpotWorkload(hot_fraction=hot_fraction)
+        serial = replicate(
+            EbwTask(config, CYCLES, workload), 3, base_seed=base_seed
         )
-        serial = replicate(estimator, 3, base_seed=base_seed)
-        parallel = ParallelReplicator(max_workers=2).run(
-            estimator, 3, base_seed=base_seed
+        forked = run_scenario(
+            _replications(config, 3, base_seed, workload), workers=2
         )
-        assert parallel.estimates == serial.estimates
-        assert parallel.seeds == serial.seeds
-        assert parallel.mean == serial.mean
-        assert parallel.half_width == serial.half_width
+        assert tuple(result.unit.seed for result in forked) == serial.seeds
+        assert tuple(result.ebw for result in forked) == serial.estimates
 
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=6, deadline=None)
     @given(
         config=configs,
         base_seed=st.integers(min_value=0, max_value=10_000),
@@ -127,40 +140,28 @@ class TestWorkloadReplicationEquivalence:
             )
             for processor in range(config.processors)
         )
-        estimator = EbwTask(
-            config=config, cycles=CYCLES, workload=TraceWorkload(traces)
+        workload = TraceWorkload(traces)
+        serial = replicate(
+            EbwTask(config, CYCLES, workload), 3, base_seed=base_seed
         )
-        serial = replicate(estimator, 3, base_seed=base_seed)
-        parallel = ParallelReplicator(max_workers=3).run(
-            estimator, 3, base_seed=base_seed
+        forked = run_scenario(
+            _replications(config, 3, base_seed, workload), workers=3
         )
-        assert parallel.estimates == serial.estimates
-        assert parallel.seeds == serial.seeds
+        assert tuple(result.ebw for result in forked) == serial.estimates
 
     def test_worker_count_is_invisible_for_hot_spot(self):
-        config = SystemConfig(3, 4, 2)
-        estimator = EbwTask(
-            config=config, cycles=CYCLES, workload=HotSpotWorkload(0.4)
-        )
-        results = [
-            ParallelReplicator(max_workers=workers).run(
-                estimator, 3, base_seed=17
-            )
-            for workers in (1, 2, 3)
-        ]
-        assert results[0] == results[1] == results[2]
+        spec = _replications(SystemConfig(3, 4, 2), 3, 17, HotSpotWorkload(0.4))
+        serial = render_report(run_scenario(spec))
+        for workers in (1, 2, 3):
+            assert render_report(run_scenario(spec, workers=workers)) == serial
 
 
 class TestLatencyReplicationEquivalence:
-    """Latency-distribution aggregation is pool-invariant.
+    """Latency summaries cross the worker pipe as exact payloads: each
+    per-seed report - counts, exact totals, extrema and every quantile
+    estimate - and their merge are the serial values bit for bit."""
 
-    The percentile pipeline's contract is stricter than "same means":
-    the merged wait/service/total summaries - counts, exact totals,
-    extrema and every quantile estimate - must be bit-identical whether
-    the replications ran serially or on any number of workers.
-    """
-
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=5, deadline=None)
     @given(
         config=configs,
         replications=st.integers(min_value=2, max_value=4),
@@ -169,18 +170,20 @@ class TestLatencyReplicationEquivalence:
     def test_parallel_latency_matches_serial(
         self, config, replications, base_seed
     ):
-        estimator = latency_estimator(config, cycles=CYCLES)
-        serial = replicate_latency(estimator, replications, base_seed=base_seed)
-        parallel = ParallelReplicator(max_workers=2).run_latency(
-            estimator, replications, base_seed=base_seed
+        serial = replicate_latency(
+            LatencyTask(config, CYCLES), replications, base_seed=base_seed
         )
-        assert parallel == serial
-        assert parallel.merged == serial.merged
-        assert parallel.merged.total.count == sum(
-            report.total.count for report in serial.reports
+        forked = run_scenario(
+            _replications(
+                config, replications, base_seed, metrics=("latency",)
+            ),
+            workers=2,
         )
+        reports = tuple(result.latency for result in forked)
+        assert reports == serial.reports
+        assert merge_latency_reports(reports) == serial.merged
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=4, deadline=None)
     @given(
         config=configs,
         hot_fraction=st.sampled_from([0.0, 0.4]),
@@ -189,23 +192,18 @@ class TestLatencyReplicationEquivalence:
     def test_hot_spot_latency_worker_count_invisible(
         self, config, hot_fraction, base_seed
     ):
-        estimator = LatencyTask(
-            config=config,
-            cycles=CYCLES,
-            workload=HotSpotWorkload(hot_fraction=hot_fraction),
+        spec = _replications(
+            config, 3, base_seed, HotSpotWorkload(hot_fraction=hot_fraction),
+            metrics=("latency",),
         )
-        results = [
-            ParallelReplicator(max_workers=workers).run_latency(
-                estimator, 3, base_seed=base_seed
-            )
-            for workers in (1, 2, 3)
-        ]
-        assert results[0] == results[1] == results[2]
-        assert results[0].merged == results[1].merged == results[2].merged
+        serial = run_scenario(spec)
+        for workers in (1, 2, 3):
+            assert run_scenario(spec, workers=workers) == serial
 
 
 class TestSeededGridEquivalence:
-    """Deterministic grid (no hypothesis) covering the sweep dispatchers."""
+    """The sweep helpers run serially; the same grid on workers traces
+    the same curves."""
 
     GRID = [
         SystemConfig(2, 2, 2),
@@ -217,29 +215,53 @@ class TestSeededGridEquivalence:
     def test_sweep_r_identical_curves(self, config):
         values = (1, 2, 4)
         serial = sweep_r(config, values, "serial", cycles=CYCLES, seed=9)
-        pooled = sweep_r(
-            config, values, "serial", cycles=CYCLES, seed=9, max_workers=2
+        forked = run_scenario(
+            _replications(
+                config, 1, 9, grid=(GridAxis("memory_cycle_ratio", values),)
+            ),
+            workers=2,
         )
-        assert serial == pooled
+        assert tuple(result.ebw for result in forked) == serial.ebw_values()
 
     def test_sweep_p_identical_curves(self):
         config = dataclasses.replace(self.GRID[0], request_probability=1.0)
         values = (0.2, 0.6, 1.0)
         serial = sweep_p(config, values, "curve", cycles=CYCLES, seed=3)
-        pooled = sweep_p(
-            config, values, "curve", cycles=CYCLES, seed=3, max_workers=3
+        forked = run_scenario(
+            _replications(
+                config, 1, 3, grid=(GridAxis("request_probability", values),)
+            ),
+            workers=3,
         )
-        assert serial.ebw_values() == pooled.ebw_values()
-        assert serial.processor_utilization_values() == (
-            pooled.processor_utilization_values()
-        )
+        assert tuple(result.ebw for result in forked) == serial.ebw_values()
+        assert tuple(
+            result.processor_utilization for result in forked
+        ) == serial.processor_utilization_values()
 
     def test_sensitivity_identical_reports(self):
-        from repro.analysis.sensitivity import sensitivity_analysis
-
         base = SystemConfig(2, 2, 2)
-        serial = sensitivity_analysis(base, cycles=CYCLES, seed=5)
-        pooled = sensitivity_analysis(
-            base, cycles=CYCLES, seed=5, max_workers=2
+        report = sensitivity_analysis(base, cycles=CYCLES, seed=5)
+        # The base point, then one joint-axis point per perturbed factor
+        # (memories, memory_cycle_ratio, request_probability, buffering).
+        axis = GridAxis(
+            ("memories", "memory_cycle_ratio", "request_probability",
+             "buffered"),
+            (
+                (2, 2, 1.0, False),
+                (4, 2, 1.0, False),
+                (2, 4, 1.0, False),
+                (2, 2, 0.8, False),
+                (2, 2, 1.0, True),
+            ),
         )
-        assert serial == pooled
+        forked = run_scenario(
+            _replications(base, 1, 5, grid=(axis,)), workers=2
+        )
+        assert [effect.factor for effect in report.effects] == [
+            "memories", "memory_cycle_ratio", "request_probability",
+            "buffering",
+        ]
+        assert tuple(result.ebw for result in forked) == (
+            report.base_ebw,
+            *(effect.perturbed_ebw for effect in report.effects),
+        )

@@ -10,9 +10,11 @@ from repro.des.replications import (
     ReplicationResult,
     ebw_estimator,
     replicate,
+    replicate_latency,
     replicate_until,
+    replication_seeds,
 )
-from repro.parallel import EbwTask, SimulationCase, run_case
+from repro.parallel import EbwTask, LatencyTask, SimulationCase, run_case
 
 
 def noisy_estimator(seed: int) -> float:
@@ -46,6 +48,18 @@ class TestReplicate:
     def test_requires_two_replications(self):
         with pytest.raises(ConfigurationError):
             replicate(noisy_estimator, replications=1)
+
+    def test_calls_the_estimator_once_per_seed_in_order(self):
+        calls = []
+
+        def estimator(seed: int) -> float:
+            calls.append(seed)
+            return float(seed)
+
+        result = replicate(estimator, replications=3, base_seed=40)
+        assert calls == [40, 41, 42]
+        assert result.seeds == replication_seeds(40, 3)
+        assert result.estimates == (40.0, 41.0, 42.0)
 
     def test_confidence_recorded(self):
         result = replicate(noisy_estimator, replications=2, confidence=0.99)
@@ -104,6 +118,30 @@ class TestReplicateUntil:
             replicate_until(
                 noisy_estimator, 0.1, min_replications=5, max_replications=4
             )
+
+
+class TestReplicateLatency:
+    def test_requires_two_replications(self):
+        with pytest.raises(ConfigurationError):
+            replicate_latency(lambda seed: seed, replications=1)
+
+    def test_reports_follow_the_canonical_seeds(self):
+        result = replicate_latency(
+            lambda seed: ("report", seed), replications=3, base_seed=7
+        )
+        assert result.seeds == (7, 8, 9)
+        assert result.reports == (("report", 7), ("report", 8), ("report", 9))
+        assert result.replications == 3
+
+    def test_merged_is_cached_outside_equality(self):
+        from repro.metrics import merge_latency_reports
+
+        task = LatencyTask(SystemConfig(2, 2, 2), cycles=300)
+        first = replicate_latency(task, replications=2, base_seed=3)
+        merged = first.merged
+        assert first.merged is merged
+        assert merged == merge_latency_reports(first.reports)
+        assert first == replicate_latency(task, replications=2, base_seed=3)
 
 
 class TestEbwEstimator:

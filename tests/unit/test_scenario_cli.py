@@ -84,6 +84,24 @@ class TestRunning:
         assert main(["scenario", tiny_toml, "--shard", "9/4"]) == 2
         assert "shard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "0"], "--workers must be a positive integer"),
+            (["--workers", "2", "--lease-size", "0"],
+             "--lease-size must be a positive integer"),
+            (["--lease-size", "2"], "--lease-size requires --workers"),
+        ],
+        ids=["zero-workers", "zero-lease-size", "lease-size-without-workers"],
+    )
+    def test_bad_worker_flags_fail_cleanly(
+        self, tiny_toml, capsys, flags, message
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", tiny_toml, "--no-cache", *flags])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestShardMerge:
     def test_merged_shard_stdout_equals_unsharded(self, tiny_toml, capsys):

@@ -152,6 +152,14 @@ class TestExecution:
             (r.ebw, r.processor_utilization) for r in served
         ]
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_rejected(self, workers):
+        from repro.core.errors import ExperimentError
+        from repro.scenarios.execute import run_scenario
+
+        with pytest.raises(ExperimentError, match="workers must be >= 1"):
+            run_scenario(tiny_spec(), workers=workers)
+
     def test_cache_round_trip_preserves_bytes(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path / "cache")
         units = compile_scenario(tiny_spec())
