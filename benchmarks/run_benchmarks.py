@@ -149,12 +149,36 @@ def looped(func: Callable[[], object], loops: int) -> Callable[[], object]:
     return run
 
 
+def run_reference(case):
+    """One case on :class:`MultiplexedBusSystem`, constructed directly
+    with the sampler ``run_case`` would build: the ``reference`` rows."""
+    from repro.bus.system import MultiplexedBusSystem
+
+    targets = None
+    request_probabilities = None
+    if case.workload is not None:
+        targets = case.workload.build_targets(case.config, case.seed)
+        request_probabilities = case.workload.request_probabilities(case.config)
+    system = MultiplexedBusSystem(
+        case.config, seed=case.seed, targets=targets,
+        request_probabilities=request_probabilities,
+        collect_latency=case.collect_latency)
+    return system.run(case.cycles, warmup=case.warmup)
+
+
+def exact_runner(kernel: str) -> Callable:
+    """How a row labelled with an exact ``kernel`` runs one case."""
+    from repro.parallel.workers import run_case
+
+    return run_reference if kernel == "reference" else run_case
+
+
 def time_simulation(config, workload, cycles: int, kernel: str):
     """One ``cycles``-long run of ``config`` on an exact ``kernel``."""
-    from repro.parallel.workers import SimulationCase, run_case
+    from repro.parallel.workers import SimulationCase
 
-    case = SimulationCase(config, cycles, seed=1, workload=workload, kernel=kernel)
-    return partial(run_case, case)
+    case = SimulationCase(config, cycles, seed=1, workload=workload)
+    return partial(exact_runner(kernel), case)
 
 
 def time_occupancy_chain():
@@ -222,27 +246,34 @@ def time_fleet(kernel: str, rows: int, cycles: int, config: SystemConfig,
     precisely the comparison the fleet-aggregation layer exists to win.
     """
     from repro.parallel.fleet import run_fleet
-    from repro.parallel.workers import SimulationCase, run_case
+    from repro.parallel.workers import SimulationCase
 
+    batch = kernel == "batch"
     cases = [
-        SimulationCase(config, cycles, seed, kernel=kernel,
+        SimulationCase(config, cycles, seed, kernel="batch" if batch else "fast",
                        collect_latency=collect_latency, backend=backend)
         for seed in range(rows)
     ]
-    if kernel == "batch":
+    if batch:
         return partial(run_fleet, cases)
+    run_case = exact_runner(kernel)
     return lambda: [run_case(case) for case in cases]
 
 
 def time_figure2(cycles: int, kernel: str, workers: int | None = None,
                  store: str | None = None):
     """Figure2 end to end, in this process or over ``workers`` forked
-    workers; each call opens the result ``store`` afresh, or none."""
+    workers; each call opens the result ``store`` afresh, or none.  The
+    ``reference`` row runs the compiled units on the reference machine."""
     from repro.parallel.cache import ResultCache
+    from repro.scenarios.compiler import compile_scenario
     from repro.scenarios.execute import run_scenario
     from repro.scenarios.registry import get_scenario
 
     spec = dataclasses.replace(get_scenario("figure2"), cycles=cycles)
+    if kernel == "reference":
+        return lambda: [run_reference(unit.case())
+                        for unit in compile_scenario(spec)]
 
     def run():
         cache = ResultCache(store) if store is not None else None

@@ -20,7 +20,29 @@ from repro.bus.trace import (
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.core.results import SimulationResult
-from repro.workloads.generators import TargetSampler
+from repro.workloads.generators import TargetSampler, is_library_sampler
+
+DEFAULT_KERNEL = "fast"
+"""The simulation tier every entry point uses unless told otherwise."""
+
+KNOWN_KERNELS = ("fast", "batch")
+"""The two simulation tiers: exact (``"fast"``) and ``"batch"``.
+
+:func:`check_kernel` validates against this tuple, so a typo fails at
+scenario load time, not mid-sweep.  The batch kernel's array substrate
+is validated the same way against
+:data:`repro.bus.backends.KNOWN_BACKENDS`."""
+
+
+def check_kernel(kernel: str) -> None:
+    """Reject a kernel name outside :data:`KNOWN_KERNELS`."""
+    if kernel not in KNOWN_KERNELS:
+        raise ConfigurationError(
+            f"unknown simulation kernel {kernel!r}; known kernels: "
+            f"{', '.join(KNOWN_KERNELS)} - the exact tier picks its loop "
+            "from the workload; construct MultiplexedBusSystem directly "
+            "for the reference machine"
+        )
 
 
 def simulate(
@@ -31,11 +53,11 @@ def simulate(
     targets: TargetSampler | None = None,
     request_probabilities=None,
     collect_latency: bool = False,
-    kernel: str = "reference",
+    kernel: str = DEFAULT_KERNEL,
     geometric_access_times: bool = False,
     backend: str = "numpy",
 ) -> SimulationResult:
-    """Build a :class:`MultiplexedBusSystem` and run it once.
+    """Simulate ``config`` once, on the loop its inputs call for.
 
     The one-call entry point used by the examples and experiments:
 
@@ -53,52 +75,37 @@ def simulate(
     stream - identical seeds keep producing identical counters.
     ``geometric_access_times`` replaces the constant ``r``-cycle access
     with a geometric duration of mean ``r`` (the Section 6 product-form
-    comparison lever); it is supported by the reference and fast
-    kernels, which draw bit-identically from the same stream.
+    comparison lever).
 
-    ``kernel`` selects the cycle-loop implementation:
+    ``kernel`` selects the simulation tier:
 
-    * ``"reference"`` - the component-object machine above, the
-      semantic ground truth;
-    * ``"fast"`` - the flattened preallocated-array loop of
-      :mod:`repro.bus.kernel`, property-tested bit-identical (counters,
-      latency summaries, RNG consumption) and several times faster;
+    * ``"fast"`` (default) - the exact machine.  Its loop follows
+      ``targets`` (:func:`~repro.workloads.generators.is_library_sampler`):
+      no sampler or a library one runs the flattened loop of
+      :mod:`repro.bus.kernel`; any other sampler runs the
+      component-object :class:`MultiplexedBusSystem`.  The two loops
+      are property-tested bit-identical (counters, latency summaries,
+      RNG consumption), so the pick never shows in a result.
     * ``"batch"`` - the vectorized lockstep kernel of
-      :mod:`repro.bus.batch` (a numpy array program).
-      Batch results are reproducible in themselves but **not**
-      bit-identical to the other kernels - they are statistically
+      :mod:`repro.bus.batch` (a numpy array program), for the library's
+      samplers only.  Batch results are reproducible in themselves but
+      **not** bit-identical to the exact tier - they are statistically
       equivalent and live in their own cache namespace.  The batch
       kernel pays off when whole replication fleets run through
       :func:`repro.parallel.fleet.run_fleet`.
-
-    The fast and batch kernels cover the library's own target samplers
-    (uniform/hot-spot/trace); a custom :class:`TargetSampler` object
-    requires the reference kernel.
 
     ``backend`` selects the batch kernel's array substrate
     (:mod:`repro.bus.backends`): ``"numpy"`` (default), ``"numba"``
     or ``"numba-parallel"`` (JIT, serial or threaded, bit-identical to
     numpy).  Non-default backends require ``kernel="batch"`` - the
-    other kernels have no array substrate to swap - and a missing
+    exact tier has no array substrate to swap - and a missing
     optional backend raises naming its install extra.
     """
+    check_kernel(kernel)
     if backend != "numpy":
         from repro.bus.backends import check_backend
 
         check_backend(kernel, backend)
-    if kernel == "fast":
-        from repro.bus.kernel import run_fast
-
-        return run_fast(
-            config,
-            cycles=cycles,
-            seed=seed,
-            warmup=warmup,
-            targets=targets,
-            request_probabilities=request_probabilities,
-            collect_latency=collect_latency,
-            geometric_access_times=geometric_access_times,
-        )
     if kernel == "batch":
         from repro.bus.batch import check_batch_features, run_batch
 
@@ -118,10 +125,18 @@ def simulate(
             geometric_access_times=geometric_access_times,
             backend=backend,
         )
-    if kernel != "reference":
-        raise ConfigurationError(
-            f"unknown simulation kernel {kernel!r}; "
-            "known kernels: reference, fast, batch"
+    if is_library_sampler(targets):
+        from repro.bus.kernel import run_fast
+
+        return run_fast(
+            config,
+            cycles=cycles,
+            seed=seed,
+            warmup=warmup,
+            targets=targets,
+            request_probabilities=request_probabilities,
+            collect_latency=collect_latency,
+            geometric_access_times=geometric_access_times,
         )
     system = MultiplexedBusSystem(
         config,
@@ -135,7 +150,10 @@ def simulate(
 
 
 __all__ = [
+    "DEFAULT_KERNEL",
+    "KNOWN_KERNELS",
     "MultiplexedBusSystem",
+    "check_kernel",
     "simulate",
     "MemoryModule",
     "PendingRequest",

@@ -17,10 +17,10 @@ buffer occupancy, output slots); arbitration is a masked argmin/argmax
 per fleet row; memory completions are per-row countdown comparisons.
 
 **Reproducibility contract.**  The batch kernel is *not* bit-identical
-to the reference/fast pair - vectorized sampling necessarily draws
-randomness differently (inverse-CDF geometric think times, single-draw
-hot-spot targets, counter-based bit generators).  Its contract is
-instead:
+to the exact tier (the fast loop and the reference machine) -
+vectorized sampling necessarily draws randomness differently
+(inverse-CDF geometric think times, single-draw hot-spot targets,
+counter-based bit generators).  Its contract is instead:
 
 * **bit-reproducible against itself**: every fleet row's randomness
   comes from its own counter-based :class:`numpy.random.Philox` streams,
@@ -52,7 +52,7 @@ geometric access times (per-access service draws feed a third service
 sketch); like every batch number they are statistically - not bit -
 equivalent to the exact kernels' streaming summaries.  Custom
 :class:`~repro.workloads.generators.TargetSampler` objects and
-cycle-level trace sinks stay on the reference/fast machines;
+cycle-level trace sinks stay on the exact tier;
 :func:`check_batch_features` is the single authority that rejects them
 with a message naming the unsupported feature.
 
@@ -108,7 +108,7 @@ from repro.workloads.generators import (
     HotSpotTargets,
     TargetSampler,
     TraceTargets,
-    UniformTargets,
+    require_library_sampler,
 )
 
 PACK_FIELDS = (
@@ -176,17 +176,7 @@ def check_batch_features(
     :func:`repro.bus.backends.check_backend`.
     """
     check_batch_metrics(metrics)
-    if targets is not None:
-        # Reuses the planner's type dispatch without building a plan.
-        if not isinstance(
-            targets, (UniformTargets, HotSpotTargets, TraceTargets)
-        ):
-            raise ConfigurationError(
-                "the batch kernel supports the library's uniform, "
-                "hot-spot and trace target samplers; got "
-                f"{type(targets).__name__} - use kernel='reference' "
-                "for custom samplers"
-            )
+    require_library_sampler(targets, "batch")
 
 
 # ----------------------------------------------------------------------
@@ -347,17 +337,12 @@ def _plan_targets(targets: TargetSampler | None, config: SystemConfig):
     objects are rejected - they encapsulate arbitrary Python and cannot
     be vectorized.
     """
-    if targets is None or isinstance(targets, UniformTargets):
-        return None, 0.0, 0
-    if isinstance(targets, HotSpotTargets):
+    require_library_sampler(targets, "batch")
+    if type(targets) is HotSpotTargets:
         return None, targets._hot_fraction, targets._hot_module
-    if isinstance(targets, TraceTargets):
+    if type(targets) is TraceTargets:
         return tuple(tuple(trace) for trace in targets._traces), 0.0, 0
-    raise ConfigurationError(
-        "the batch kernel supports the library's uniform, hot-spot "
-        f"and trace target samplers; got {type(targets).__name__} - "
-        "use kernel='reference' for custom samplers"
-    )
+    return None, 0.0, 0
 
 
 class BatchBusKernel:

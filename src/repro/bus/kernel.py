@@ -29,9 +29,8 @@ order* and produces *exactly the same counters* as
 cycles, total latency, batch EBWs and streaming latency summaries are
 equal as Python values, and the final RNG states match.  The contract is
 enforced by the hypothesis fleet in
-``tests/properties/test_kernel_equivalence.py``; because of it, the
-kernel choice is an execution lever (like ``--workers``) and never enters a
-cache key.
+``tests/properties/test_kernel_equivalence.py``; because of it, which
+of the two loops ran never shows in a result or a cache key.
 
 **Coverage.**  The kernel supports the library's own target samplers
 (uniform, hot-spot, trace - hence every declarative workload, including
@@ -39,8 +38,10 @@ heterogeneous ``p``), both priorities, both tie-breaks, buffered and
 unbuffered modules at any depth, and geometric access times (the
 Section 6 product-form comparison lever).  It does not support custom
 :class:`~repro.workloads.generators.TargetSampler` objects or
-cycle-level trace sinks - those stay on the reference machine, which
-remains the semantic ground truth.
+cycle-level trace sinks: :func:`repro.bus.simulate` runs custom samplers
+on the reference machine
+(:func:`~repro.workloads.generators.is_library_sampler` decides), and
+the tests keep that machine as the oracle.
 
 Geometric access times draw one service duration per access from the
 same ``"access-times"`` stream the reference machine uses.  Because the
@@ -70,7 +71,7 @@ from repro.workloads.generators import (
     HotSpotTargets,
     TargetSampler,
     TraceTargets,
-    UniformTargets,
+    require_library_sampler,
 )
 
 _UNIFORM, _HOT_SPOT, _TRACE = 0, 1, 2
@@ -118,40 +119,29 @@ class FastBusKernel:
         # object's post-run state matches the reference run's.
         import random as _random_module
 
+        require_library_sampler(targets, "fast")
         self._trace_positions: list[int] | None = None
         self._traces: list[list[int]] | None = None
+        self._hot_fraction = 0.0
+        self._hot_module = 0
         if targets is None:
             self._mode = _UNIFORM
             self._targets_rnd = _random_module.Random(
                 derive_seed(seed, "targets")
             )
-            self._hot_fraction = 0.0
-            self._hot_module = 0
-        elif isinstance(targets, UniformTargets):
-            self._mode = _UNIFORM
-            self._targets_rnd = _stream_random(targets._stream)
-            self._hot_fraction = 0.0
-            self._hot_module = 0
-            m = targets._modules
-        elif isinstance(targets, HotSpotTargets):
-            self._mode = _HOT_SPOT
-            self._targets_rnd = _stream_random(targets._stream)
-            self._hot_fraction = targets._hot_fraction
-            self._hot_module = targets._hot_module
-            m = targets._modules
-        elif isinstance(targets, TraceTargets):
+        elif type(targets) is TraceTargets:
             self._mode = _TRACE
             self._targets_rnd = None
             self._traces = targets._traces
             self._trace_positions = targets._positions
-            self._hot_fraction = 0.0
-            self._hot_module = 0
         else:
-            raise ConfigurationError(
-                "the fast kernel supports the library's uniform, hot-spot "
-                f"and trace target samplers; got {type(targets).__name__} - "
-                "use kernel='reference' for custom samplers"
-            )
+            self._mode = _UNIFORM
+            self._targets_rnd = _stream_random(targets._stream)
+            m = targets._modules
+            if type(targets) is HotSpotTargets:
+                self._mode = _HOT_SPOT
+                self._hot_fraction = targets._hot_fraction
+                self._hot_module = targets._hot_module
         self._target_modules = m
         self._think_rnd = _random_module.Random(derive_seed(seed, "think"))
         self._arb_rnd = _random_module.Random(derive_seed(seed, "arbitration"))
@@ -661,12 +651,12 @@ def run_fast(
 ) -> SimulationResult:
     """Build a :class:`FastBusKernel` and run it once.
 
-    The fast-kernel counterpart of :func:`repro.bus.simulate` with
-    ``kernel="reference"``; raises :class:`ConfigurationError` for
-    configurations outside the kernel's coverage (custom target
-    samplers).  ``geometric_access_times`` mirrors the reference
-    machine's lever of the same name bit-for-bit (same draws from the
-    same ``"access-times"`` stream).
+    Raises :class:`ConfigurationError` for configurations outside the
+    kernel's coverage (custom target samplers), which
+    :func:`repro.bus.simulate` runs on the reference machine instead.
+    ``geometric_access_times`` mirrors the reference machine's lever of
+    the same name bit-for-bit (same draws from the same
+    ``"access-times"`` stream).
     """
     kernel = FastBusKernel(
         config,

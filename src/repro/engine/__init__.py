@@ -35,8 +35,8 @@ def evaluate(request: EvalRequest, method: EvaluationMethod | str) -> EvalResult
 
     The one-call convenience the experiment modules use for reference
     values (crossbar lines, table models); scenario execution goes
-    through :func:`repro.scenarios.execute.evaluate_unit`, which adds
-    caching and pooling around the same registry dispatch.
+    through :func:`repro.scenarios.execute.run_units`, which adds
+    result caching and batch fleets around the same registry dispatch.
     """
     evaluator = get_evaluator(method)
     evaluator.capabilities.check(request)

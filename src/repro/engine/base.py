@@ -179,15 +179,14 @@ class EvalRequest:
     bookkeeping (index, scenario name, replication number).  ``seed``,
     ``cycles`` and ``warmup`` only matter to the simulation evaluator;
     analytic evaluators ignore them (and exclude them from cache
-    payloads).  ``kernel`` selects the simulation loop implementation:
-    ``"reference"`` and ``"fast"`` are bit-identical, so that choice
-    never enters a cache key; ``"batch"`` (the vectorized lockstep
-    fleet kernel) is reproducible in itself but not bit-identical, so
-    batch requests cache under the distinct ``simulation-batch@1``
-    engine namespace.  ``backend`` selects the batch kernel's array
-    substrate (:mod:`repro.bus.backends`); bit-identical backends
-    (numpy/numba) share the batch namespace, while others carry their
-    own engine token.
+    payloads).  ``kernel`` selects the simulation tier: ``"fast"`` is
+    exact; ``"batch"`` (the vectorized lockstep fleet kernel) is
+    reproducible in itself but not bit-identical, so batch requests
+    cache under the distinct ``simulation-batch@1`` engine namespace.
+    ``backend`` selects the batch kernel's array substrate
+    (:mod:`repro.bus.backends`); bit-identical backends (numpy/numba)
+    share the batch namespace, while others carry their own engine
+    token.
     """
 
     config: SystemConfig
@@ -196,7 +195,7 @@ class EvalRequest:
     warmup: int | None = None
     seed: int = 0
     metrics: tuple[str, ...] = ()
-    kernel: str = "reference"
+    kernel: str = "fast"
     backend: str = "numpy"
 
     @property

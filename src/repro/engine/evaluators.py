@@ -94,13 +94,12 @@ class SimulationEvaluator:
         """Simulation identity: the full case (config, workload, seed,
         cycles, warmup, metrics) plus the engine namespace.
 
-        The ``reference`` and ``fast`` kernels are property-tested
-        bit-identical, so they share the ``simulation@1`` namespace and
-        the kernel lever stays out of the key.  The ``batch`` kernel is
-        only statistically equivalent, so its requests carry the
-        distinct ``simulation-batch@1`` namespace.  Every batch backend
-        is bit-identical to numpy, so the backend stays out of the key
-        and their cache entries are interchangeable.
+        Exact (``fast``) requests carry the ``simulation@1`` namespace.
+        The ``batch`` kernel is only statistically equivalent, so its
+        requests carry the distinct ``simulation-batch@1`` namespace.
+        Every batch backend is bit-identical to numpy, so the backend
+        stays out of the key and their cache entries are
+        interchangeable.
         """
         from repro.parallel.cache import case_payload
 

@@ -112,7 +112,7 @@ def render_percentile_chart(
     if not charted:
         raise ExperimentError(
             "no latency-metric units to chart; run the scenario with "
-            "--metrics latency (simulation method, reference/fast kernel)"
+            "--metrics latency (simulation method)"
         )
     columns = tuple(f"u{result.unit.index}" for result in charted)
     measured = {}

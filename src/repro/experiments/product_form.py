@@ -31,7 +31,7 @@ pessimistic:
 
 from __future__ import annotations
 
-from repro.bus.kernel import run_fast
+from repro.bus import simulate
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority
 from repro.engine import EvaluationMethod, evaluate_config
@@ -67,11 +67,9 @@ def run(cycles: int = 60_000, seed: int = 1985) -> ExperimentResult:
                 config, EvaluationMethod.SIMULATION, cycles=cycles, seed=seed
             ).ebw
             # Geometric access times are outside the engine's
-            # declarative surface, so this column runs the kernel
-            # directly - on the fast kernel, which draws bit-identically
-            # to the reference machine (same "access-times" stream;
-            # property-tested), so the column's bytes are unchanged.
-            geometric = run_fast(
+            # declarative surface, so this column calls the simulator
+            # directly.
+            geometric = simulate(
                 config, cycles=cycles, seed=seed, geometric_access_times=True
             ).ebw
             mva = evaluate_config(config, EvaluationMethod.MVA).ebw
@@ -100,24 +98,6 @@ def run(cycles: int = 60_000, seed: int = 1985) -> ExperimentResult:
         notes="exponential characterisation is pessimistic everywhere; the "
         "paper's '>25% discrepancy' reproduces on the queueing-delay "
         "metric (the paper does not name its metric)",
-    )
-
-
-def max_ebw_pessimism(result: ExperimentResult) -> float:
-    """Largest EBW pessimism over the grid (percent)."""
-    return max(
-        value
-        for (row, column), value in result.measured.items()
-        if column == "ebw-pess%"
-    )
-
-
-def max_delay_discrepancy(result: ExperimentResult) -> float:
-    """Largest queueing-delay discrepancy over the grid (percent)."""
-    return max(
-        value
-        for (row, column), value in result.measured.items()
-        if column == "delay-disc%"
     )
 
 

@@ -48,13 +48,11 @@ class SimulationCase:
     warmup: int | None = None
     workload: WorkloadSpec | None = None
     collect_latency: bool = False
-    kernel: str = "reference"
-    """Simulation-loop implementation (``"reference"``, ``"fast"`` or
-    ``"batch"``).  Reference and fast are property-tested bit-identical,
-    so for them the kernel is a pure execution lever and is deliberately
-    **not** part of :func:`repro.parallel.cache.case_payload`.  The
-    batch kernel is reproducible in itself but *not* bit-identical, so
-    the engine layer caches batch results under their own
+    kernel: str = "fast"
+    """Simulation tier (``"fast"``, the exact one, or ``"batch"``),
+    deliberately **not** part of :func:`repro.parallel.cache.case_payload`.
+    The batch kernel is reproducible in itself but *not* bit-identical,
+    so the engine layer caches batch results under their own
     ``simulation-batch@1`` namespace (see
     :meth:`repro.engine.evaluators.SimulationEvaluator.cache_payload`)."""
     backend: str = "numpy"

@@ -24,6 +24,7 @@ import sys
 import time
 from typing import Sequence
 
+from repro.bus import DEFAULT_KERNEL, KNOWN_KERNELS
 from repro.bus.backends import DEFAULT_BACKEND, KNOWN_BACKENDS
 from repro.core.errors import ConfigurationError, ReproError
 from repro.scenarios.compiler import parse_shard
@@ -92,14 +93,12 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=("reference", "fast", "batch"),
-        default="reference",
-        help="simulation-loop implementation; 'fast' runs the flattened "
-        "bit-identical kernel (repro.bus.kernel) - same bytes, less "
-        "time; 'batch' runs whole replication fleets in one vectorized "
-        "lockstep call (repro.bus.batch) - "
-        "reproducible in itself, statistically equivalent, own cache "
-        "namespace",
+        choices=KNOWN_KERNELS,
+        default=DEFAULT_KERNEL,
+        help="simulation tier; 'fast' (default) is the exact machine "
+        "(repro.bus.kernel); 'batch' runs whole replication fleets in "
+        "one vectorized lockstep call (repro.bus.batch) - reproducible "
+        "in itself, statistically equivalent, own cache namespace",
     )
     parser.add_argument(
         "--backend",
@@ -206,7 +205,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--fast",
         action="store_true",
-        help="shorthand for --kernel fast",
+        help="shorthand for --kernel fast (the default)",
     )
     parser.add_argument(
         "--chart",

@@ -24,6 +24,7 @@ import dataclasses
 import re
 from typing import Any, Iterable, Sequence
 
+from repro.bus import DEFAULT_KERNEL, check_kernel
 from repro.bus.backends import DEFAULT_BACKEND, check_backend
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
@@ -34,17 +35,6 @@ from repro.scenarios.spec import EvaluationMethod, ScenarioSpec
 from repro.workloads.spec import WorkloadSpec
 
 _SHARD_RE = re.compile(r"^(\d+)/(\d+)$")
-
-DEFAULT_KERNEL = "reference"
-"""Simulation-loop implementation units run under by default."""
-
-KNOWN_KERNELS = ("reference", "fast", "batch")
-"""Every simulation-loop implementation the library ships.
-
-:func:`compile_scenario` validates its ``kernel`` argument against this
-tuple so a typo fails at scenario load time, not mid-sweep.  The batch
-kernel's array substrate is validated the same way against
-:data:`repro.bus.backends.KNOWN_BACKENDS`."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,16 +53,14 @@ class WorkUnit:
     metrics: tuple[str, ...] = ()
     """Extra metric families this unit collects (e.g. ``("latency",)``)."""
     kernel: str = DEFAULT_KERNEL
-    """Simulation-loop implementation (``"reference"``, ``"fast"`` or
-    ``"batch"``).  Reference and fast are property-tested bit-identical,
-    so for them the kernel is an execution lever like ``--workers`` and
-    never enters :meth:`payload`.  Batch results are reproducible in
-    themselves but not bit-identical, so their payloads carry the
-    ``simulation-batch@1`` engine token instead of ``simulation@1``."""
+    """Simulation tier (``"fast"``, the exact one, or ``"batch"``).
+    Exact units cache under ``simulation@1``.  Batch results are
+    reproducible in themselves but not bit-identical, so their payloads
+    carry the ``simulation-batch@1`` engine token instead."""
     backend: str = DEFAULT_BACKEND
     """Array substrate of the batch kernel (:mod:`repro.bus.backends`).
-    Every backend is bit-identical to numpy, so like ``kernel`` it is an
-    execution lever and never enters :meth:`payload`: all backends share
+    Every backend is bit-identical to numpy, so it is an execution lever
+    and never enters :meth:`payload`: all backends share
     ``simulation-batch@1``."""
 
     @property
@@ -133,11 +121,10 @@ def compile_scenario(
     model over a buffered configuration - is rejected here, at scenario
     load time, with a message naming the offending point.
 
-    ``kernel`` selects the simulation-loop implementation for every
-    compiled unit: ``"reference"`` and ``"fast"`` are bit-identical, so
-    that choice affects wall-clock only; ``"batch"`` (vectorized
-    lockstep fleets) changes bytes within statistical equivalence and
-    is validated here against its capability set
+    ``kernel`` selects the simulation tier for every compiled unit:
+    ``"fast"`` is exact; ``"batch"`` (vectorized lockstep fleets)
+    changes bytes within statistical equivalence and is validated here
+    against its capability set
     (:func:`repro.bus.batch.check_batch_features`) - e.g. latency
     metrics compile (sketch-based percentiles).  ``backend`` selects
     the batch kernel's array substrate (:mod:`repro.bus.backends`); a
@@ -145,11 +132,7 @@ def compile_scenario(
     backend names are rejected here too, so a typo fails at scenario
     load time instead of mid-sweep - never a silent fallback.
     """
-    if kernel not in KNOWN_KERNELS:
-        raise ConfigurationError(
-            f"unknown simulation kernel {kernel!r}; "
-            f"known kernels: {', '.join(KNOWN_KERNELS)}"
-        )
+    check_kernel(kernel)
     try:
         check_backend(kernel, backend)
     except ConfigurationError as exc:

@@ -254,7 +254,7 @@ def run_scenario(
     spec: ScenarioSpec,
     shard: tuple[int, int] | None = None,
     cache=None,
-    kernel: str = "reference",
+    kernel: str = "fast",
     backend: str = "numpy",
     workers: int | None = None,
     *,
@@ -276,12 +276,11 @@ def run_scenario(
     Neither choice moves a byte.  A run whose results could not all be
     stored in ``cache`` prints one warning on stderr.
 
-    ``kernel`` selects the simulation loop: ``"reference"`` and
-    ``"fast"`` are bit-identical, so that choice changes wall-clock
-    only - exactly like ``workers`` and ``cache``.  ``"batch"`` runs
-    lockstep fleets whose bytes are reproducible in themselves (across
-    shards, workers and grouping) but deliberately different from the
-    exact kernels' - never mix batch and exact shards of one sweep.
+    ``kernel`` selects the simulation tier: ``"fast"`` is exact;
+    ``"batch"`` runs lockstep fleets whose bytes are reproducible in
+    themselves (across shards, workers and grouping) but deliberately
+    different from the exact tier's - never mix batch and exact shards
+    of one sweep.
     ``backend`` selects the batch kernel's array substrate
     (:mod:`repro.bus.backends`); every backend is bit-identical to
     numpy, so that choice too changes wall-clock only.

@@ -88,7 +88,7 @@ class Coordinator:
         self,
         spec: ScenarioSpec,
         transports: Sequence[WorkerTransport] | LocalWorkers,
-        kernel: str = "reference",
+        kernel: str = "fast",
         backend: str = "numpy",
         shard: tuple[int, int] | None = None,
         lease_size: int | None = None,

@@ -105,7 +105,7 @@ class WorkerSession:
         spec = protocol.spec_from_wire(message["spec"])
         units: Sequence[WorkUnit] = compile_scenario(
             spec,
-            kernel=message.get("kernel", "reference"),
+            kernel=message.get("kernel", "fast"),
             backend=message.get("backend", "numpy"),
         )
         shard = message.get("shard")

@@ -105,3 +105,31 @@ class TraceTargets:
         position = self._positions[processor]
         self._positions[processor] = (position + 1) % len(trace)
         return trace[position]
+
+
+def is_library_sampler(targets: TargetSampler | None) -> bool:
+    """Whether the fast and batch kernels can run ``targets``.
+
+    The one rule that picks a simulation loop: no sampler, or *exactly*
+    a :class:`UniformTargets`, :class:`HotSpotTargets` or
+    :class:`TraceTargets`, whose algorithms the kernels inline.  They
+    never call ``next_target``, so any other sampler - a subclass that
+    overrides it included - runs only on
+    :class:`~repro.bus.system.MultiplexedBusSystem`.
+    """
+    return targets is None or type(targets) in (
+        UniformTargets,
+        HotSpotTargets,
+        TraceTargets,
+    )
+
+
+def require_library_sampler(targets: TargetSampler | None, kernel: str) -> None:
+    """Reject what :func:`is_library_sampler` rejects, naming ``kernel``."""
+    if not is_library_sampler(targets):
+        raise ConfigurationError(
+            f"the {kernel} kernel supports the library's uniform, hot-spot "
+            f"and trace target samplers; got {type(targets).__name__} - "
+            "custom samplers run on MultiplexedBusSystem, which "
+            "repro.bus.simulate picks for them"
+        )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.bus.system import MultiplexedBusSystem
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority
 
@@ -28,6 +29,33 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     ``~/.cache/repro-single-bus``.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "result-cache"))
+
+
+def _run_on_reference_machine(case):
+    """:func:`repro.parallel.workers.run_case` on the reference machine.
+
+    Builds the case's sampler exactly as ``run_case`` does, then runs
+    :class:`MultiplexedBusSystem`, the oracle the fast loop is held to.
+    """
+    targets = None
+    request_probabilities = None
+    if case.workload is not None:
+        targets = case.workload.build_targets(case.config, case.seed)
+        request_probabilities = case.workload.request_probabilities(case.config)
+    system = MultiplexedBusSystem(
+        case.config,
+        seed=case.seed,
+        targets=targets,
+        request_probabilities=request_probabilities,
+        collect_latency=case.collect_latency,
+    )
+    return system.run(case.cycles, warmup=case.warmup)
+
+
+@pytest.fixture(scope="session")
+def run_on_reference_machine():
+    """A ``SimulationCase -> SimulationResult`` runner on the oracle."""
+    return _run_on_reference_machine
 
 
 @pytest.fixture

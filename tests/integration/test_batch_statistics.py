@@ -20,6 +20,7 @@ import statistics
 import pytest
 
 from repro.bus.batch import BATCH_ENGINE_TOKEN
+from repro.bus.system import MultiplexedBusSystem
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority, TieBreak
 from repro.parallel.cache import ResultCache, fingerprint
@@ -198,9 +199,13 @@ def test_batch_payloads_use_their_own_engine_token():
         assert exact_payload["engine"] == "simulation@1"
         assert batch_payload["engine"] == BATCH_ENGINE_TOKEN
         assert fingerprint(exact_payload) != fingerprint(batch_payload)
-    reference_units = compile_scenario(spec, kernel="reference")
-    for exact, reference in zip(exact_units, reference_units):
-        assert exact.payload() == reference.payload()
+    # simulation@1 holds the reference machine's numbers too: both exact
+    # loops compute the same value for every exact payload.
+    for exact, result in zip(exact_units, run_units(exact_units)):
+        reference = MultiplexedBusSystem(exact.config, seed=exact.seed).run(
+            exact.cycles, warmup=exact.warmup
+        )
+        assert result.ebw == reference.ebw
 
 
 def test_batch_and_exact_entries_never_collide_in_cache(tmp_path):

@@ -76,12 +76,17 @@ def test_all_registered_scenarios_match_golden():
         )
 
 
-def test_fast_and_reference_kernels_share_report_bytes():
-    """Spot-check the kernel contract at the report level (one scenario)."""
+def test_fast_and_reference_kernels_share_report_bytes(
+    monkeypatch, run_on_reference_machine
+):
+    """Spot-check the kernel contract at the report level (one scenario):
+    the same units run on the reference machine render the same bytes."""
+    from repro.parallel import workers
     from repro.scenarios.execute import render_report, run_scenario
     from repro.scenarios.registry import get_scenario
 
     spec = dataclasses.replace(get_scenario("hot_spot"), cycles=400)
     fast = render_report(run_scenario(spec, kernel="fast"))
-    reference = render_report(run_scenario(spec, kernel="reference"))
+    monkeypatch.setattr(workers, "run_case", run_on_reference_machine)
+    reference = render_report(run_scenario(spec))
     assert fast == reference

@@ -10,16 +10,22 @@ lets the kernel choice stay out of cache keys and report bytes.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bus import simulate
-from repro.bus.kernel import FastBusKernel, run_fast
+from repro.bus.kernel import FastBusKernel
 from repro.bus.system import MultiplexedBusSystem
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.core.policy import Priority, TieBreak
+from repro.des.rng import StreamFactory
 from repro.parallel.workers import SimulationCase, run_case
+from repro.scenarios.compiler import compile_scenario
+from repro.scenarios.execute import run_scenario
+from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
+from repro.workloads.generators import HotSpotTargets
 from repro.workloads.spec import (
     HotSpotWorkload,
     RequestMixWorkload,
@@ -137,7 +143,9 @@ class TestBitIdentical:
         measurement_windows(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_workload_fleet(self, data, config, seed, window):
+    def test_workload_fleet(
+        self, run_on_reference_machine, data, config, seed, window
+    ):
         workload = data.draw(workloads_for(config))
         cycles, warmup, batches = window
         case = SimulationCase(
@@ -148,17 +156,15 @@ class TestBitIdentical:
             workload=workload,
             collect_latency=True,
         )
-        reference = run_case(case)
-        import dataclasses
-
-        fast = run_case(dataclasses.replace(case, kernel="fast"))
+        reference = run_on_reference_machine(case)
+        fast = run_case(case)
         assert result_key(reference) == result_key(fast)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=10, deadline=None)
     def test_simulate_entry_point(self, seed):
         config = SystemConfig(4, 4, 3, priority=Priority.PROCESSORS)
-        reference = simulate(config, cycles=300, seed=seed)
+        reference = MultiplexedBusSystem(config, seed=seed).run(300)
         fast = simulate(config, cycles=300, seed=seed, kernel="fast")
         assert result_key(reference) == result_key(fast)
 
@@ -196,9 +202,9 @@ class TestBitIdentical:
     def test_simulate_entry_point_geometric(self, seed):
         config = SystemConfig(8, 6, 5, priority=Priority.PROCESSORS,
                               buffered=True)
-        reference = simulate(
-            config, cycles=300, seed=seed, geometric_access_times=True
-        )
+        reference = MultiplexedBusSystem(
+            config, seed=seed, geometric_access_times=True
+        ).run(300)
         fast = simulate(
             config,
             cycles=300,
@@ -209,28 +215,89 @@ class TestBitIdentical:
         assert result_key(reference) == result_key(fast)
 
 
+class Custom:
+    """A sampler the kernels know nothing about."""
+
+    def next_target(self, processor):
+        return 0
+
+
+class ZeroHotSpot(HotSpotTargets):
+    """A library sampler subclass: its override must not be skipped."""
+
+    def next_target(self, processor):
+        return 0
+
+
+def custom_sampler(kind: str, seed: int):
+    if kind == "custom":
+        return Custom()
+    return ZeroHotSpot(4, StreamFactory(seed).get("hot-spot"), 0.3)
+
+
+TINY_SPEC = ScenarioSpec(
+    name="kernel-names",
+    description="",
+    base={"processors": 2, "memories": 2},
+    grid=(GridAxis("memory_cycle_ratio", (2,)),),
+    cycles=10,
+    plan=ReplicationPlan(1, 0),
+)
+
+
 class TestCoverageBoundaries:
-    def test_custom_samplers_are_rejected(self):
-        class Custom:
-            def next_target(self, processor):  # pragma: no cover
-                return 0
+    @pytest.mark.parametrize("kernel", ["fast", "batch"])
+    @pytest.mark.parametrize("kind", ["custom", "subclass"])
+    def test_custom_samplers_are_rejected(self, kind, kernel):
+        config = SystemConfig(4, 4, 3)
+        targets = custom_sampler(kind, 3)
+        with pytest.raises(ConfigurationError, match="custom samplers"):
+            if kernel == "fast":
+                FastBusKernel(config, targets=targets)
+            else:
+                simulate(config, cycles=10, targets=targets, kernel="batch")
 
-        config = SystemConfig(2, 2, 2)
-        try:
-            run_fast(config, cycles=10, targets=Custom())
-        except ConfigurationError as exc:
-            assert "custom samplers" in str(exc)
-        else:  # pragma: no cover - defends the capability boundary
-            raise AssertionError("custom sampler should be rejected")
+    @pytest.mark.parametrize(
+        "kernel", [{}, {"kernel": "fast"}], ids=["default", "fast"]
+    )
+    @pytest.mark.parametrize("kind", ["custom", "subclass"])
+    def test_simulate_runs_custom_samplers_on_the_reference_machine(
+        self, kind, kernel
+    ):
+        """Every request of either sampler hits module 0: EBW 1.0, which
+        the fast loop (it ignores the override) would miss."""
+        config = SystemConfig(4, 4, 3)
+        reference = MultiplexedBusSystem(
+            config, seed=3, targets=custom_sampler(kind, 3)
+        ).run(5_000)
+        result = simulate(
+            config, cycles=5_000, seed=3, targets=custom_sampler(kind, 3),
+            **kernel,
+        )
+        assert result == reference
+        assert result.ebw == pytest.approx(1.0, abs=1e-3)
 
-    def test_unknown_kernel_name_is_rejected(self):
-        config = SystemConfig(2, 2, 2)
-        try:
-            simulate(config, cycles=10, kernel="warp")
-        except ConfigurationError as exc:
-            assert "unknown simulation kernel" in str(exc)
-        else:  # pragma: no cover
-            raise AssertionError("unknown kernel should be rejected")
+    @pytest.mark.parametrize("kernel", ["warp", "reference"])
+    @pytest.mark.parametrize(
+        "entry", ["simulate", "compile_scenario", "run_scenario"]
+    )
+    def test_unknown_kernel_name_is_rejected(self, entry, kernel):
+        """No entry point takes a kernel outside ``fast``/``batch``; the
+        message names the class to construct for the reference machine."""
+        call = {
+            "simulate": lambda: simulate(
+                SystemConfig(2, 2, 2), cycles=10, kernel=kernel
+            ),
+            "compile_scenario": lambda: compile_scenario(
+                TINY_SPEC, kernel=kernel
+            ),
+            "run_scenario": lambda: run_scenario(TINY_SPEC, kernel=kernel),
+        }[entry]
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown simulation kernel .*MultiplexedBusSystem",
+        ):
+            call()
 
     def test_run_validation_matches_reference(self):
         config = SystemConfig(2, 2, 2)

@@ -179,10 +179,11 @@ class TestValidation:
     def test_simulate_rejects_backend_without_batch_kernel(self):
         from repro.bus import simulate
 
-        for kernel in ("reference", "fast"):
-            with pytest.raises(
-                ConfigurationError, match="requires kernel='batch'"
-            ):
+        for kernel, message in (
+            ("fast", "requires kernel='batch'"),
+            ("reference", "unknown simulation kernel .*MultiplexedBusSystem"),
+        ):
+            with pytest.raises(ConfigurationError, match=message):
                 simulate(
                     SystemConfig(2, 2, 2),
                     cycles=100,
@@ -214,8 +215,8 @@ class TestCheckBackend:
         check_backend("batch", backend)
 
     def test_default_backend_passes_on_every_kernel(self):
+        from repro.bus import KNOWN_KERNELS
         from repro.bus.backends import DEFAULT_BACKEND, check_backend
-        from repro.scenarios.compiler import KNOWN_KERNELS
 
         for kernel in KNOWN_KERNELS:
             check_backend(kernel, DEFAULT_BACKEND)

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bus import MultiplexedBusSystem, simulate
+from repro.bus import MultiplexedBusSystem
 from repro.bus.trace import TraceEventKind, TraceRecorder
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.core.policy import Priority, TieBreak
 from repro.workloads.generators import TraceTargets
+
+
+def run_machine(config: SystemConfig, cycles: int, seed: int):
+    """One measured run of the machine under test, built directly."""
+    return MultiplexedBusSystem(config, seed=seed).run(cycles)
 
 
 def single_processor_config(r: int = 2) -> SystemConfig:
@@ -35,11 +40,11 @@ class TestExactTiming:
         assert kinds == expected
 
     def test_single_processor_ebw_is_one(self):
-        result = simulate(single_processor_config(r=4), cycles=6_000, seed=1)
+        result = run_machine(single_processor_config(r=4), cycles=6_000, seed=1)
         assert result.ebw == pytest.approx(1.0, abs=0.01)
 
     def test_latency_equals_processor_cycle_without_contention(self):
-        result = simulate(single_processor_config(r=6), cycles=8_000, seed=1)
+        result = run_machine(single_processor_config(r=6), cycles=8_000, seed=1)
         assert result.mean_latency == pytest.approx(8.0, abs=0.05)
 
     def test_two_processors_one_module_serialise(self):
@@ -47,7 +52,7 @@ class TestExactTiming:
         # r+2 cycles, so EBW -> 1 and each processor completes every
         # other round.
         config = SystemConfig(2, 1, 2, priority=Priority.PROCESSORS)
-        result = simulate(config, cycles=8_000, seed=1)
+        result = run_machine(config, cycles=8_000, seed=1)
         assert result.ebw == pytest.approx(1.0, abs=0.02)
 
     def test_deterministic_trace_workload(self):
@@ -100,16 +105,16 @@ class TestConservation:
 class TestDeterminism:
     def test_same_seed_same_result(self):
         config = SystemConfig(8, 8, 4, priority=Priority.PROCESSORS)
-        a = simulate(config, cycles=3_000, seed=11)
-        b = simulate(config, cycles=3_000, seed=11)
+        a = run_machine(config, cycles=3_000, seed=11)
+        b = run_machine(config, cycles=3_000, seed=11)
         assert a.completions == b.completions
         assert a.request_transfers == b.request_transfers
         assert a.total_latency == b.total_latency
 
     def test_different_seeds_differ(self):
         config = SystemConfig(8, 8, 4, priority=Priority.PROCESSORS)
-        a = simulate(config, cycles=3_000, seed=11)
-        b = simulate(config, cycles=3_000, seed=12)
+        a = run_machine(config, cycles=3_000, seed=11)
+        b = run_machine(config, cycles=3_000, seed=12)
         assert (a.completions, a.total_latency) != (b.completions, b.total_latency)
 
     def test_identical_traces(self):
@@ -134,19 +139,19 @@ class TestBounds:
         ],
     )
     def test_ebw_within_ceiling(self, config):
-        result = simulate(config, cycles=5_000, seed=1)
+        result = run_machine(config, cycles=5_000, seed=1)
         assert 0.0 < result.ebw <= config.max_ebw + 1e-9
 
     def test_bus_utilisation_in_unit_interval(self):
-        result = simulate(SystemConfig(4, 4, 4), cycles=5_000, seed=1)
+        result = run_machine(SystemConfig(4, 4, 4), cycles=5_000, seed=1)
         assert 0.0 < result.bus_utilization <= 1.0
 
     def test_memory_utilisation_in_unit_interval(self):
-        result = simulate(SystemConfig(4, 4, 4), cycles=5_000, seed=1)
+        result = run_machine(SystemConfig(4, 4, 4), cycles=5_000, seed=1)
         assert 0.0 < result.memory_utilization <= 1.0
 
     def test_ebw_from_completions_matches_bus_utilisation(self):
-        result = simulate(SystemConfig(8, 8, 6), cycles=20_000, seed=3)
+        result = run_machine(SystemConfig(8, 8, 6), cycles=20_000, seed=3)
         from repro.core.metrics import ebw_from_bus_utilization
 
         implied = ebw_from_bus_utilization(
@@ -172,7 +177,7 @@ class TestRunValidation:
             system.run(100, batches=-2)
 
     def test_batch_ebws_recorded(self):
-        result = simulate(SystemConfig(4, 4, 4), cycles=2_000, seed=1)
+        result = run_machine(SystemConfig(4, 4, 4), cycles=2_000, seed=1)
         assert len(result.batch_ebws) == 20
         low, high = result.ebw_confidence_interval()
         assert low <= result.ebw * 1.05
@@ -180,5 +185,5 @@ class TestRunValidation:
 
     def test_fcfs_tie_break_runs(self):
         config = SystemConfig(4, 4, 4, tie_break=TieBreak.FCFS)
-        result = simulate(config, cycles=3_000, seed=1)
+        result = run_machine(config, cycles=3_000, seed=1)
         assert result.ebw > 0

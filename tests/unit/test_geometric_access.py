@@ -95,15 +95,15 @@ class TestFastKernelGeometric:
     """
 
     def test_run_fast_matches_reference(self):
-        from repro.bus import simulate
         from repro.bus.kernel import run_fast
+        from repro.bus.system import MultiplexedBusSystem
 
         config = SystemConfig(
             8, 6, 8, priority=Priority.PROCESSORS, buffered=True
         )
-        reference = simulate(
-            config, cycles=2_000, seed=1985, geometric_access_times=True
-        )
+        reference = MultiplexedBusSystem(
+            config, seed=1985, geometric_access_times=True
+        ).run(2_000)
         fast = run_fast(
             config, cycles=2_000, seed=1985, geometric_access_times=True
         )

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from repro.bus import simulate
+from repro.bus.system import MultiplexedBusSystem
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.metrics import (
@@ -289,13 +290,19 @@ class TestSingleProcessorOracle:
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize("memories, r", [(1, 1), (4, 3), (2, 8)])
     def test_every_summary_field_is_exact(self, kernel, buffered, memories, r):
-        result = simulate(
-            SystemConfig(1, memories, r, buffered=buffered),
-            cycles=3_000,
-            seed=11,
-            collect_latency=True,
-            kernel=kernel,
-        )
+        config = SystemConfig(1, memories, r, buffered=buffered)
+        if kernel == "reference":
+            result = MultiplexedBusSystem(
+                config, seed=11, collect_latency=True
+            ).run(3_000)
+        else:
+            result = simulate(
+                config,
+                cycles=3_000,
+                seed=11,
+                collect_latency=True,
+                kernel=kernel,
+            )
         count = result.completions
         # Past the exact prefix and a full chunk: P² seeding and a chunk
         # flush both ran.

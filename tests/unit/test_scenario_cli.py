@@ -76,6 +76,14 @@ class TestRunning:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 12
 
+    def test_default_kernel_prints_the_fast_bytes(self, capsys):
+        argv = ["scenario", "buffer-depth-scaling", "--cycles", "200",
+                "--no-cache"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--fast"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_unknown_scenario_fails_cleanly(self, capsys):
         assert main(["scenario", "figure9"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
@@ -91,8 +99,10 @@ class TestRunning:
             (["--workers", "2", "--lease-size", "0"],
              "--lease-size must be a positive integer"),
             (["--lease-size", "2"], "--lease-size requires --workers"),
+            (["--kernel", "reference"], "invalid choice: 'reference'"),
         ],
-        ids=["zero-workers", "zero-lease-size", "lease-size-without-workers"],
+        ids=["zero-workers", "zero-lease-size", "lease-size-without-workers",
+             "retired-reference-kernel"],
     )
     def test_bad_worker_flags_fail_cleanly(
         self, tiny_toml, capsys, flags, message

@@ -261,12 +261,12 @@ class TestVersionedMetricsCacheKeys:
         assert payload["engine"] == "simulation@1"
 
     def test_kernel_never_enters_the_payload(self):
-        # The two kernels are bit-identical, so fast and reference units
-        # must share cache entries.
-        reference = compile_scenario(tiny_spec())[0]
+        # Units compiled without a kernel run the exact tier and share
+        # its cache entries.
+        default = compile_scenario(tiny_spec())[0]
         fast = compile_scenario(tiny_spec(), kernel="fast")[0]
-        assert fast.kernel == "fast"
-        assert reference.payload() == fast.payload()
+        assert default.kernel == fast.kernel == "fast"
+        assert default.payload() == fast.payload()
 
     def test_version_bump_would_retire_entries(self):
         from repro.metrics import LATENCY_METRICS_VERSION

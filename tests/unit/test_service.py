@@ -86,7 +86,7 @@ class TestWorkerSession:
 
     def test_protocol_version_mismatch_is_rejected(self):
         session = WorkerSession(lambda message: None)
-        hello = protocol.hello_message(tiny_spec(), "reference", "numpy")
+        hello = protocol.hello_message(tiny_spec(), "fast", "numpy")
         hello["protocol"] = 999
         with pytest.raises(ConfigurationError, match="version mismatch"):
             session.handle(hello)
@@ -94,7 +94,7 @@ class TestWorkerSession:
     def test_code_version_mismatch_answers_error_naming_both_tags(self):
         """A peer on other code refuses the sweep instead of caching
         results under the coordinator's tag."""
-        hello = protocol.hello_message(tiny_spec(), "reference", "numpy")
+        hello = protocol.hello_message(tiny_spec(), "fast", "numpy")
         hello["code_version"] = "0123456789abcdef"
         session = WorkerSession(lambda message: None)
         with pytest.raises(ConfigurationError, match="code version mismatch"):
@@ -116,7 +116,7 @@ class TestWorkerSession:
         session = WorkerSession(outbox.append)
         session.handle(
             protocol.hello_message(
-                tiny_spec(), "reference", "numpy", cache_enabled=False
+                tiny_spec(), "fast", "numpy", cache_enabled=False
             )
         )
         units = outbox[-1]["units"]
@@ -128,7 +128,7 @@ class TestWorkerSession:
         session = WorkerSession(outbox.append)
         session.handle(
             protocol.hello_message(
-                tiny_spec(), "reference", "numpy", cache_enabled=False
+                tiny_spec(), "fast", "numpy", cache_enabled=False
             )
         )
         outbox.clear()
