@@ -149,25 +149,26 @@ def looped(func: Callable[[], object], loops: int) -> Callable[[], object]:
     return run
 
 
-def run_reference(case):
-    """One case on :class:`MultiplexedBusSystem`, constructed directly
+def run_reference(request):
+    """One request on :class:`MultiplexedBusSystem`, constructed directly
     with the sampler ``run_case`` would build: the ``reference`` rows."""
     from repro.bus.system import MultiplexedBusSystem
 
     targets = None
     request_probabilities = None
-    if case.workload is not None:
-        targets = case.workload.build_targets(case.config, case.seed)
-        request_probabilities = case.workload.request_probabilities(case.config)
+    if request.workload is not None:
+        targets = request.workload.build_targets(request.config, request.seed)
+        request_probabilities = request.workload.request_probabilities(
+            request.config)
     system = MultiplexedBusSystem(
-        case.config, seed=case.seed, targets=targets,
+        request.config, seed=request.seed, targets=targets,
         request_probabilities=request_probabilities,
-        collect_latency=case.collect_latency)
-    return system.run(case.cycles, warmup=case.warmup)
+        collect_latency=request.collects_latency)
+    return system.run(request.cycles, warmup=request.warmup)
 
 
 def exact_runner(kernel: str) -> Callable:
-    """How a row labelled with an exact ``kernel`` runs one case."""
+    """How a row labelled with an exact ``kernel`` runs one request."""
     from repro.parallel.workers import run_case
 
     return run_reference if kernel == "reference" else run_case
@@ -175,10 +176,10 @@ def exact_runner(kernel: str) -> Callable:
 
 def time_simulation(config, workload, cycles: int, kernel: str):
     """One ``cycles``-long run of ``config`` on an exact ``kernel``."""
-    from repro.parallel.workers import SimulationCase
+    from repro.engine.base import EvalRequest
 
-    case = SimulationCase(config, cycles, seed=1, workload=workload)
-    return partial(exact_runner(kernel), case)
+    request = EvalRequest(config, workload, cycles=cycles, seed=1)
+    return partial(exact_runner(kernel), request)
 
 
 def time_occupancy_chain():
@@ -242,22 +243,23 @@ def time_fleet(kernel: str, rows: int, cycles: int, config: SystemConfig,
 
     The batch kernel runs the fleet as a single lockstep call
     (:func:`repro.parallel.fleet.run_fleet`) on the selected array
-    backend; the exact kernels run the same cases one by one - which is
+    backend; the exact kernels run the same requests one by one - which is
     precisely the comparison the fleet-aggregation layer exists to win.
     """
+    from repro.engine.base import EvalRequest
     from repro.parallel.fleet import run_fleet
-    from repro.parallel.workers import SimulationCase
 
     batch = kernel == "batch"
-    cases = [
-        SimulationCase(config, cycles, seed, kernel="batch" if batch else "fast",
-                       collect_latency=collect_latency, backend=backend)
+    requests = [
+        EvalRequest(config, cycles=cycles, seed=seed,
+                    metrics=("latency",) if collect_latency else (),
+                    kernel="batch" if batch else "fast", backend=backend)
         for seed in range(rows)
     ]
     if batch:
-        return partial(run_fleet, cases)
+        return partial(run_fleet, requests)
     run_case = exact_runner(kernel)
-    return lambda: [run_case(case) for case in cases]
+    return lambda: [run_case(request) for request in requests]
 
 
 def time_figure2(cycles: int, kernel: str, workers: int | None = None,
@@ -272,7 +274,7 @@ def time_figure2(cycles: int, kernel: str, workers: int | None = None,
 
     spec = dataclasses.replace(get_scenario("figure2"), cycles=cycles)
     if kernel == "reference":
-        return lambda: [run_reference(unit.case())
+        return lambda: [run_reference(unit.request())
                         for unit in compile_scenario(spec)]
 
     def run():
@@ -319,17 +321,17 @@ def time_packed_sweep(replications: int, cycles: int, backend: str):
     seeds per point: 15 distinct shapes that share the pack fields, run
     as one padded super-fleet batch call.
     """
+    from repro.engine.base import EvalRequest
     from repro.parallel.fleet import run_fleet
-    from repro.parallel.workers import SimulationCase
 
-    cases = [
-        SimulationCase(SystemConfig(n, m, ratio, priority=Priority.PROCESSORS),
-                       cycles, seed, kernel="batch", backend=backend)
+    requests = [
+        EvalRequest(SystemConfig(n, m, ratio, priority=Priority.PROCESSORS),
+                    cycles=cycles, seed=seed, kernel="batch", backend=backend)
         for n, m in PACKED_GRID_SYSTEMS
         for ratio in PACKED_GRID_RATIOS
         for seed in range(replications)
     ]
-    return partial(run_fleet, cases)
+    return partial(run_fleet, requests)
 
 
 def fleet_row(name: str, kernel: str, rows: int, cycles: int,

@@ -7,8 +7,8 @@ Public API tour
   buffering);
 * :func:`simulate` runs the cycle-accurate machine simulator;
 * :mod:`repro.engine` is the unified evaluation layer: every method
-  (simulation, markov, mva, crossbar, bandwidth, bounds, approx) behind
-  one evaluator registry with capability declarations - see
+  (simulation, markov, mva, crossbar, bandwidth, bounds, approx) is one
+  entry of a fixed method table, with capability declarations - see
   ``ARCHITECTURE.md``;
 * :mod:`repro.models` evaluates the paper's analytical models;
 * :mod:`repro.queueing` solves the Section 6 product-form comparison;

@@ -18,7 +18,8 @@ import dataclasses
 
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
-from repro.parallel.workers import SimulationCase, run_case
+from repro.engine.base import EvalRequest
+from repro.parallel.workers import run_case
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,11 +137,11 @@ def sensitivity_analysis(
         ("buffering", float(base.buffered), float(toggled.buffered), toggled)
     )
 
-    cases = [SimulationCase(base, cycles, seed)] + [
-        SimulationCase(config, cycles, seed)
-        for _, _, _, config in perturbations
+    configs = [base] + [config for _, _, _, config in perturbations]
+    results = [
+        run_case(EvalRequest(config, cycles=cycles, seed=seed))
+        for config in configs
     ]
-    results = [run_case(case) for case in cases]
     base_ebw = results[0].ebw
     effects = tuple(
         FactorEffect(

@@ -222,32 +222,15 @@ class _PhiloxLanes:
             row[remaining:] = self._gens[f].random(self._chunk - remaining)
             self._pos[f] = 0
 
-    def take_block(self, count: int):
-        """``count`` sequential draws for every row -> (fleet, count).
-
-        Requires the per-row pointers to be in lockstep (true before
-        any :meth:`take_rows` call - the initial-condition draw), like
-        :meth:`take_all`.
-        """
-        np = self._np
-        pos = self._pos
-        if pos[0] + count > self._chunk:
-            self._refill(np.ones(len(self._gens), dtype=bool))
-        values = self._buf[:, pos[0] : pos[0] + count].copy()
-        pos += count
-        return values
-
     def take_counts(self, counts):
         """``counts[f]`` sequential draws for row ``f`` -> (fleet, max).
 
-        The per-row generalization of :meth:`take_block` for packed
-        fleets: row ``f`` consumes exactly ``counts[f]`` draws, so its
-        stream position is identical to an unpacked fleet's.  Column
-        ``j`` of the result is row ``f``'s ``j``-th draw and is only
-        meaningful for ``j < counts[f]`` (padding columns hold
-        arbitrary buffered values that are never consumed).  Requires
-        lockstep pointers like :meth:`take_block` (the
-        initial-condition draw).
+        Packed fleets draw their initial targets here: row ``f``
+        consumes exactly ``counts[f]`` draws, so its stream position is
+        identical to an unpacked fleet's.  Column ``j`` of the result
+        is row ``f``'s ``j``-th draw and is only meaningful for
+        ``j < counts[f]`` (padding columns hold arbitrary buffered
+        values that are never consumed).
         """
         np = self._np
         pos = self._pos

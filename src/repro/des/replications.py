@@ -82,9 +82,8 @@ def replication_seeds(base_seed: int, replications: int) -> tuple[int, ...]:
     """The canonical seed tuple ``base_seed, base_seed + 1, ...``.
 
     Single source of truth for the seed-to-replication mapping: the
-    replicators below and :func:`repro.parallel.fleet.replicate_batch`
-    derive their seeds here.  Distinct seeds produce independent random
-    streams (see :mod:`repro.des.rng`).
+    replicators below derive their seeds here.  Distinct seeds produce
+    independent random streams (see :mod:`repro.des.rng`).
     """
     if replications < 2:
         raise ConfigurationError(
@@ -101,10 +100,10 @@ def replicate(
 ) -> ReplicationResult:
     """Run a fixed number of independent replications, one per seed.
 
-    For many replications of one configuration, the batch kernel's
-    :func:`repro.parallel.fleet.replicate_batch` runs them as one
-    lockstep fleet, and a :class:`~repro.scenarios.spec.ReplicationPlan`
-    run through ``run_scenario(spec, workers=N)`` spreads them over N
+    For many replications of one configuration, a
+    :class:`~repro.scenarios.spec.ReplicationPlan` run through
+    ``run_scenario(spec, kernel="batch")`` runs them as one lockstep
+    fleet, and ``run_scenario(spec, workers=N)`` spreads them over N
     forked workers.
     """
     seeds = replication_seeds(base_seed, replications)

@@ -4,10 +4,10 @@ One abstraction for every way the library attaches numbers to a
 configuration: evaluators declare capabilities, serve
 ``EvalRequest -> EvalResult``, and contribute versioned engine tokens to
 cache keys.  See :mod:`repro.engine.base` for the value types,
-:mod:`repro.engine.evaluators` for the built-in machines and
-:mod:`repro.engine.registry` for the dispatch point, and
-``ARCHITECTURE.md`` at the repository root for how the layer sits
-between workloads/scenarios above and kernels/models below.
+:mod:`repro.engine.evaluators` for the method table (one built-in
+evaluator per :class:`EvaluationMethod`), and ``ARCHITECTURE.md`` at the
+repository root for how the layer sits between workloads/scenarios above
+and kernels/models below.
 """
 
 from __future__ import annotations
@@ -17,17 +17,12 @@ from repro.engine.base import (
     EvalRequest,
     EvalResult,
     EvaluationMethod,
-    Evaluator,
     EvaluatorCapabilities,
     LITTLES_LAW_TOKEN,
     LittlesLawLatency,
     UNIFORM_ONLY,
 )
-from repro.engine.registry import (
-    all_evaluators,
-    get_evaluator,
-    register_evaluator,
-)
+from repro.engine.evaluators import EVALUATORS, get_evaluator
 
 
 def evaluate(request: EvalRequest, method: EvaluationMethod | str) -> EvalResult:
@@ -36,7 +31,7 @@ def evaluate(request: EvalRequest, method: EvaluationMethod | str) -> EvalResult
     The one-call convenience the experiment modules use for reference
     values (crossbar lines, table models); scenario execution goes
     through :func:`repro.scenarios.execute.run_units`, which adds
-    result caching and batch fleets around the same registry dispatch.
+    result caching and batch fleets around the same table lookup.
     """
     evaluator = get_evaluator(method)
     evaluator.capabilities.check(request)
@@ -56,17 +51,15 @@ def evaluate_config(
 
 __all__ = [
     "ALL_WORKLOAD_KINDS",
+    "EVALUATORS",
     "EvalRequest",
     "EvalResult",
     "EvaluationMethod",
-    "Evaluator",
     "EvaluatorCapabilities",
     "LITTLES_LAW_TOKEN",
     "LittlesLawLatency",
     "UNIFORM_ONLY",
-    "all_evaluators",
     "evaluate",
     "evaluate_config",
     "get_evaluator",
-    "register_evaluator",
 ]

@@ -6,17 +6,15 @@ MVA, the crossbar chain, the Section 3.2 combinational bandwidth model,
 operational-analysis bounds - is an *evaluator*: an object that turns an
 :class:`EvalRequest` into an :class:`EvalResult` and declares, up front,
 what it can evaluate (:class:`EvaluatorCapabilities`).  The scenario
-compiler, the sweep helpers and the experiment modules all dispatch
-through the evaluator registry (:mod:`repro.engine.registry`) instead of
-hand-rolled ``if/elif`` chains, so
+compiler, the sweep helpers and the experiment modules all look methods
+up in one fixed table (:data:`repro.engine.evaluators.EVALUATORS`)
+instead of hand-rolled ``if/elif`` chains, so
 
 * invalid method/workload/configuration combinations are rejected when a
   scenario is *loaded*, with a message naming the violated capability,
   rather than deep inside a worker process;
 * cache keys carry each evaluator's versioned engine token, so a change
-  to one evaluator's semantics retires exactly that evaluator's entries;
-* new methods (and replacement implementations) plug in by registering
-  an evaluator, without touching the dispatch sites.
+  to one evaluator's semantics retires exactly that evaluator's entries.
 
 This module holds the request/result/capability value types plus the
 :class:`EvaluationMethod` enum, which historically lived in
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import TYPE_CHECKING, Any, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
@@ -174,19 +172,22 @@ class EvaluatorCapabilities:
 class EvalRequest:
     """One fully-specified evaluation of one configuration.
 
-    The engine-layer counterpart of a scenario
-    :class:`~repro.scenarios.compiler.WorkUnit`, stripped of sweep
-    bookkeeping (index, scenario name, replication number).  ``seed``,
+    The one record between the scenario compiler and the kernels: a
+    :class:`~repro.scenarios.compiler.WorkUnit` stripped of sweep
+    bookkeeping (index, scenario name, replication number), and what
+    :func:`repro.parallel.workers.run_case` and
+    :func:`repro.parallel.fleet.run_fleet` execute.  ``seed``,
     ``cycles`` and ``warmup`` only matter to the simulation evaluator;
     analytic evaluators ignore them (and exclude them from cache
-    payloads).  ``kernel`` selects the simulation tier: ``"fast"`` is
-    exact; ``"batch"`` (the vectorized lockstep fleet kernel) is
-    reproducible in itself but not bit-identical, so batch requests
-    cache under the distinct ``simulation-batch@1`` engine namespace.
-    ``backend`` selects the batch kernel's array substrate
-    (:mod:`repro.bus.backends`); bit-identical backends (numpy/numba)
-    share the batch namespace, while others carry their own engine
-    token.
+    payloads).  ``workload=None`` is the paper's uniform workload and
+    follows the exact code path (and random-stream layout) of a plain
+    ``simulate(config, ...)`` call.  ``kernel`` selects the simulation
+    tier: ``"fast"`` is exact; ``"batch"`` (the vectorized lockstep
+    fleet kernel) is reproducible in itself but not bit-identical, so
+    batch requests cache under the distinct ``simulation-batch@1``
+    engine namespace.  ``backend`` selects the batch kernel's array
+    substrate (:mod:`repro.bus.backends`); every backend is
+    bit-identical to numpy, so it stays out of the cache key.
     """
 
     config: SystemConfig
@@ -205,24 +206,13 @@ class EvalRequest:
 
     @property
     def collects_latency(self) -> bool:
-        """Whether the request asks for latency-distribution metrics."""
+        """Whether the request asks for latency-distribution metrics.
+
+        Collection draws no random numbers, so every simulated counter
+        is bit-identical either way; it is part of the cache identity
+        (:func:`repro.parallel.cache.case_payload`) because the stored
+        value carries the extra latency fields."""
         return "latency" in self.metrics
-
-    def case(self):
-        """The :class:`~repro.parallel.workers.SimulationCase` a
-        simulation evaluator executes for this request."""
-        from repro.parallel.workers import SimulationCase
-
-        return SimulationCase(
-            config=self.config,
-            cycles=self.cycles,
-            seed=self.seed,
-            warmup=self.warmup,
-            workload=self.workload,
-            collect_latency=self.collects_latency,
-            kernel=self.kernel,
-            backend=self.backend,
-        )
 
 
 LITTLES_LAW_TOKEN = "littles@1"
@@ -342,29 +332,3 @@ class EvalResult:
             raise ConfigurationError(
                 f"malformed evaluation payload: {exc!r}"
             ) from exc
-
-
-@runtime_checkable
-class Evaluator(Protocol):
-    """Anything that can serve :class:`EvalRequest` objects.
-
-    Implementations declare :attr:`capabilities`, turn a validated
-    request into an :class:`EvalResult`, and describe the computation's
-    cache identity.  Register instances with
-    :func:`repro.engine.registry.register_evaluator`.
-    """
-
-    capabilities: EvaluatorCapabilities
-
-    def evaluate(self, request: EvalRequest) -> EvalResult:
-        """Evaluate one request (also runs inside forked sweep workers)."""
-        ...  # pragma: no cover - protocol
-
-    def cache_payload(self, request: EvalRequest) -> dict[str, Any]:
-        """Content-addressed identity of the computation.
-
-        Two requests with equal payloads must produce byte-identical
-        results; the payload carries the evaluator's versioned
-        :attr:`~EvaluatorCapabilities.engine_token`.
-        """
-        ...  # pragma: no cover - protocol

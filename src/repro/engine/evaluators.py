@@ -1,9 +1,10 @@
-"""The built-in evaluators wrapping every evaluation machine.
+"""The method table: one evaluator per :class:`EvaluationMethod`.
 
 Each class pairs a capability declaration with the thin adapter that
-turns an :class:`~repro.engine.base.EvalRequest` into the library call
-the pre-engine dispatcher made - the numerical code paths (and therefore
-the produced bytes) are unchanged.  Heavy model modules are imported
+turns an :class:`~repro.engine.base.EvalRequest` into its library call,
+and :data:`EVALUATORS` maps every method to one instance.  The table is
+fixed: a new method is a new enum member, evaluator class and table
+entry, never a runtime registration.  Heavy model modules are imported
 inside :meth:`evaluate` so importing the engine stays cheap and worker
 processes only pay for the models they run.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.errors import ConfigurationError
 from repro.engine.base import (
     ALL_WORKLOAD_KINDS,
     EvalRequest,
@@ -33,29 +35,6 @@ from repro.engine.base import (
 )
 
 
-def _analytic_payload(
-    capabilities: EvaluatorCapabilities, request: EvalRequest
-) -> dict[str, Any]:
-    """Cache identity shared by every analytic evaluator.
-
-    Deterministic functions of the configuration alone: seed, cycles and
-    warmup are excluded, so replications and ``--cycles`` overrides hit
-    the same entry instead of recomputing the identical value.
-    """
-    from repro.parallel.cache import config_payload
-    from repro.workloads.spec import workload_payload
-
-    payload: dict[str, Any] = {
-        "config": config_payload(request.config),
-        "workload": workload_payload(request.workload),
-        "method": str(capabilities.method),
-        "engine": capabilities.engine_token,
-    }
-    if request.metrics:
-        payload["metrics"] = [LITTLES_LAW_TOKEN]
-    return payload
-
-
 def _model_result(model) -> EvalResult:
     """Adapt a :class:`~repro.core.results.ModelResult` to the engine."""
     return EvalResult(
@@ -63,6 +42,31 @@ def _model_result(model) -> EvalResult:
         processor_utilization=model.processor_utilization,
         bus_utilization=model.bus_utilization,
     )
+
+
+class _AnalyticEvaluator:
+    """Cache identity shared by every analytic evaluator.
+
+    Deterministic functions of the configuration alone: seed, cycles and
+    warmup are excluded, so replications and ``--cycles`` overrides hit
+    the same entry instead of recomputing the identical value.
+    """
+
+    capabilities: EvaluatorCapabilities
+
+    def cache_payload(self, request: EvalRequest) -> dict[str, Any]:
+        from repro.parallel.cache import config_payload
+        from repro.workloads.spec import workload_payload
+
+        payload: dict[str, Any] = {
+            "config": config_payload(request.config),
+            "workload": workload_payload(request.workload),
+            "method": str(self.capabilities.method),
+            "engine": self.capabilities.engine_token,
+        }
+        if request.metrics:
+            payload["metrics"] = [LITTLES_LAW_TOKEN]
+        return payload
 
 
 class SimulationEvaluator:
@@ -80,19 +84,17 @@ class SimulationEvaluator:
     def evaluate(self, request: EvalRequest) -> EvalResult:
         from repro.parallel.workers import run_case
 
-        result = run_case(request.case())
-        if request.collects_latency:
-            assert result.latency is not None
+        result = run_case(request)
         return EvalResult(
             ebw=result.ebw,
             processor_utilization=result.processor_utilization,
             bus_utilization=result.bus_utilization,
-            latency=result.latency if request.collects_latency else None,
+            latency=result.latency,
         )
 
     def cache_payload(self, request: EvalRequest) -> dict[str, Any]:
-        """Simulation identity: the full case (config, workload, seed,
-        cycles, warmup, metrics) plus the engine namespace.
+        """Simulation identity: the full request (config, workload,
+        seed, cycles, warmup, metrics) plus the engine namespace.
 
         Exact (``fast``) requests carry the ``simulation@1`` namespace.
         The ``batch`` kernel is only statistically equivalent, so its
@@ -103,7 +105,7 @@ class SimulationEvaluator:
         """
         from repro.parallel.cache import case_payload
 
-        payload = case_payload(request.case())
+        payload = case_payload(request)
         payload["method"] = str(self.capabilities.method)
         if request.kernel == "batch":
             from repro.bus.backends import BATCH_ENGINE_TOKEN
@@ -114,7 +116,7 @@ class SimulationEvaluator:
         return payload
 
 
-class MarkovEvaluator:
+class MarkovEvaluator(_AnalyticEvaluator):
     """The paper's chains: Section 3.1.1 exact (priority to memories),
     Section 4 reduced (priority to processors)."""
 
@@ -135,11 +137,8 @@ class MarkovEvaluator:
             return _model_result(processor_priority_ebw(request.config))
         return _model_result(exact_memory_priority_ebw(request.config))
 
-    def cache_payload(self, request: EvalRequest) -> dict[str, Any]:
-        return _analytic_payload(self.capabilities, request)
 
-
-class MvaEvaluator:
+class MvaEvaluator(_AnalyticEvaluator):
     """Product-form MVA on the central-server model, with optional
     Little's-law mean-wait/queue-length metrics."""
 
@@ -169,11 +168,8 @@ class MvaEvaluator:
             littles=littles,
         )
 
-    def cache_payload(self, request: EvalRequest) -> dict[str, Any]:
-        return _analytic_payload(self.capabilities, request)
 
-
-class CrossbarEvaluator:
+class CrossbarEvaluator(_AnalyticEvaluator):
     """The Bhandarkar exact crossbar chain (comparison baseline)."""
 
     capabilities = EvaluatorCapabilities(
@@ -189,11 +185,8 @@ class CrossbarEvaluator:
 
         return _model_result(crossbar_exact_ebw(request.config))
 
-    def cache_payload(self, request: EvalRequest) -> dict[str, Any]:
-        return _analytic_payload(self.capabilities, request)
 
-
-class BandwidthEvaluator:
+class BandwidthEvaluator(_AnalyticEvaluator):
     """The Section 3.2 combinational bandwidth model (p <= 1)."""
 
     capabilities = EvaluatorCapabilities(
@@ -209,11 +202,8 @@ class BandwidthEvaluator:
 
         return _model_result(combinational_bandwidth_ebw(request.config))
 
-    def cache_payload(self, request: EvalRequest) -> dict[str, Any]:
-        return _analytic_payload(self.capabilities, request)
 
-
-class BoundsEvaluator:
+class BoundsEvaluator(_AnalyticEvaluator):
     """Balanced-job bounds on the central-server model.
 
     The cheapest analytic envelope: no chain build, no recursion.  The
@@ -246,11 +236,8 @@ class BoundsEvaluator:
             ),
         )
 
-    def cache_payload(self, request: EvalRequest) -> dict[str, Any]:
-        return _analytic_payload(self.capabilities, request)
 
-
-class ApproxEvaluator:
+class ApproxEvaluator(_AnalyticEvaluator):
     """The memory/processor-priority approximations as one method.
 
     Mirrors the ``markov`` priority dispatch at the approximation tier:
@@ -278,17 +265,29 @@ class ApproxEvaluator:
             return _model_result(processor_priority_ebw(request.config))
         return _model_result(approximate_memory_priority_ebw(request.config))
 
-    def cache_payload(self, request: EvalRequest) -> dict[str, Any]:
-        return _analytic_payload(self.capabilities, request)
+
+EVALUATORS: dict[EvaluationMethod, Any] = {
+    evaluator.capabilities.method: evaluator
+    for evaluator in (
+        SimulationEvaluator(),
+        MarkovEvaluator(),
+        MvaEvaluator(),
+        CrossbarEvaluator(),
+        BandwidthEvaluator(),
+        BoundsEvaluator(),
+        ApproxEvaluator(),
+    )
+}
+"""The method table: one evaluator instance per method."""
 
 
-BUILTIN_EVALUATORS = (
-    SimulationEvaluator(),
-    MarkovEvaluator(),
-    MvaEvaluator(),
-    CrossbarEvaluator(),
-    BandwidthEvaluator(),
-    BoundsEvaluator(),
-    ApproxEvaluator(),
-)
-"""One instance of each built-in evaluator, in registration order."""
+def get_evaluator(method: EvaluationMethod | str):
+    """The evaluator for ``method`` (a member or its value); raises
+    :class:`ConfigurationError` on an unknown name."""
+    try:
+        return EVALUATORS[EvaluationMethod(method)]
+    except ValueError:
+        known = ", ".join(sorted(str(m) for m in EVALUATORS))
+        raise ConfigurationError(
+            f"no evaluator for method {str(method)!r}; known: {known}"
+        ) from None

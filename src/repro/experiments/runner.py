@@ -10,7 +10,6 @@ Usage::
     python -m repro.experiments scenario       # list declarative scenarios
     python -m repro.experiments scenario figure2 --shard 1/4 --workers 8
     python -m repro.experiments scenario figure2 --workers 4
-    python -m repro.experiments sweep-serve figure2 --workers 4
     python -m repro.experiments sweep-work     # one stdio protocol worker
     python -m repro.experiments cache sweep    # sweep orphaned tmp files
 
@@ -43,13 +42,13 @@ TOML/JSON spec file, optionally as one shard of a multi-machine sweep
 
 The sweep service
 -----------------
-``sweep-serve`` runs a scenario through the distributed sweep service
-(:mod:`repro.service`): a coordinator leases planned position lists to
-``--workers N`` local workers (forked from the coordinator, each
-speaking newline-delimited JSON over a pipe pair), retries the leases of
-dead or straggling workers, and merges the streamed results into
-stdout byte-identical to the serial ``scenario`` run.  ``scenario
---workers N`` is the same machinery behind the familiar subcommand.
+``scenario --workers N`` runs a scenario through the distributed sweep
+service (:mod:`repro.service`): a coordinator leases planned position
+lists to N local workers (forked from the coordinator, each speaking
+newline-delimited JSON over a pipe pair), retries the leases of dead or
+straggling workers, and merges the streamed results into stdout
+byte-identical to the serial ``scenario`` run.  ``sweep-work`` is the
+worker end, spawned where the coordinator cannot fork.
 """
 
 from __future__ import annotations
@@ -127,10 +126,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.scenarios.cli import main as scenario_main
 
         return scenario_main(argv[1:])
-    if argv and argv[0] == "sweep-serve":
-        from repro.service.cli import serve_main
-
-        return serve_main(argv[1:])
     if argv and argv[0] == "sweep-work":
         from repro.service.cli import work_main
 

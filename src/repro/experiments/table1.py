@@ -14,7 +14,7 @@ _SIZES = (2, 4, 6, 8)
 def run() -> ExperimentResult:
     """Evaluate the Section 3.1.1 exact chain over the Table 1 grid.
 
-    Dispatches through the engine registry: the ``markov`` evaluator
+    Dispatches through the engine's method table: the ``markov`` evaluator
     resolves priority-to-memories configurations to the exact chain.
     """
     measured: dict[tuple[str, str], float] = {}

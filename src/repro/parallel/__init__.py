@@ -4,19 +4,19 @@ This subsystem holds the pieces every execution path shares, without
 giving up the reproduction's core guarantee: *the numbers do not depend
 on how they were scheduled*.
 
-* :mod:`repro.parallel.workers` supplies :class:`SimulationCase` and
-  :func:`run_case`, the one seeded simulator invocation, plus the
-  seed-to-estimate tasks (:class:`EbwTask`, :class:`LatencyTask`) that
+* :mod:`repro.parallel.workers` supplies :func:`run_case`, the one
+  seeded simulator invocation of an
+  :class:`~repro.engine.base.EvalRequest`, plus the seed-to-estimate
+  tasks (:class:`EbwTask`, :class:`LatencyTask`) that
   :func:`repro.des.replications.replicate` and
   :func:`~repro.des.replications.replicate_latency` loop over;
 * :class:`ResultCache` (:mod:`repro.parallel.cache`) is a
   content-addressed JSON store keyed on a canonical hash of the work
   description plus a code-version tag, so repeated sweeps and experiment
   runs skip already-computed points;
-* :mod:`repro.parallel.fleet` aggregates batch-kernel simulation cases
-  into lockstep fleets (:func:`~repro.parallel.fleet.run_fleet`,
-  :func:`~repro.parallel.fleet.replicate_batch`), handing whole
-  replication blocks to one vectorized
+* :mod:`repro.parallel.fleet` aggregates batch-kernel requests into
+  lockstep fleets (:func:`~repro.parallel.fleet.run_fleet`), handing
+  whole replication blocks to one vectorized
   :class:`~repro.bus.batch.BatchBusKernel` call.
 
 Parallel execution lives elsewhere: a scenario grid runs on N forked
@@ -28,12 +28,12 @@ whole experiments out over the runner's process pool.
 Determinism guarantee
 ---------------------
 Each item's randomness derives solely from its own seed via
-:mod:`repro.des.rng`, so a case computes the same bytes in whichever
+:mod:`repro.des.rng`, so a request computes the same bytes in whichever
 process runs it, and cached values are the bytes a fresh run would
 produce.
 """
 
-from repro.parallel.fleet import replicate_batch, run_fleet
+from repro.parallel.fleet import run_fleet
 from repro.parallel.cache import (
     ENV_CACHE_DIR,
     CacheStats,
@@ -46,21 +46,14 @@ from repro.parallel.cache import (
     fingerprint,
     reset_code_version_tag,
 )
-from repro.parallel.workers import (
-    EbwTask,
-    LatencyTask,
-    SimulationCase,
-    run_case,
-)
+from repro.parallel.workers import EbwTask, LatencyTask, run_case
 
 __all__ = [
     "ResultCache",
-    "replicate_batch",
     "run_fleet",
     "CacheStats",
     "EbwTask",
     "LatencyTask",
-    "SimulationCase",
     "run_case",
     "canonical_json",
     "fingerprint",

@@ -95,8 +95,9 @@ def config_payload(config) -> dict[str, Any]:
     }
 
 
-def case_payload(case) -> dict[str, Any]:
-    """A stable JSON-able description of a full :class:`SimulationCase`.
+def case_payload(request) -> dict[str, Any]:
+    """A stable JSON-able description of a simulation
+    :class:`~repro.engine.base.EvalRequest`.
 
     Covers every field that influences the simulated bytes - including
     the workload spec, so a hot-spot or trace run can never collide with
@@ -104,25 +105,25 @@ def case_payload(case) -> dict[str, Any]:
     (``workload=None`` and an explicit uniform spec intentionally share
     a key: they execute identically).
 
-    A latency-collecting case additionally carries a **versioned
+    A latency-collecting request additionally carries a **versioned
     metrics field** (``"metrics": ["latency@1"]``): its cached value
     holds latency-distribution payloads a metric-less entry lacks, so
     the two must never share a key - and a future change to the latency
     payload format bumps the version token, which retires every older
-    metric-bearing entry instead of misreading it.  Cases without
+    metric-bearing entry instead of misreading it.  Requests without
     metrics keep the exact pre-metrics payload shape (no ``metrics``
     key at all).
     """
     from repro.workloads.spec import workload_payload
 
     payload = {
-        "config": config_payload(case.config),
-        "cycles": case.cycles,
-        "seed": case.seed,
-        "warmup": case.warmup,
-        "workload": workload_payload(case.workload),
+        "config": config_payload(request.config),
+        "cycles": request.cycles,
+        "seed": request.seed,
+        "warmup": request.warmup,
+        "workload": workload_payload(request.workload),
     }
-    if getattr(case, "collect_latency", False):
+    if request.collects_latency:
         from repro.metrics import LATENCY_METRICS_TOKEN
 
         payload["metrics"] = [LATENCY_METRICS_TOKEN]

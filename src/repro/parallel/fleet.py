@@ -2,15 +2,15 @@
 
 The batch kernel (:mod:`repro.bus.batch`) vectorises many runs *within*
 one call.  This module is the bridge: it groups a list of
-:class:`~repro.parallel.workers.SimulationCase` items into lockstep
-fleets - cases sharing the pack fields and measurement window - and
-executes each fleet with a single :class:`~repro.bus.batch.BatchBusKernel`
-invocation instead of running the cases one by one.
+:class:`~repro.engine.base.EvalRequest` items into lockstep fleets -
+requests sharing the pack fields and measurement window - and executes
+each fleet with a single :class:`~repro.bus.batch.BatchBusKernel`
+invocation instead of running the requests one by one.
 
 Because fleet rows are fully independent (see the batch-kernel
-reproducibility contract), *how* cases are grouped can never change any
-case's result: a case executed alone, inside its scenario's fleet, or
-inside some other fleet produces identical bytes.  Grouping is therefore
+reproducibility contract), *how* requests are grouped can never change
+any request's result: a request executed alone, inside its scenario's
+fleet, or inside some other fleet produces identical bytes.  Grouping is therefore
 an execution lever exactly like ``--workers`` - with the one twist that the
 batch kernel's numbers differ from the exact kernels', which is why
 batch results carry their own engine cache token.
@@ -21,12 +21,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.results import SimulationResult
-from repro.parallel.workers import SimulationCase
-from repro.des.replications import ReplicationResult, replication_seeds
-from repro.workloads.spec import WorkloadSpec
+from repro.engine.base import EvalRequest
 
 
-def pack_key(case: SimulationCase) -> tuple:
+def pack_key(request: EvalRequest) -> tuple:
     """The super-fleet grouping key: pack fields plus the window.
 
     Shape numbers (``n``, ``m``, ``r``, buffer depth) are per-row
@@ -34,28 +32,28 @@ def pack_key(case: SimulationCase) -> tuple:
     arbitration branch and buffering mode - must match for rows to
     share one padded lockstep program.  So must the measurement window
     (rows of one kernel advance through identical cycle counts),
-    ``collect_latency`` (a whole-kernel lever: one sketch pair per
+    latency collection (a whole-kernel lever: one sketch pair per
     fleet) and ``backend`` (one kernel instance runs on one array
     substrate, even though every backend produces the same bytes).
     """
     from repro.bus.batch import PACK_FIELDS
 
     return tuple(
-        getattr(case.config, field) for field in PACK_FIELDS
+        getattr(request.config, field) for field in PACK_FIELDS
     ) + (
-        case.cycles,
-        case.warmup,
-        case.collect_latency,
-        case.backend,
+        request.cycles,
+        request.warmup,
+        request.collects_latency,
+        request.backend,
     )
 
 
-def pack_fleets(cases: Sequence[SimulationCase]) -> list[list[int]]:
-    """Partition case positions into shape-packed super-fleets.
+def pack_fleets(requests: Sequence[EvalRequest]) -> list[list[int]]:
+    """Partition request positions into shape-packed super-fleets.
 
     Groups are keyed on :func:`pack_key` and ordered by each key's
     first appearance, so the grouping is a deterministic function of
-    the case list alone.  A fragmented sweep - many shapes, few
+    the request list alone.  A fragmented sweep - many shapes, few
     replications each - lands in one padded batch call per
     arbitration/window/backend combination instead of one tiny fleet
     per shape.  By the packing contract each
@@ -64,95 +62,61 @@ def pack_fleets(cases: Sequence[SimulationCase]) -> list[list[int]]:
     wall-clock lever.
     """
     groups: dict[tuple, list[int]] = {}
-    for position, case in enumerate(cases):
-        groups.setdefault(pack_key(case), []).append(position)
+    for position, request in enumerate(requests):
+        groups.setdefault(pack_key(request), []).append(position)
     return list(groups.values())
 
 
-def run_fleet(cases: Sequence[SimulationCase]) -> list[SimulationResult]:
-    """Execute simulation cases through lockstep batch fleets.
+def run_fleet(requests: Sequence[EvalRequest]) -> list[SimulationResult]:
+    """Simulate requests through lockstep batch fleets.
 
     The batch counterpart of a
     :func:`~repro.parallel.workers.run_case` loop: results come back in
-    input order, and each case's result is independent of the grouping
-    (rows are independent; property-tested in
+    input order, and each request's result is independent of the
+    grouping (rows are independent; property-tested in
     ``tests/properties/test_batch_invariance.py``).  Latency-collecting
-    cases run through per-row quantile sketches and come back with
+    requests run through per-row quantile sketches and come back with
     sketch-based :class:`~repro.metrics.LatencyReport` values attached.
-    Cases are grouped by :func:`pack_key`, so shape-heterogeneous cases
-    run as padded super-fleets.
+    Requests are grouped by :func:`pack_key`, so shape-heterogeneous
+    requests run as padded super-fleets.
     """
     from repro.bus.batch import BatchBusKernel
 
-    cases = list(cases)
+    requests = list(requests)
     results: dict[int, SimulationResult] = {}
-    for positions in pack_fleets(cases):
+    for positions in pack_fleets(requests):
         configs = []
         seeds = []
         targets = []
         probabilities = []
         for position in positions:
-            case = cases[position]
-            workload = case.workload
+            request = requests[position]
+            workload = request.workload
             if workload is not None:
-                workload.validate(case.config)
-            configs.append(case.config)
-            seeds.append(case.seed)
+                workload.validate(request.config)
+            configs.append(request.config)
+            seeds.append(request.seed)
             targets.append(
-                workload.build_targets(case.config, case.seed)
+                workload.build_targets(request.config, request.seed)
                 if workload is not None
                 else None
             )
             probabilities.append(
-                workload.request_probabilities(case.config)
+                workload.request_probabilities(request.config)
                 if workload is not None
                 else None
             )
+        first = requests[positions[0]]
         kernel = BatchBusKernel(
             configs,
             seeds,
             targets=targets,
             request_probabilities=probabilities,
-            collect_latency=cases[positions[0]].collect_latency,
-            backend=cases[positions[0]].backend,
+            collect_latency=first.collects_latency,
+            backend=first.backend,
         )
-        fleet_results = kernel.run(
-            cases[positions[0]].cycles, warmup=cases[positions[0]].warmup
-        )
+        fleet_results = kernel.run(first.cycles, warmup=first.warmup)
         for position, result in zip(positions, fleet_results):
             results[position] = result
-    return [results[position] for position in range(len(cases))]
+    return [results[position] for position in range(len(requests))]
 
-
-def replicate_batch(
-    config,
-    replications: int,
-    base_seed: int = 0,
-    cycles: int = 20_000,
-    workload: WorkloadSpec | None = None,
-    confidence: float = 0.95,
-) -> ReplicationResult:
-    """Estimate EBW over independent replications with one batch call.
-
-    The fleet-aggregated counterpart of
-    :func:`repro.des.replications.replicate` with an
-    :class:`~repro.parallel.workers.EbwTask`: the same canonical
-    ``base_seed + i`` seed mapping, but the whole replication block
-    advances in one lockstep kernel.  Estimates are the batch kernel's
-    (reproducible in themselves, statistically equivalent to the exact
-    kernels - not bit-identical).
-    """
-    seeds = replication_seeds(base_seed, replications)
-    results = run_fleet(
-        [
-            SimulationCase(
-                config, cycles, seed, workload=workload, kernel="batch"
-            )
-            for seed in seeds
-        ]
-    )
-    return ReplicationResult(
-        estimates=tuple(result.ebw for result in results),
-        seeds=seeds,
-        confidence=confidence,
-    )

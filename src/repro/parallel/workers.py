@@ -6,12 +6,12 @@ primitives and enums) plus the run parameters, so they hash, compare
 and pickle as plain values.
 
 Non-uniform workloads travel as declarative specs
-(:mod:`repro.workloads.spec`) rather than live generators: a
-:class:`SimulationCase` carries the spec, and :func:`run_case` builds
-the matching generator *inside* the executing process from the case's
-own seed.  Live generators hold random streams and replay positions, so
-shipping the spec (not the object) is what keeps a result independent
-of which process computes it.
+(:mod:`repro.workloads.spec`) rather than live generators: an
+:class:`~repro.engine.base.EvalRequest` carries the spec, and
+:func:`run_case` builds the matching generator *inside* the executing
+process from the request's own seed.  Live generators hold random
+streams and replay positions, so shipping the spec (not the object) is
+what keeps a result independent of which process computes it.
 
 Determinism contract: a task called with a given seed performs exactly
 the computation a direct :func:`repro.bus.simulate` call performs with
@@ -24,65 +24,31 @@ import dataclasses
 
 from repro.core.config import SystemConfig
 from repro.core.results import SimulationResult
+from repro.engine.base import EvalRequest
 from repro.workloads.spec import WorkloadSpec
 
 
-@dataclasses.dataclass(frozen=True)
-class SimulationCase:
-    """One fully-specified simulator invocation.
-
-    ``workload=None`` means the paper's uniform workload and follows the
-    exact code path (and random-stream layout) of a plain
-    ``simulate(config, ...)`` call, so adding the field changed no
-    existing result bytes.  ``collect_latency`` attaches streaming
-    wait/service/total latency summaries (:mod:`repro.metrics`) to the
-    result; it draws no random numbers, so every simulated counter stays
-    bit-identical either way - but it *is* part of the case's cache
-    identity (see :func:`repro.parallel.cache.case_payload`), because
-    the cached value carries extra fields when it is set.
-    """
-
-    config: SystemConfig
-    cycles: int
-    seed: int
-    warmup: int | None = None
-    workload: WorkloadSpec | None = None
-    collect_latency: bool = False
-    kernel: str = "fast"
-    """Simulation tier (``"fast"``, the exact one, or ``"batch"``),
-    deliberately **not** part of :func:`repro.parallel.cache.case_payload`.
-    The batch kernel is reproducible in itself but *not* bit-identical,
-    so the engine layer caches batch results under their own
-    ``simulation-batch@1`` namespace (see
-    :meth:`repro.engine.evaluators.SimulationEvaluator.cache_payload`)."""
-    backend: str = "numpy"
-    """Array substrate for the batch kernel (:mod:`repro.bus.backends`).
-    Like ``kernel``, it is an execution lever and stays out of
-    :func:`repro.parallel.cache.case_payload`; backends that are not
-    bit-identical to numpy carry their own engine token, which is how
-    the cache keeps their results apart."""
-
-
-def run_case(case: SimulationCase) -> SimulationResult:
-    """Execute one :class:`SimulationCase`."""
+def run_case(request: EvalRequest) -> SimulationResult:
+    """Simulate one :class:`~repro.engine.base.EvalRequest`."""
     from repro.bus import simulate
 
     targets = None
     request_probabilities = None
-    if case.workload is not None:
-        case.workload.validate(case.config)
-        targets = case.workload.build_targets(case.config, case.seed)
-        request_probabilities = case.workload.request_probabilities(case.config)
+    workload = request.workload
+    if workload is not None:
+        workload.validate(request.config)
+        targets = workload.build_targets(request.config, request.seed)
+        request_probabilities = workload.request_probabilities(request.config)
     return simulate(
-        case.config,
-        cycles=case.cycles,
-        seed=case.seed,
-        warmup=case.warmup,
+        request.config,
+        cycles=request.cycles,
+        seed=request.seed,
+        warmup=request.warmup,
         targets=targets,
         request_probabilities=request_probabilities,
-        collect_latency=case.collect_latency,
-        kernel=case.kernel,
-        backend=case.backend,
+        collect_latency=request.collects_latency,
+        kernel=request.kernel,
+        backend=request.backend,
     )
 
 
@@ -102,7 +68,9 @@ class EbwTask:
 
     def __call__(self, seed: int) -> float:
         return run_case(
-            SimulationCase(self.config, self.cycles, seed, workload=self.workload)
+            EvalRequest(
+                self.config, self.workload, cycles=self.cycles, seed=seed
+            )
         ).ebw
 
 
@@ -123,12 +91,12 @@ class LatencyTask:
 
     def __call__(self, seed: int):
         result = run_case(
-            SimulationCase(
+            EvalRequest(
                 self.config,
-                self.cycles,
-                seed,
-                workload=self.workload,
-                collect_latency=True,
+                self.workload,
+                cycles=self.cycles,
+                seed=seed,
+                metrics=("latency",),
             )
         )
         assert result.latency is not None

@@ -7,6 +7,11 @@ Usage::
     repro-experiments scenario my-sweep.toml --shard 2/4
     repro-experiments scenario table3a --shard 1/3 > shard1.out
 
+    # Kill the first forked worker after its first result; the lease
+    # retry must leave stdout byte-identical to the serial run:
+    repro-experiments scenario figure2 --workers 3 --lease-size 2 \\
+        --chaos-kill-after 1
+
 Sharding contract: stdout carries exactly one self-contained line per
 executed work unit, each prefixed with its global (unsharded) index.
 Run the same scenario as ``k`` shards on ``k`` machines, concatenate
@@ -49,13 +54,57 @@ def list_scenarios() -> str:
     return "\n".join(lines)
 
 
-def add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags ``scenario`` and ``sweep-serve`` share.
+def open_cache(args):
+    """The result store the flags name, or ``None``.
 
-    Both subcommands hand them to :func:`run_scenario` through
-    :func:`check_run_flags`, :func:`load_run` and :func:`open_cache`,
-    which is what licenses byte-comparing their outputs.
+    A broken cache location only disables caching: it must never block
+    the science run.
     """
+    if not args.cache:
+        return None
+    from repro.parallel.cache import ResultCache
+
+    try:
+        return ResultCache(cache_dir=args.cache_dir)
+    except (ConfigurationError, OSError) as exc:
+        print(f"warning: caching disabled: {exc}", file=sys.stderr)
+        return None
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Entry point for ``repro-experiments scenario ...``."""
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments scenario",
+        description="Compile a declarative scenario into work units and "
+        "run them (optionally one shard of a multi-machine sweep).",
+    )
+    parser.add_argument(
+        "scenario",
+        nargs="?",
+        help="registered scenario name or a .toml/.json spec file; "
+        "omit to list registered scenarios",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="run through the sweep service: a coordinator leases "
+        "planned position lists to N local workers forked from it; "
+        "stdout stays byte-identical to the serial run",
+    )
+    parser.add_argument(
+        "--fast",
+        action="store_true",
+        help="shorthand for --kernel fast (the default)",
+    )
+    parser.add_argument(
+        "--chart",
+        action="store_true",
+        help="after the unit lines, draw the p50/p90/p99 total-latency "
+        "percentile curves across units as an ASCII chart on stderr "
+        "(requires --metrics latency); stdout stays byte-reproducible",
+    )
     parser.add_argument(
         "--shard",
         metavar="I/K",
@@ -69,6 +118,23 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="units per service lease (with --workers; default: the "
         "planner's cost-weighted sizing, capped at 256 units)",
+    )
+    parser.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="seconds a lease may run before its worker is declared "
+        "failed and its range is re-leased (with --workers; default 300)",
+    )
+    parser.add_argument(
+        "--chaos-kill-after",
+        type=int,
+        default=None,
+        metavar="K",
+        help="fault-injection testing hook: the first worker exits "
+        "abruptly after its K-th result, exercising lease retry (with "
+        "--workers)",
     )
     parser.add_argument(
         "--cycles",
@@ -131,10 +197,20 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
         "probe counters plus units dispatched), so planner skip-rates "
         "are observable",
     )
-
-
-def check_run_flags(parser, args, kernel: str) -> None:
-    """Reject out-of-range :func:`add_run_flags` values."""
+    args = parser.parse_args(argv)
+    if args.workers is None:
+        for flag, value in (
+            ("--lease-size", args.lease_size),
+            ("--deadline", args.deadline),
+            ("--chaos-kill-after", args.chaos_kill_after),
+        ):
+            if value is not None:
+                parser.error(f"{flag} requires --workers")
+    if args.fast and args.kernel == "batch":
+        # fast and batch produce deliberately different bytes, so a
+        # silent precedence pick would hand back the wrong tier.
+        parser.error("--fast conflicts with --kernel batch; pick one")
+    kernel = "fast" if args.fast else args.kernel
     if args.workers is not None and args.workers < 1:
         parser.error("--workers must be a positive integer")
     if args.lease_size is not None and args.lease_size < 1:
@@ -143,93 +219,23 @@ def check_run_flags(parser, args, kernel: str) -> None:
         # Backends are the batch kernel's array substrate; silently
         # ignoring --backend on another kernel would misreport what ran.
         parser.error("--backend requires --kernel batch")
-
-
-def load_run(args):
-    """The spec the flags name, with the ``--cycles``, ``--seed`` and
-    ``--metrics`` overrides applied, and the shard designator."""
-    spec = load_scenario(args.scenario)
-    if args.cycles is not None:
-        spec = dataclasses.replace(spec, cycles=args.cycles)
-    if args.metrics is not None:
-        spec = dataclasses.replace(
-            spec, metrics=spec.metrics + tuple(args.metrics)
-        )
-    if args.seed is not None:
-        spec = dataclasses.replace(
-            spec, plan=ReplicationPlan(spec.plan.replications, args.seed)
-        )
-    shard = parse_shard(args.shard) if args.shard is not None else None
-    return spec, shard
-
-
-def open_cache(args):
-    """The result store the flags name, or ``None``.
-
-    A broken cache location only disables caching: it must never block
-    the science run.
-    """
-    if not args.cache:
-        return None
-    from repro.parallel.cache import ResultCache
-
-    try:
-        return ResultCache(cache_dir=args.cache_dir)
-    except (ConfigurationError, OSError) as exc:
-        print(f"warning: caching disabled: {exc}", file=sys.stderr)
-        return None
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point for ``repro-experiments scenario ...``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments scenario",
-        description="Compile a declarative scenario into work units and "
-        "run them (optionally one shard of a multi-machine sweep).",
-    )
-    parser.add_argument(
-        "scenario",
-        nargs="?",
-        help="registered scenario name or a .toml/.json spec file; "
-        "omit to list registered scenarios",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run through the sweep service: a coordinator leases "
-        "planned position lists to N local workers forked from it (see "
-        "'sweep-serve'); stdout stays byte-identical to the serial run",
-    )
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="shorthand for --kernel fast (the default)",
-    )
-    parser.add_argument(
-        "--chart",
-        action="store_true",
-        help="after the unit lines, draw the p50/p90/p99 total-latency "
-        "percentile curves across units as an ASCII chart on stderr "
-        "(requires --metrics latency); stdout stays byte-reproducible",
-    )
-    add_run_flags(parser)
-    args = parser.parse_args(argv)
-    if args.lease_size is not None and args.workers is None:
-        parser.error("--lease-size requires --workers")
-    if args.fast and args.kernel == "batch":
-        # fast and batch produce deliberately different bytes, so a
-        # silent precedence pick would hand back the wrong tier.
-        parser.error("--fast conflicts with --kernel batch; pick one")
-    kernel = "fast" if args.fast else args.kernel
-    check_run_flags(parser, args, kernel)
     if args.scenario is None:
         print(list_scenarios())
         return 0
     telemetry: dict = {}
     try:
-        spec, shard = load_run(args)
+        spec = load_scenario(args.scenario)
+        if args.cycles is not None:
+            spec = dataclasses.replace(spec, cycles=args.cycles)
+        if args.metrics is not None:
+            spec = dataclasses.replace(
+                spec, metrics=spec.metrics + tuple(args.metrics)
+            )
+        if args.seed is not None:
+            spec = dataclasses.replace(
+                spec, plan=ReplicationPlan(spec.plan.replications, args.seed)
+            )
+        shard = parse_shard(args.shard) if args.shard is not None else None
         total = spec.grid_size() * spec.plan.replications
         part = f"shard {shard[0]}/{shard[1]} of " if shard else ""
         print(f"[scenario {spec.name}: {part}{total} units]", file=sys.stderr)
@@ -243,6 +249,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             backend=args.backend,
             workers=args.workers,
             lease_size=args.lease_size,
+            deadline=args.deadline,
+            chaos_kill_after=args.chaos_kill_after,
             telemetry=telemetry,
         )
     except ReproError as exc:

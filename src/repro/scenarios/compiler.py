@@ -29,8 +29,7 @@ from repro.bus.backends import DEFAULT_BACKEND, check_backend
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.engine.base import EvalRequest
-from repro.engine.registry import get_evaluator
-from repro.parallel.workers import SimulationCase
+from repro.engine.evaluators import get_evaluator
 from repro.scenarios.spec import EvaluationMethod, ScenarioSpec
 from repro.workloads.spec import WorkloadSpec
 
@@ -81,10 +80,6 @@ class WorkUnit:
             backend=self.backend,
         )
 
-    def case(self) -> SimulationCase:
-        """The :class:`SimulationCase` a simulation unit executes."""
-        return self.request().case()
-
     def payload(self) -> dict[str, Any]:
         """Content-addressed identity of the computation.
 
@@ -92,9 +87,9 @@ class WorkUnit:
         ``kernel``: two units that perform the same computation hash
         identically wherever they appear, which is what lets shards and
         unrelated scenarios share cache entries.  The encoding is
-        delegated to the unit's evaluator
-        (:meth:`repro.engine.base.Evaluator.cache_payload`), which adds
-        its versioned engine token: simulation units cover the full case
+        delegated to the unit's evaluator's ``cache_payload``
+        (:mod:`repro.engine.evaluators`), which adds its versioned
+        engine token: simulation units cover the full request
         (config, workload, seed, cycles, warmup, versioned metrics
         field); analytic methods are deterministic functions of the
         configuration alone, so their keys exclude seed/cycles/warmup -

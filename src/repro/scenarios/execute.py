@@ -28,7 +28,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.core.errors import ConfigurationError, ExperimentError
 from repro.engine.base import EvalResult, EvaluationMethod, LittlesLawLatency
-from repro.engine.registry import get_evaluator
+from repro.engine.evaluators import get_evaluator
 from repro.metrics import LatencyReport
 from repro.scenarios.compiler import WorkUnit, compile_scenario, shard_units
 from repro.scenarios.spec import ScenarioSpec
@@ -53,8 +53,8 @@ class UnitResult:
 def evaluate_unit(unit: WorkUnit) -> dict[str, Any]:
     """Evaluate one work unit.
 
-    Resolves the unit's method in the evaluator registry
-    (:mod:`repro.engine.registry`) and returns the evaluation's plain
+    Looks the unit's method up in the method table
+    (:mod:`repro.engine.evaluators`) and returns the evaluation's plain
     JSON-able metrics mapping so the value can be cached verbatim;
     floats round-trip exactly through JSON, so cached and
     freshly-computed runs are byte-identical.  Latency-metric units add
@@ -78,7 +78,7 @@ def evaluate_fleet(units: Sequence[WorkUnit]) -> list[dict[str, Any]]:
     """
     from repro.parallel.fleet import run_fleet
 
-    results = run_fleet([unit.case() for unit in units])
+    results = run_fleet([unit.request() for unit in units])
     return [
         EvalResult(
             ebw=result.ebw,
@@ -130,7 +130,7 @@ def pack_groups(
         if not _batchable(unit):
             groups.append([position])
             continue
-        key = pack_key(unit.case())
+        key = pack_key(unit.request())
         if key not in fleets:
             fleets[key] = []
             groups.append(fleets[key])

@@ -282,11 +282,11 @@ class ScenarioSpec:
                 )
         metrics = tuple(sorted(set(raw_metrics)))
         object.__setattr__(self, "metrics", metrics)
-        # Capability validation: the evaluator registry declares what
-        # each method can evaluate, so unsupported metric families and
-        # workload kinds are rejected here - at spec-construction (hence
+        # Capability validation: each method's evaluator declares what
+        # it can evaluate, so unsupported metric families and workload
+        # kinds are rejected here - at spec-construction (hence
         # scenario-load) time - with a message naming the constraint.
-        from repro.engine.registry import get_evaluator
+        from repro.engine.evaluators import get_evaluator
 
         capabilities = get_evaluator(self.method).capabilities
         capabilities.check_metrics(metrics)

@@ -8,14 +8,16 @@ multi-worker *service*:
   protocol (newline-delimited JSON messages);
 * :mod:`repro.service.worker` - the worker-side protocol machine and
   the stdio server behind ``repro-experiments sweep-work``;
-* :mod:`repro.service.transports` - how messages move: a local
-  subprocess transport (stdio pipes) and an in-process loopback
-  transport for deterministic tests;
+* :mod:`repro.service.transports` - how messages move: workers forked
+  from the coordinator or spawned ``sweep-work`` processes, both over
+  pipe pairs, and an in-process loopback transport for deterministic
+  tests;
 * :mod:`repro.service.coordinator` - compile once, lease planned
   position lists, track deadlines, retry failed/straggling workers, and
   merge results byte-identical to a serial run;
-* :mod:`repro.service.cli` - the ``sweep-serve`` / ``sweep-work``
-  subcommands and the machinery behind ``scenario --workers N``.
+* :mod:`repro.service.cli` - the ``sweep-work`` subcommand.  The
+  coordinator end is ``repro-experiments scenario <name> --workers N``
+  (:mod:`repro.scenarios.cli`).
 
 All workers share one concurrent :class:`repro.parallel.cache.ResultCache`
 store (sharded content-addressed layout, crash-safe writes), so a fleet

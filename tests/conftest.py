@@ -31,30 +31,31 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "result-cache"))
 
 
-def _run_on_reference_machine(case):
+def _run_on_reference_machine(request):
     """:func:`repro.parallel.workers.run_case` on the reference machine.
 
-    Builds the case's sampler exactly as ``run_case`` does, then runs
+    Builds the request's sampler exactly as ``run_case`` does, then runs
     :class:`MultiplexedBusSystem`, the oracle the fast loop is held to.
     """
     targets = None
     request_probabilities = None
-    if case.workload is not None:
-        targets = case.workload.build_targets(case.config, case.seed)
-        request_probabilities = case.workload.request_probabilities(case.config)
+    workload = request.workload
+    if workload is not None:
+        targets = workload.build_targets(request.config, request.seed)
+        request_probabilities = workload.request_probabilities(request.config)
     system = MultiplexedBusSystem(
-        case.config,
-        seed=case.seed,
+        request.config,
+        seed=request.seed,
         targets=targets,
         request_probabilities=request_probabilities,
-        collect_latency=case.collect_latency,
+        collect_latency=request.collects_latency,
     )
-    return system.run(case.cycles, warmup=case.warmup)
+    return system.run(request.cycles, warmup=request.warmup)
 
 
 @pytest.fixture(scope="session")
 def run_on_reference_machine():
-    """A ``SimulationCase -> SimulationResult`` runner on the oracle."""
+    """An ``EvalRequest -> SimulationResult`` runner on the oracle."""
     return _run_on_reference_machine
 
 

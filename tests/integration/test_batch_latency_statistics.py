@@ -30,10 +30,11 @@ import pytest
 from repro.bus.batch import BATCH_ENGINE_TOKEN
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority, TieBreak
+from repro.engine.base import EvalRequest
 from repro.metrics import LATENCY_METRICS_TOKEN
 from repro.parallel.cache import ResultCache, fingerprint
 from repro.parallel.fleet import run_fleet
-from repro.parallel.workers import SimulationCase, run_case
+from repro.parallel.workers import run_case
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.execute import run_units
 from repro.scenarios.spec import (
@@ -88,16 +89,20 @@ def _samples(results, component, field):
 def test_batch_latency_statistics_match_fast_within_bounds(config):
     fast = [
         run_case(
-            SimulationCase(
-                config, CYCLES, seed, kernel="fast", collect_latency=True
+            EvalRequest(
+                config, cycles=CYCLES, seed=seed, metrics=("latency",)
             )
         )
         for seed in range(REPLICATIONS)
     ]
     batch = run_fleet(
         [
-            SimulationCase(
-                config, CYCLES, seed, kernel="batch", collect_latency=True
+            EvalRequest(
+                config,
+                cycles=CYCLES,
+                seed=seed,
+                metrics=("latency",),
+                kernel="batch",
             )
             for seed in range(REPLICATIONS)
         ]
@@ -177,8 +182,12 @@ def test_batch_latency_counts_are_internally_consistent():
     config = SystemConfig(4, 8, 4, buffered=True, buffer_depth=2)
     results = run_fleet(
         [
-            SimulationCase(
-                config, 2_000, seed, kernel="batch", collect_latency=True
+            EvalRequest(
+                config,
+                cycles=2_000,
+                seed=seed,
+                metrics=("latency",),
+                kernel="batch",
             )
             for seed in range(4)
         ]
@@ -196,15 +205,20 @@ def test_batch_latency_counts_are_internally_consistent():
 
 def test_latency_collection_never_changes_batch_counters():
     config = SystemConfig(8, 8, 8, buffered=True)
-    cases = [
-        SimulationCase(config, 1_500, seed, kernel="batch")
-        for seed in range(3)
-    ]
-    plain = run_fleet(cases)
+    plain = run_fleet(
+        [
+            EvalRequest(config, cycles=1_500, seed=seed, kernel="batch")
+            for seed in range(3)
+        ]
+    )
     collected = run_fleet(
         [
-            SimulationCase(
-                config, 1_500, seed, kernel="batch", collect_latency=True
+            EvalRequest(
+                config,
+                cycles=1_500,
+                seed=seed,
+                metrics=("latency",),
+                kernel="batch",
             )
             for seed in range(3)
         ]

@@ -24,8 +24,9 @@ from repro.bus.system import MultiplexedBusSystem
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority, TieBreak
 from repro.parallel.cache import ResultCache, fingerprint
-from repro.parallel.fleet import replicate_batch, run_fleet
-from repro.parallel.workers import SimulationCase, run_case
+from repro.engine.base import EvalRequest
+from repro.parallel.fleet import run_fleet
+from repro.parallel.workers import run_case
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.execute import run_units
 from repro.scenarios.spec import (
@@ -78,12 +79,12 @@ def _means(results):
 )
 def test_batch_agrees_with_fast_within_confidence_bounds(config):
     fast = [
-        run_case(SimulationCase(config, CYCLES, seed, kernel="fast"))
+        run_case(EvalRequest(config, cycles=CYCLES, seed=seed))
         for seed in range(REPLICATIONS)
     ]
     batch = run_fleet(
         [
-            SimulationCase(config, CYCLES, seed, kernel="batch")
+            EvalRequest(config, cycles=CYCLES, seed=seed, kernel="batch")
             for seed in range(REPLICATIONS)
         ]
     )
@@ -157,22 +158,6 @@ def test_batch_geometric_access_agrees_with_fast(config):
         f"geometric mean latency diverges: fast {fast_latency:.4f} vs "
         f"batch {batch_latency:.4f} (bound {latency_bound:.4f})"
     )
-
-
-def test_replicate_batch_matches_fleet_estimates():
-    config = SystemConfig(8, 8, 8)
-    replication = replicate_batch(
-        config, replications=5, base_seed=3, cycles=2_000
-    )
-    direct = run_fleet(
-        [
-            SimulationCase(config, 2_000, seed, kernel="batch")
-            for seed in range(3, 8)
-        ]
-    )
-    assert replication.estimates == tuple(r.ebw for r in direct)
-    assert replication.seeds == (3, 4, 5, 6, 7)
-    assert 0.0 < replication.mean <= config.max_ebw
 
 
 # ----------------------------------------------------------------------

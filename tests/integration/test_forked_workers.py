@@ -1,11 +1,11 @@
 """Fork-safety rules of the sweep service's local workers.
 
-``scenario --workers N`` and ``sweep-serve`` fork their workers from
-the coordinator (:func:`repro.service.transports.fork_workers`).  Each
-rule that makes forking safe has a test here: pending output is flushed
-before forking, every child is forked before any reader thread starts,
-no child holds a sibling's input open, and children leave only through
-``os._exit`` and are all reaped.
+``scenario --workers N`` forks its workers from the coordinator
+(:func:`repro.service.transports.fork_workers`).  Each rule that makes
+forking safe has a test here: pending output is flushed before forking,
+every child is forked before any reader thread starts, no child holds a
+sibling's input open, and children leave only through ``os._exit`` and
+are all reaped.
 """
 
 from __future__ import annotations

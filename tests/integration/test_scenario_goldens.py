@@ -13,12 +13,15 @@ Regenerate after an *intentional* output change with::
     REPRO_REGENERATE_GOLDENS=1 python -m pytest \
         tests/integration/test_scenario_goldens.py -q
 
-and commit the updated golden file alongside the change.
+and commit the updated golden file alongside the change.  The same
+variable regenerates ``tests/golden/unit_payloads.txt``, the pin on
+every registered scenario's cache keys.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import pathlib
 
@@ -27,6 +30,7 @@ GOLDEN_PATH = (
     / "golden"
     / "scenario_goldens.txt"
 )
+PAYLOAD_GOLDEN_PATH = GOLDEN_PATH.with_name("unit_payloads.txt")
 GOLDEN_CYCLES = 1_200
 """Cycles per unit: small enough for CI, long enough to exercise
 warm-up, batching and the latency pipeline."""
@@ -74,6 +78,45 @@ def test_all_registered_scenarios_match_golden():
             f"for: {', '.join(changed)}; if the change is intentional, "
             "regenerate with REPRO_REGENERATE_GOLDENS=1 (see module docstring)"
         )
+
+
+def generate_payload_digests() -> str:
+    """One line per registered scenario and kernel: the unit count and
+    the sha256 over the compiled units' payload fingerprints, in unit
+    order."""
+    from repro.parallel.cache import fingerprint
+    from repro.scenarios.compiler import compile_scenario
+    from repro.scenarios.registry import all_scenarios
+
+    lines = []
+    for spec in all_scenarios():
+        for kernel in ("fast", "batch"):
+            units = compile_scenario(spec, kernel=kernel)
+            digest = hashlib.sha256()
+            for unit in units:
+                digest.update(f"{fingerprint(unit.payload())}\n".encode())
+            lines.append(
+                f"{spec.name} {kernel} {len(units)} {digest.hexdigest()}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def test_all_registered_unit_payloads_match_golden():
+    """Every registered scenario's cache keys, under both kernels, match
+    ``tests/golden/unit_payloads.txt``.  Renaming, dropping or
+    re-encoding a payload field fails here even when no printed byte
+    moves, because it would orphan every stored result."""
+    actual = generate_payload_digests()
+    if os.environ.get("REPRO_REGENERATE_GOLDENS"):
+        PAYLOAD_GOLDEN_PATH.write_text(actual, encoding="utf-8")
+    expected = PAYLOAD_GOLDEN_PATH.read_text(encoding="utf-8")
+    changed = sorted(
+        set(actual.splitlines()) ^ set(expected.splitlines())
+    )
+    assert actual == expected, (
+        "unit payloads diverge from tests/golden/unit_payloads.txt: "
+        + "; ".join(changed)
+    )
 
 
 def test_fast_and_reference_kernels_share_report_bytes(

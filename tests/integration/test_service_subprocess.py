@@ -58,19 +58,34 @@ def _run_cli(*argv: str, cache_dir=None) -> subprocess.CompletedProcess:
     return process
 
 
-class TestSweepServe:
-    def test_served_stdout_is_byte_identical_to_serial(self, spec_file):
+class TestScenarioWorkersFlag:
+    def test_workers_flag_matches_serial_bytes(self, spec_file):
         serial = _run_cli("scenario", spec_file, "--no-cache")
         served = _run_cli(
-            "sweep-serve", spec_file, "--workers", "3", "--no-cache"
+            "scenario", spec_file, "--workers", "3", "--no-cache"
         )
         assert served.stdout == serial.stdout
-        assert "[sweep-serve service-e2e:" in served.stderr
+        assert "[scenario service-e2e: 6 units]" in served.stderr
+
+    def test_workers_flag_composes_with_shard(self, spec_file):
+        serial = _run_cli(
+            "scenario", spec_file, "--shard", "2/3", "--no-cache"
+        )
+        served = _run_cli(
+            "scenario",
+            spec_file,
+            "--shard",
+            "2/3",
+            "--workers",
+            "2",
+            "--no-cache",
+        )
+        assert served.stdout == serial.stdout
 
     def test_chaos_killed_worker_does_not_change_the_bytes(self, spec_file):
         serial = _run_cli("scenario", spec_file, "--no-cache")
         served = _run_cli(
-            "sweep-serve",
+            "scenario",
             spec_file,
             "--workers",
             "3",
@@ -87,10 +102,10 @@ class TestSweepServe:
         every unit from cache, and the store has no litter."""
         store = tmp_path / "store"
         cold = _run_cli(
-            "sweep-serve", spec_file, "--workers", "2", cache_dir=store
+            "scenario", spec_file, "--workers", "2", cache_dir=store
         )
         warm = _run_cli(
-            "sweep-serve", spec_file, "--workers", "2", cache_dir=store
+            "scenario", spec_file, "--workers", "2", cache_dir=store
         )
         assert warm.stdout == cold.stdout
         assert "6 from cache" in warm.stderr
@@ -101,13 +116,13 @@ class TestSweepServe:
     def test_cache_stats_reports_probe_and_dispatch(
         self, spec_file, tmp_path
     ):
-        """A cold ``sweep-serve --cache-stats`` run leases every unit
-        (six equal-cost units over two workers: one lease each); a warm
-        rerun resolves every unit in the pre-lease probe and issues no
-        lease."""
+        """A cold ``scenario --workers --cache-stats`` run leases every
+        unit (six equal-cost units over two workers: one lease each); a
+        warm rerun resolves every unit in the pre-lease probe and issues
+        no lease."""
         store = tmp_path / "store"
         cold = _run_cli(
-            "sweep-serve",
+            "scenario",
             spec_file,
             "--workers",
             "2",
@@ -119,7 +134,7 @@ class TestSweepServe:
             "leases=6 retried=0 " in cold.stderr
         )
         warm = _run_cli(
-            "sweep-serve",
+            "scenario",
             spec_file,
             "--workers",
             "2",
@@ -131,30 +146,6 @@ class TestSweepServe:
             "[cache-stats probe_hits=6 dispatched=0 of 6 units "
             "leases=0 retried=0 " in warm.stderr
         )
-
-
-class TestScenarioWorkersFlag:
-    def test_workers_flag_matches_serial_bytes(self, spec_file):
-        serial = _run_cli("scenario", spec_file, "--no-cache")
-        served = _run_cli(
-            "scenario", spec_file, "--workers", "3", "--no-cache"
-        )
-        assert served.stdout == serial.stdout
-
-    def test_workers_flag_composes_with_shard(self, spec_file):
-        serial = _run_cli(
-            "scenario", spec_file, "--shard", "2/3", "--no-cache"
-        )
-        served = _run_cli(
-            "scenario",
-            spec_file,
-            "--shard",
-            "2/3",
-            "--workers",
-            "2",
-            "--no-cache",
-        )
-        assert served.stdout == serial.stdout
 
 
 class TestSpawnedWorkers:

@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from repro.bus.batch import BatchBusKernel, run_batch
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority, TieBreak
+from repro.engine.base import EvalRequest
 from repro.parallel.fleet import pack_fleets, run_fleet
-from repro.parallel.workers import SimulationCase
 from repro.scenarios.execute import (
     merge_reports,
     render_report,
@@ -128,34 +128,39 @@ class TestFleetComposition:
     @settings(max_examples=25, deadline=None)
     def test_permutation_and_single_row_invariance(self, data, shape):
         rows = data.draw(fleet_rows(shape))
-        cases = [
-            SimulationCase(
-                config, 400, seed, warmup=80, workload=workload, kernel="batch"
+        requests = [
+            EvalRequest(
+                config,
+                workload,
+                cycles=400,
+                warmup=80,
+                seed=seed,
+                kernel="batch",
             )
             for config, seed, workload in rows
         ]
-        full = run_fleet(cases)
-        permutation = data.draw(st.permutations(range(len(cases))))
-        permuted = run_fleet([cases[i] for i in permutation])
+        full = run_fleet(requests)
+        permutation = data.draw(st.permutations(range(len(requests))))
+        permuted = run_fleet([requests[i] for i in permutation])
         for j, i in enumerate(permutation):
             assert result_key(permuted[j]) == result_key(full[i])
         # Single-row fleets (the simulate(kernel="batch") path) agree.
-        for case, result in zip(cases, full):
+        for request, result in zip(requests, full):
             targets = (
-                case.workload.build_targets(case.config, case.seed)
-                if case.workload is not None
+                request.workload.build_targets(request.config, request.seed)
+                if request.workload is not None
                 else None
             )
             probabilities = (
-                case.workload.request_probabilities(case.config)
-                if case.workload is not None
+                request.workload.request_probabilities(request.config)
+                if request.workload is not None
                 else None
             )
             single = run_batch(
-                case.config,
-                cycles=case.cycles,
-                seed=case.seed,
-                warmup=case.warmup,
+                request.config,
+                cycles=request.cycles,
+                seed=request.seed,
+                warmup=request.warmup,
                 targets=targets,
                 request_probabilities=probabilities,
             )
@@ -208,8 +213,8 @@ class TestShardInvariance:
     def test_grouping_is_deterministic(self):
         spec = _batch_scenario()
         units = compile_scenario(spec, kernel="batch")
-        cases = [unit.case() for unit in units]
-        assert pack_fleets(cases) == pack_fleets(list(cases))
+        requests = [unit.request() for unit in units]
+        assert pack_fleets(requests) == pack_fleets(list(requests))
 
 
 class TestSeedStreams:
@@ -235,10 +240,10 @@ _MAX_TAKE = 8
 def lane_programs(draw):
     """A fleet size plus a random interleaving of lane calls.
 
-    ``take_all`` and ``take_block`` read one shared buffer column, so
-    they only appear while every call so far took the same number of
-    draws from each row - the precondition the kernel honours too (its
-    arbitration stream only ever sees ``take_all``).
+    ``take_all`` reads one shared buffer column, so it only appears
+    while every call so far took the same number of draws from each
+    row - the precondition the kernel honours too (its arbitration
+    stream only ever sees ``take_all``).
     """
     fleet = draw(st.integers(min_value=1, max_value=6))
     rows = st.integers(min_value=0, max_value=fleet - 1)
@@ -248,13 +253,10 @@ def lane_programs(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=40))):
         kinds = ["take_rows", "take_rows_multi", "take_counts"]
         if lockstep:
-            kinds += ["take_all", "take_block"]
+            kinds.append("take_all")
         kind = draw(st.sampled_from(kinds))
         if kind == "take_all":
             argument, per_row = None, [1] * fleet
-        elif kind == "take_block":
-            argument = draw(st.integers(min_value=1, max_value=_MAX_TAKE))
-            per_row = [argument] * fleet
         elif kind == "take_counts":
             argument = draw(
                 st.lists(
@@ -316,9 +318,6 @@ class TestPhiloxChunking:
                 if kind == "take_all":
                     got = lanes.take_all()
                     want = [expect(row)[0] for row in range(fleet)]
-                elif kind == "take_block":
-                    got = lanes.take_block(argument).tolist()
-                    want = [expect(row, argument) for row in range(fleet)]
                 elif kind == "take_counts":
                     values = lanes.take_counts(np.array(argument))
                     got = [

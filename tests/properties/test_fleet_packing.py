@@ -42,8 +42,8 @@ from repro.bus.backends import NumbaBackend
 from repro.bus.batch import BatchBusKernel
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority, TieBreak
+from repro.engine.base import EvalRequest
 from repro.parallel.fleet import run_fleet
-from repro.parallel.workers import SimulationCase
 from repro.workloads.spec import (
     HotSpotWorkload,
     RequestMixWorkload,
@@ -86,11 +86,11 @@ def shape_of(config):
     )
 
 
-def shape_groups(cases):
-    """Positions of ``cases`` grouped by shape, first appearance first."""
+def shape_groups(requests):
+    """Positions of ``requests`` grouped by shape, first appearance first."""
     groups: dict = {}
-    for position, case in enumerate(cases):
-        groups.setdefault(shape_of(case.config), []).append(position)
+    for position, request in enumerate(requests):
+        groups.setdefault(shape_of(request.config), []).append(position)
     return list(groups.values())
 
 
@@ -383,27 +383,27 @@ class TestPackingBitIdentity:
 
 
 class TestFleetLayerPacking:
-    def _fragmented_cases(self):
-        cases = []
+    def _fragmented_requests(self):
+        requests = []
         for ratio in (1, 2, 4):
             for memories in (2, 3):
                 for replication in range(2):
-                    cases.append(
-                        SimulationCase(
+                    requests.append(
+                        EvalRequest(
                             SystemConfig(3, memories, ratio),
-                            400,
-                            replication,
+                            cycles=400,
                             warmup=80,
+                            seed=replication,
                             kernel="batch",
                         )
                     )
-        return cases
+        return requests
 
     def test_run_fleet_matches_per_shape_calls(self):
-        cases = self._fragmented_cases()
-        packed = run_fleet(cases)
-        for group in shape_groups(cases):
-            per_shape = run_fleet([cases[i] for i in group])
+        requests = self._fragmented_requests()
+        packed = run_fleet(requests)
+        for group in shape_groups(requests):
+            per_shape = run_fleet([requests[i] for i in group])
             for position, row_alone in zip(group, per_shape):
                 assert result_key(packed[position]) == result_key(row_alone)
                 assert latency_key(packed[position]) == latency_key(
@@ -434,7 +434,7 @@ class TestFleetLayerPacking:
         units = compile_scenario(spec, kernel="batch")
         packed = render_report(run_units(units))
         per_shape = {}
-        for group in shape_groups([unit.case() for unit in units]):
+        for group in shape_groups([unit.request() for unit in units]):
             results = run_units([units[i] for i in group])
             per_shape.update(zip(group, results))
         assert render_report(
@@ -446,6 +446,6 @@ class TestFleetLayerPacking:
         one packed kernel call instead of one per shape."""
         from repro.parallel.fleet import pack_fleets
 
-        cases = self._fragmented_cases()
-        assert len(pack_fleets(cases)) == 1
-        assert len(shape_groups(cases)) == 6
+        requests = self._fragmented_requests()
+        assert len(pack_fleets(requests)) == 1
+        assert len(shape_groups(requests)) == 6

@@ -20,8 +20,9 @@ from repro.bus.system import MultiplexedBusSystem
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.core.policy import Priority, TieBreak
+from repro.engine.base import EvalRequest
 from repro.des.rng import StreamFactory
-from repro.parallel.workers import SimulationCase, run_case
+from repro.parallel.workers import run_case
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.execute import run_scenario
 from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
@@ -148,16 +149,16 @@ class TestBitIdentical:
     ):
         workload = data.draw(workloads_for(config))
         cycles, warmup, batches = window
-        case = SimulationCase(
+        request = EvalRequest(
             config,
-            cycles,
-            seed,
+            workload,
+            cycles=cycles,
             warmup=warmup,
-            workload=workload,
-            collect_latency=True,
+            seed=seed,
+            metrics=("latency",),
         )
-        reference = run_on_reference_machine(case)
-        fast = run_case(case)
+        reference = run_on_reference_machine(request)
+        fast = run_case(request)
         assert result_key(reference) == result_key(fast)
 
     @given(st.integers(min_value=0, max_value=2**31))

@@ -299,17 +299,28 @@ class TestScenarioCompiler:
 
 class TestFleetGrouping:
     def test_pack_key_separates_backends(self):
+        from repro.engine.base import EvalRequest
         from repro.parallel.fleet import pack_fleets, pack_key
-        from repro.parallel.workers import SimulationCase
 
         config = SystemConfig(2, 2, 2)
-        numpy_case = SimulationCase(config, 500, 0, kernel="batch")
-        numba_case = SimulationCase(
-            config, 500, 0, kernel="batch", backend="numba"
+        numpy_request = EvalRequest(config, cycles=500, kernel="batch")
+        numba_request = EvalRequest(
+            config, cycles=500, kernel="batch", backend="numba"
         )
-        assert pack_key(numpy_case) != pack_key(numba_case)
-        groups = pack_fleets([numpy_case, numba_case, numpy_case])
+        assert pack_key(numpy_request) != pack_key(numba_request)
+        groups = pack_fleets([numpy_request, numba_request, numpy_request])
         assert groups == [[0, 2], [1]]
+
+    def test_pack_key_separates_latency_collection(self):
+        from repro.engine.base import EvalRequest
+        from repro.parallel.fleet import pack_fleets
+
+        config = SystemConfig(2, 2, 2)
+        plain = EvalRequest(config, cycles=500, kernel="batch")
+        latency = EvalRequest(
+            config, cycles=500, metrics=("latency",), kernel="batch"
+        )
+        assert pack_fleets([plain, latency, plain]) == [[0, 2], [1]]
 
 
 class TestCli:
@@ -338,18 +349,16 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["scenario", "sweep-serve"])
-    def test_backend_choices_are_the_known_table(self, command, capsys):
+    @pytest.mark.parametrize(
+        "workers", [[], ["--workers", "2"]], ids=["scenario", "scenario-workers"]
+    )
+    def test_backend_choices_are_the_known_table(self, workers, capsys):
         from repro.bus.backends import KNOWN_BACKENDS
         from repro.experiments.runner import main
-        from repro.service.cli import serve_main
 
-        argv = ["figure2", "--kernel", "batch", "--backend", "cupy"]
+        argv = ["figure2", *workers, "--kernel", "batch", "--backend", "cupy"]
         with pytest.raises(SystemExit) as excinfo:
-            if command == "scenario":
-                main(["scenario", *argv])
-            else:
-                serve_main(argv)
+            main(["scenario", *argv])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice" in err

@@ -10,18 +10,16 @@ from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError, ExperimentError
 from repro.core.policy import Priority
 from repro.engine import (
+    EVALUATORS,
     EvalRequest,
     EvalResult,
     EvaluationMethod,
     EvaluatorCapabilities,
     LittlesLawLatency,
-    all_evaluators,
     evaluate,
     evaluate_config,
     get_evaluator,
-    register_evaluator,
 )
-from repro.engine.registry import _REGISTRY
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.execute import evaluate_unit, run_units, unit_line
 from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
@@ -33,7 +31,7 @@ def small_config(**overrides) -> SystemConfig:
     return SystemConfig(**{**BASE, **overrides})
 
 
-class TestRegistry:
+class TestMethodTable:
     def test_every_method_has_an_evaluator(self):
         for method in EvaluationMethod:
             evaluator = get_evaluator(method)
@@ -41,51 +39,17 @@ class TestRegistry:
             assert "@" in evaluator.capabilities.engine_token
 
     def test_engine_tokens_are_unique(self):
-        tokens = [e.capabilities.engine_token for e in all_evaluators()]
+        tokens = [e.capabilities.engine_token for e in EVALUATORS.values()]
         assert len(tokens) == len(set(tokens))
 
     def test_unknown_method_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="no evaluator"):
             get_evaluator("quantum")
 
-    def test_duplicate_registration_requires_replace(self):
-        simulation = get_evaluator("simulation")
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_evaluator(simulation)
-        # Replacement swaps the instance and is reversible.
-        try:
-            register_evaluator(simulation, replace=True)
-            assert get_evaluator("simulation") is simulation
-        finally:
-            _REGISTRY["simulation"] = simulation
-
-    def test_non_evaluators_are_rejected(self):
-        with pytest.raises(ConfigurationError, match="not an Evaluator"):
-            register_evaluator(object())
-
-    def test_custom_evaluator_registration(self):
-        @dataclasses.dataclass(frozen=True)
-        class _Caps:
-            method: str = "constant"
-            engine_token: str = "constant@1"
-
-            def check(self, request):
-                return None
-
-        class ConstantEvaluator:
-            capabilities = _Caps()
-
-            def evaluate(self, request):
-                return EvalResult(1.0, 0.5, 0.5)
-
-            def cache_payload(self, request):
-                return {"method": "constant", "engine": "constant@1"}
-
-        try:
-            register_evaluator(ConstantEvaluator())
-            assert evaluate(EvalRequest(small_config()), "constant").ebw == 1.0
-        finally:
-            _REGISTRY.pop("constant", None)
+    def test_lookup_by_value_and_member_agree(self):
+        for method, evaluator in EVALUATORS.items():
+            assert get_evaluator(method.value) is evaluator
+            assert get_evaluator(method) is evaluator
 
 
 class TestCapabilities:

@@ -127,7 +127,7 @@ class TestCarveLeases:
         from repro.parallel.fleet import pack_key
 
         ordered_keys = [
-            pack_key(units[p].case()) for lease in leases for p in lease
+            pack_key(units[p].request()) for lease in leases for p in lease
         ]
         # Affine order visits each pack key as one contiguous run.
         seen = []

@@ -14,7 +14,8 @@ from repro.des.replications import (
     replicate_until,
     replication_seeds,
 )
-from repro.parallel import EbwTask, LatencyTask, SimulationCase, run_case
+from repro.engine.base import EvalRequest
+from repro.parallel import EbwTask, LatencyTask, run_case
 
 
 def noisy_estimator(seed: int) -> float:
@@ -165,8 +166,22 @@ class TestSimulationTasks:
         from repro.bus import simulate
 
         config = SystemConfig(2, 2, 2)
-        case = SimulationCase(config, 1_500, seed=7)
-        assert run_case(case) == simulate(config, cycles=1_500, seed=7)
+        request = EvalRequest(config, cycles=1_500, seed=7)
+        assert run_case(request) == simulate(config, cycles=1_500, seed=7)
+
+    def test_run_case_collects_latency_when_requested(self):
+        from repro.bus import simulate
+
+        config = SystemConfig(2, 2, 2, buffered=True)
+        request = EvalRequest(
+            config, cycles=1_500, seed=7, metrics=("latency",)
+        )
+        result = run_case(request)
+        assert result.latency is not None
+        assert result == simulate(
+            config, cycles=1_500, seed=7, collect_latency=True
+        )
+        assert run_case(EvalRequest(config, cycles=1_500, seed=7)).latency is None
 
     def test_ebw_task_is_picklable_and_correct(self):
         import pickle

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority
+from repro.engine.base import EvalRequest
 from repro.experiments.hot_spot import degradation_at, run as run_hot_spot
 from repro.experiments.registry import ExperimentResult
 from repro.experiments.report import (
@@ -14,7 +15,7 @@ from repro.experiments.report import (
     results_to_markdown,
     write_markdown_report,
 )
-from repro.parallel.workers import SimulationCase, run_case
+from repro.parallel.workers import run_case
 from repro.workloads.spec import HotSpotWorkload
 
 
@@ -88,9 +89,8 @@ class TestHotSpotExperiment:
             config = SystemConfig(8, 8, 8, priority=Priority.PROCESSORS,
                                   buffered=buffered)
             uniform, hot = (
-                run_case(SimulationCase(
-                    config, 8_000, 7, workload=HotSpotWorkload(fraction),
-                    kernel="fast",
+                run_case(EvalRequest(
+                    config, HotSpotWorkload(fraction), cycles=8_000, seed=7,
                 )).ebw
                 for fraction in (0.0, 0.5)
             )

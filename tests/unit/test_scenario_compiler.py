@@ -51,6 +51,40 @@ class TestCompile:
         assert [unit.seed for unit in units[:4]] == [5, 6, 5, 6]
         assert units[0].config == units[1].config
 
+    def test_request_carries_every_execution_field(self):
+        """``WorkUnit.request()`` is the one record the kernels see, so
+        the kernel and backend choices must reach it."""
+        spec = ScenarioSpec(
+            name="tiny-latency",
+            base={"processors": 2, "memories": 2, "memory_cycle_ratio": 2},
+            cycles=300,
+            warmup=40,
+            plan=ReplicationPlan(2, 5),
+            metrics=("latency",),
+        )
+        for unit in compile_scenario(spec, kernel="batch"):
+            request = unit.request()
+            assert (
+                request.config,
+                request.workload,
+                request.cycles,
+                request.warmup,
+                request.seed,
+                request.metrics,
+                request.kernel,
+                request.backend,
+            ) == (
+                unit.config,
+                unit.workload,
+                300,
+                40,
+                unit.seed,
+                ("latency",),
+                "batch",
+                "numpy",
+            )
+            assert request.collects_latency
+
     def test_payload_excludes_position_and_name(self):
         units = compile_scenario(tiny_spec())
         renamed = compile_scenario(

@@ -256,35 +256,11 @@ class TestCoordinator:
 
 
 class TestServiceCli:
-    def test_sweep_serve_rejects_bad_workers(self, capsys):
-        from repro.service.cli import serve_main
-
-        with pytest.raises(SystemExit):
-            serve_main(["figure2", "--workers", "0"])
-
-    def test_sweep_serve_rejects_backend_without_batch(self, capsys):
-        from repro.service.cli import serve_main
-
-        with pytest.raises(SystemExit):
-            serve_main(["figure2", "--backend", "numba"])
-
-    def test_sweep_serve_rejects_bad_lease_size(self, capsys):
-        from repro.service.cli import serve_main
-
-        with pytest.raises(SystemExit):
-            serve_main(["figure2", "--lease-size", "0"])
-
     def test_sweep_work_rejects_bad_exit_after(self, capsys):
         from repro.service.cli import work_main
 
         with pytest.raises(SystemExit):
             work_main(["--exit-after", "0"])
-
-    def test_sweep_serve_unknown_scenario_is_error(self, capsys):
-        from repro.service.cli import serve_main
-
-        assert serve_main(["no-such-scenario", "--workers", "1"]) == 2
-        assert "error:" in capsys.readouterr().err
 
     def test_scenario_rejects_nonpositive_workers(self, capsys):
         from repro.scenarios.cli import main as scenario_main
@@ -292,12 +268,56 @@ class TestServiceCli:
         with pytest.raises(SystemExit):
             scenario_main(["figure2", "--workers", "0"])
 
+    def test_scenario_workers_rejects_backend_without_batch(self, capsys):
+        from repro.scenarios.cli import main as scenario_main
+
+        with pytest.raises(SystemExit):
+            scenario_main(["figure2", "--workers", "2", "--backend", "numba"])
+
+    def test_scenario_workers_unknown_scenario_is_error(self, capsys):
+        from repro.scenarios.cli import main as scenario_main
+
+        assert scenario_main(["no-such-scenario", "--workers", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_scenario_rejects_lease_size_without_workers(self, capsys):
         from repro.scenarios.cli import main as scenario_main
 
         with pytest.raises(SystemExit):
             scenario_main(["figure2", "--lease-size", "2"])
         assert "requires --workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--deadline", "--chaos-kill-after"])
+    def test_scenario_rejects_service_flag_without_workers(
+        self, flag, capsys
+    ):
+        from repro.scenarios.cli import main as scenario_main
+
+        with pytest.raises(SystemExit):
+            scenario_main(["figure2", flag, "2"])
+        assert f"{flag} requires --workers" in capsys.readouterr().err
+
+    def test_scenario_hands_service_flags_to_run_scenario(
+        self, monkeypatch, capsys
+    ):
+        from repro.scenarios import cli
+
+        seen = {}
+
+        def fake_run_scenario(spec, **kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
+        argv = [
+            "figure2", "--workers", "3", "--lease-size", "2",
+            "--deadline", "7.5", "--chaos-kill-after", "1", "--no-cache",
+        ]
+        assert cli.main(argv) == 0
+        assert seen["workers"] == 3
+        assert seen["lease_size"] == 2
+        assert seen["deadline"] == 7.5
+        assert seen["chaos_kill_after"] == 1
 
     def test_scenario_rejects_nonpositive_lease_size(self, capsys):
         from repro.scenarios.cli import main as scenario_main

@@ -8,8 +8,9 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
+from repro.engine.base import EvalRequest
 from repro.parallel.cache import case_payload, fingerprint
-from repro.parallel.workers import SimulationCase, run_case
+from repro.parallel.workers import run_case
 from repro.workloads.generators import HotSpotTargets, TraceTargets
 from repro.workloads.spec import (
     HotSpotWorkload,
@@ -123,33 +124,33 @@ class TestCacheKeyCoverage:
 
     def test_workloads_cannot_collide(self):
         config = SystemConfig(2, 4, 2)
-        cases = [
-            SimulationCase(config, 1_000, 3),
-            SimulationCase(config, 1_000, 3, workload=HotSpotWorkload(0.5)),
-            SimulationCase(
-                config, 1_000, 3, workload=TraceWorkload(((0, 1), (2, 3)))
+        requests = [
+            EvalRequest(config, cycles=1_000, seed=3),
+            EvalRequest(config, cycles=1_000, seed=3, workload=HotSpotWorkload(0.5)),
+            EvalRequest(
+                config, cycles=1_000, seed=3, workload=TraceWorkload(((0, 1), (2, 3)))
             ),
-            SimulationCase(
-                config, 1_000, 3, workload=RequestMixWorkload((0.5, 1.0))
+            EvalRequest(
+                config, cycles=1_000, seed=3, workload=RequestMixWorkload((0.5, 1.0))
             ),
         ]
-        keys = {fingerprint(case_payload(case)) for case in cases}
-        assert len(keys) == len(cases)
+        keys = {fingerprint(case_payload(request)) for request in requests}
+        assert len(keys) == len(requests)
 
     def test_hot_spot_parameters_reach_the_key(self):
         config = SystemConfig(2, 4, 2)
-        a = SimulationCase(config, 1_000, 3, workload=HotSpotWorkload(0.2))
-        b = SimulationCase(config, 1_000, 3, workload=HotSpotWorkload(0.3))
-        c = SimulationCase(
-            config, 1_000, 3, workload=HotSpotWorkload(0.2, hot_module=1)
+        a = EvalRequest(config, cycles=1_000, seed=3, workload=HotSpotWorkload(0.2))
+        b = EvalRequest(config, cycles=1_000, seed=3, workload=HotSpotWorkload(0.3))
+        c = EvalRequest(
+            config, cycles=1_000, seed=3, workload=HotSpotWorkload(0.2, hot_module=1)
         )
-        keys = {fingerprint(case_payload(case)) for case in (a, b, c)}
+        keys = {fingerprint(case_payload(request)) for request in (a, b, c)}
         assert len(keys) == 3
 
     def test_explicit_uniform_equals_default(self):
         config = SystemConfig(2, 4, 2)
-        implicit = SimulationCase(config, 1_000, 3)
-        explicit = SimulationCase(config, 1_000, 3, workload=UniformWorkload())
+        implicit = EvalRequest(config, cycles=1_000, seed=3)
+        explicit = EvalRequest(config, cycles=1_000, seed=3, workload=UniformWorkload())
         assert fingerprint(case_payload(implicit)) == fingerprint(
             case_payload(explicit)
         )
@@ -162,31 +163,31 @@ class TestRunCase:
         config = SystemConfig(2, 2, 2)
         plain = simulate(config, cycles=800, seed=5)
         spec_run = run_case(
-            SimulationCase(config, 800, 5, workload=UniformWorkload())
+            EvalRequest(config, cycles=800, seed=5, workload=UniformWorkload())
         )
         assert spec_run == plain
 
     def test_hot_spot_workload_changes_results(self):
         config = SystemConfig(4, 8, 4)
-        uniform = run_case(SimulationCase(config, 2_000, 5))
+        uniform = run_case(EvalRequest(config, cycles=2_000, seed=5))
         hot = run_case(
-            SimulationCase(config, 2_000, 5, workload=HotSpotWorkload(0.8))
+            EvalRequest(config, cycles=2_000, seed=5, workload=HotSpotWorkload(0.8))
         )
         assert hot.ebw < uniform.ebw
 
     def test_request_mix_workload_runs(self):
         config = SystemConfig(2, 2, 2)
         result = run_case(
-            SimulationCase(
-                config, 1_000, 5, workload=RequestMixWorkload((0.3, 1.0))
+            EvalRequest(
+                config, cycles=1_000, seed=5, workload=RequestMixWorkload((0.3, 1.0))
             )
         )
         assert 0.0 < result.ebw <= config.max_ebw
 
     def test_invalid_workload_rejected_at_run(self):
         config = SystemConfig(4, 2, 2)
-        case = SimulationCase(
-            config, 500, 0, workload=RequestMixWorkload((1.0, 1.0))
+        request = EvalRequest(
+            config, cycles=500, seed=0, workload=RequestMixWorkload((1.0, 1.0))
         )
         with pytest.raises(ConfigurationError):
-            run_case(case)
+            run_case(request)
