@@ -231,10 +231,10 @@ def time_cache(store: str, loops: int, hit: bool):
     cache = ResultCache(cache_dir=store, version_tag="bench")
     payload = {"experiment_id": "bench", "kwargs": {"cycles": 1}}
     value = {"measured": [["r=1", "c=1", 1.0]] * 64}
-    cache.store(payload, value)
+    cache.put(cache.key(payload), value)
     if hit:
-        return looped(partial(cache.lookup, payload), loops)
-    return looped(partial(cache.store, payload, value), loops)
+        return looped(lambda: cache.get(cache.key(payload)), loops)
+    return looped(lambda: cache.put(cache.key(payload), value), loops)
 
 
 def time_fleet(kernel: str, rows: int, cycles: int, config: SystemConfig,
@@ -308,7 +308,7 @@ def time_planned_sweep(replications: int, cycles: int):
     def run():
         transports = [LoopbackTransport(f"w{index}") for index in range(2)]
         return Coordinator(
-            spec, transports, kernel="batch", cache_enabled=False
+            [spec], transports, kernel="batch", cache_enabled=False
         ).run()
 
     return run

@@ -28,10 +28,11 @@ from repro.engine.evaluators import EVALUATORS, get_evaluator
 def evaluate(request: EvalRequest, method: EvaluationMethod | str) -> EvalResult:
     """Validate ``request`` against ``method``'s capabilities and run it.
 
-    The one-call convenience the experiment modules use for reference
-    values (crossbar lines, table models); scenario execution goes
-    through :func:`repro.scenarios.execute.run_units`, which adds
-    result caching and batch fleets around the same table lookup.
+    The one-call convenience for a single evaluation (e.g. the crossbar
+    target of :mod:`repro.analysis.tradeoffs`); scenario and experiment
+    execution goes through :func:`repro.scenarios.execute.run_units`,
+    which adds result caching and batch fleets around the same table
+    lookup.
     """
     evaluator = get_evaluator(method)
     evaluator.capabilities.check(request)

@@ -188,6 +188,10 @@ class EvalRequest:
     engine namespace.  ``backend`` selects the batch kernel's array
     substrate (:mod:`repro.bus.backends`); every backend is
     bit-identical to numpy, so it stays out of the cache key.
+    ``geometric_access_times`` replaces the constant ``r``-cycle memory
+    access with a geometric one of mean ``r`` (the Section 6
+    exponential-service comparison); it enters the cache key only when
+    set.
     """
 
     config: SystemConfig
@@ -198,6 +202,7 @@ class EvalRequest:
     metrics: tuple[str, ...] = ()
     kernel: str = "fast"
     backend: str = "numpy"
+    geometric_access_times: bool = False
 
     @property
     def workload_kind(self) -> str:

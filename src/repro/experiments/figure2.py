@@ -7,35 +7,32 @@ a lower bound on the single-bus EBW.
 
 The curve family is the registered ``figure2`` scenario: one compile
 produces the whole (system, priority, r) grid, so sweep-service workers
-share every curve at once instead of one sweep at a time.
+share every curve at once instead of one sweep at a time.  The crossbar
+lines are ``crossbar`` method units beside it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.core.config import SystemConfig
 from repro.core.policy import Priority
-from repro.engine import EvaluationMethod, evaluate_config
 from repro.experiments import paper_data
+from repro.experiments.grids import crossbar_scenario, with_run
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
-from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.spec import ReplicationPlan
+
+CROSSBAR = crossbar_scenario("figure2-crossbar", paper_data.FIGURE2_SYSTEMS)
+"""The crossbar reference line of each Figure 2 system."""
 
 
-def run(
-    cycles: int = 50_000, seed: int = 1985, workers: int | None = None
-) -> ExperimentResult:
-    """Regenerate the Figure 2 curve family.
+def scenarios(cycles: int, seed: int):
+    """The registered ``figure2`` grid and the crossbar lines."""
+    return (with_run(get_scenario("figure2"), cycles, seed), CROSSBAR)
 
-    ``workers`` runs the scenario grid on that many sweep-service
-    workers (:func:`~repro.scenarios.execute.run_scenario`); the
-    measured values are identical for any value.
-    """
-    spec = dataclasses.replace(
-        get_scenario("figure2"), cycles=cycles, plan=ReplicationPlan(1, seed)
-    )
+
+def render(results) -> ExperimentResult:
+    """The Figure 2 curve family."""
+    grid, crossbar_lines = results
     # Key each unit result on its own configuration rather than trusting
     # positional order, so the mapping survives axis reordering in the
     # registered scenario.
@@ -46,7 +43,11 @@ def run(
             result.unit.config.priority,
             result.unit.config.memory_cycle_ratio,
         ): result.ebw
-        for result in run_scenario(spec, workers=workers)
+        for result in grid
+    }
+    crossbars = {
+        (result.unit.config.processors, result.unit.config.memories): result.ebw
+        for result in crossbar_lines
     }
     measured: dict[tuple[str, str], float] = {}
     rows: list[str] = []
@@ -59,13 +60,10 @@ def run(
                 measured[(label, f"r={r}")] = ebw[(n, m, priority, r)]
         crossbar_label = f"{n}x{m} crossbar"
         rows.append(crossbar_label)
-        crossbar = evaluate_config(
-            SystemConfig(n, m, 1), EvaluationMethod.CROSSBAR
-        ).ebw
         for r in paper_data.FIGURE2_R_VALUES:
             # The crossbar's basic cycle is (r+2)t, so its EBW per
             # processor cycle is flat in r.
-            measured[(crossbar_label, f"r={r}")] = crossbar
+            measured[(crossbar_label, f"r={r}")] = crossbars[(n, m)]
     return ExperimentResult(
         experiment_id="figure2",
         title="Figure 2 - Multiplexed single-bus effective bandwidth (p = 1)",
@@ -114,6 +112,8 @@ SPEC = register(
         experiment_id="figure2",
         title="EBW vs r, both priorities, crossbar reference",
         paper_artifact="Figure 2",
-        run=run,
+        scenarios=scenarios,
+        render=render,
+        cycles=50_000,
     )
 )

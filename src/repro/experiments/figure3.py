@@ -7,22 +7,14 @@ memory subsystem: utilisation rises toward 1 as p decreases, and larger
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.experiments import paper_data
+from repro.experiments.grids import with_run
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
-from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.spec import ReplicationPlan
 
 
-def run(
-    cycles: int = 60_000, seed: int = 1985, workers: int | None = None
-) -> ExperimentResult:
-    """Regenerate the Figure 3 curve family (unbuffered system)."""
-    spec = dataclasses.replace(
-        get_scenario("figure3"), cycles=cycles, plan=ReplicationPlan(1, seed)
-    )
+def render(results) -> ExperimentResult:
+    """The Figure 3 curve family (unbuffered system)."""
     # Keyed on each unit's own (r, p) so axis reordering cannot scramble
     # the curves.
     utilization = {
@@ -30,7 +22,7 @@ def run(
             result.unit.config.memory_cycle_ratio,
             result.unit.config.request_probability,
         ): result.processor_utilization
-        for result in run_scenario(spec, workers=workers)
+        for result in results[0]
     }
     measured: dict[tuple[str, str], float] = {}
     rows = []
@@ -59,6 +51,10 @@ SPEC = register(
         experiment_id="figure3",
         title="Processor utilisation vs p (unbuffered)",
         paper_artifact="Figure 3",
-        run=run,
+        scenarios=lambda cycles, seed: (
+            with_run(get_scenario("figure3"), cycles, seed),
+        ),
+        render=render,
+        cycles=60_000,
     )
 )

@@ -10,22 +10,24 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.config import SystemConfig
-from repro.engine import EvaluationMethod, evaluate_config
 from repro.experiments import paper_data
+from repro.experiments.grids import crossbar_scenario, with_run
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
-from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.spec import ReplicationPlan
+
+CROSSBAR = crossbar_scenario("figure5-crossbar", paper_data.FIGURE5_SYSTEMS)
+"""The crossbar reference line of each Figure 5 system (the systems it
+shares with Figure 2 are the same units)."""
 
 
-def run(
-    cycles: int = 50_000, seed: int = 1985, workers: int | None = None
-) -> ExperimentResult:
-    """Regenerate the Figure 5 curve family."""
-    spec = dataclasses.replace(
-        get_scenario("figure5"), cycles=cycles, plan=ReplicationPlan(1, seed)
-    )
+def scenarios(cycles: int, seed: int):
+    """The registered ``figure5`` grid and the crossbar lines."""
+    return (with_run(get_scenario("figure5"), cycles, seed), CROSSBAR)
+
+
+def render(results) -> ExperimentResult:
+    """The Figure 5 curve family."""
+    grid, crossbar_lines = results
     # Keyed on each unit's own configuration so axis reordering cannot
     # swap the buffered and unbuffered curves.
     ebw = {
@@ -35,7 +37,11 @@ def run(
             result.unit.config.buffered,
             result.unit.config.memory_cycle_ratio,
         ): result.ebw
-        for result in run_scenario(spec, workers=workers)
+        for result in grid
+    }
+    crossbars = {
+        (result.unit.config.processors, result.unit.config.memories): result.ebw
+        for result in crossbar_lines
     }
     measured: dict[tuple[str, str], float] = {}
     rows: list[str] = []
@@ -48,11 +54,8 @@ def run(
                 measured[(label, f"r={r}")] = ebw[(n, m, buffered, r)]
         crossbar_label = f"{n}x{m} crossbar"
         rows.append(crossbar_label)
-        crossbar = evaluate_config(
-            SystemConfig(n, m, 1), EvaluationMethod.CROSSBAR
-        ).ebw
         for r in paper_data.FIGURE5_R_VALUES:
-            measured[(crossbar_label, f"r={r}")] = crossbar
+            measured[(crossbar_label, f"r={r}")] = crossbars[(n, m)]
     return ExperimentResult(
         experiment_id="figure5",
         title="Figure 5 - EBW with and without memory-module buffers (p = 1)",
@@ -99,6 +102,8 @@ SPEC = register(
         experiment_id="figure5",
         title="Buffered vs unbuffered vs crossbar",
         paper_artifact="Figure 5",
-        run=run,
+        scenarios=scenarios,
+        render=render,
+        cycles=50_000,
     )
 )

@@ -10,25 +10,15 @@ standard robustness probe for interconnection-network models.
 
 from __future__ import annotations
 
-import dataclasses
-
+from repro.experiments.grids import with_run
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
 from repro.scenarios.builtin import HOT_SPOT_FRACTIONS, HOT_SPOT_SYSTEMS
-from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.spec import ReplicationPlan
-
-_HOT_FRACTIONS = HOT_SPOT_FRACTIONS
-_SYSTEMS = HOT_SPOT_SYSTEMS
 
 
-def run(
-    cycles: int = 50_000, seed: int = 1985, workers: int | None = None
-) -> ExperimentResult:
+
+def render(results) -> ExperimentResult:
     """EBW vs hot-spot fraction for buffered and unbuffered systems."""
-    spec = dataclasses.replace(
-        get_scenario("hot_spot"), cycles=cycles, plan=ReplicationPlan(1, seed)
-    )
     # Keyed on each unit's own configuration and workload so axis
     # reordering cannot scramble the rows.
     ebw = {
@@ -39,16 +29,16 @@ def run(
             result.unit.config.buffered,
             result.unit.workload.hot_fraction,
         ): result.ebw
-        for result in run_scenario(spec, workers=workers)
+        for result in results[0]
     }
     measured: dict[tuple[str, str], float] = {}
     rows = []
-    columns = tuple(f"hot={fraction:g}" for fraction in _HOT_FRACTIONS)
-    for n, m, r in _SYSTEMS:
+    columns = tuple(f"hot={fraction:g}" for fraction in HOT_SPOT_FRACTIONS)
+    for n, m, r in HOT_SPOT_SYSTEMS:
         for buffered, tag in ((False, "unbuffered"), (True, "buffered")):
             label = f"{n}x{m} r={r} {tag}"
             rows.append(label)
-            for fraction in _HOT_FRACTIONS:
+            for fraction in HOT_SPOT_FRACTIONS:
                 measured[(label, f"hot={fraction:g}")] = ebw[
                     (n, m, r, buffered, fraction)
                 ]
@@ -79,6 +69,10 @@ SPEC = register(
         experiment_id="hot_spot",
         title="Hot-spot sensitivity (extension)",
         paper_artifact="Extension",
-        run=run,
+        scenarios=lambda cycles, seed: (
+            with_run(get_scenario("hot_spot"), cycles, seed),
+        ),
+        render=render,
+        cycles=50_000,
     )
 )

@@ -31,10 +31,11 @@ pessimistic:
 
 from __future__ import annotations
 
-from repro.bus import simulate
-from repro.core.config import SystemConfig
+import dataclasses
+
 from repro.core.policy import Priority
-from repro.engine import EvaluationMethod, evaluate_config
+from repro.engine.base import EvaluationMethod
+from repro.experiments.grids import mr_grid_scenario
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
 
 _M_VALUES = (4, 6, 8, 16)
@@ -48,44 +49,56 @@ def _queueing_delay(ebw: float, processors: int, r: int) -> float:
     return response - (r + 2)
 
 
-def run(cycles: int = 60_000, seed: int = 1985) -> ExperimentResult:
-    """Measure constant-vs-exponential discrepancies on the Section 6 grid."""
+def scenarios(cycles: int, seed: int):
+    """The Section 6 grid three ways: the constant-service machine, the
+    geometric-access machine and product-form MVA."""
+    machine = mr_grid_scenario(
+        "product_form",
+        _M_VALUES,
+        _R_VALUES,
+        {
+            "processors": _PROCESSORS,
+            "priority": Priority.PROCESSORS,
+            "buffered": True,
+        },
+        cycles,
+        seed,
+    )
+    return (
+        machine,
+        dataclasses.replace(
+            machine, name="product_form-geometric", geometric_access_times=True
+        ),
+        dataclasses.replace(
+            machine, name="product_form-mva", method=EvaluationMethod.MVA
+        ),
+    )
+
+
+def render(results) -> ExperimentResult:
+    """Constant-vs-exponential discrepancies on the Section 6 grid."""
     measured: dict[tuple[str, str], float] = {}
     rows = []
-    for m in _M_VALUES:
-        for r in _R_VALUES:
-            config = SystemConfig(
-                processors=_PROCESSORS,
-                memories=m,
-                memory_cycle_ratio=r,
-                priority=Priority.PROCESSORS,
-                buffered=True,
+    for constant, geometric_result, mva_result in zip(*results):
+        r = constant.unit.config.memory_cycle_ratio
+        row = f"m={constant.unit.config.memories} r={r}"
+        rows.append(row)
+        machine = constant.ebw
+        geometric = geometric_result.ebw
+        mva = mva_result.ebw
+        exponential_ebw = min(geometric, mva)
+        measured[(row, "machine")] = machine
+        measured[(row, "geom-machine")] = geometric
+        measured[(row, "mva")] = mva
+        measured[(row, "ebw-pess%")] = 100.0 * (machine - exponential_ebw) / machine
+        delay_machine = _queueing_delay(machine, _PROCESSORS, r)
+        delay_exponential = _queueing_delay(exponential_ebw, _PROCESSORS, r)
+        if delay_machine > 0:
+            measured[(row, "delay-disc%")] = (
+                100.0 * (delay_exponential - delay_machine) / delay_machine
             )
-            row = f"m={m} r={r}"
-            rows.append(row)
-            machine = evaluate_config(
-                config, EvaluationMethod.SIMULATION, cycles=cycles, seed=seed
-            ).ebw
-            # Geometric access times are outside the engine's
-            # declarative surface, so this column calls the simulator
-            # directly.
-            geometric = simulate(
-                config, cycles=cycles, seed=seed, geometric_access_times=True
-            ).ebw
-            mva = evaluate_config(config, EvaluationMethod.MVA).ebw
-            exponential_ebw = min(geometric, mva)
-            measured[(row, "machine")] = machine
-            measured[(row, "geom-machine")] = geometric
-            measured[(row, "mva")] = mva
-            measured[(row, "ebw-pess%")] = 100.0 * (machine - exponential_ebw) / machine
-            delay_machine = _queueing_delay(machine, _PROCESSORS, r)
-            delay_exponential = _queueing_delay(exponential_ebw, _PROCESSORS, r)
-            if delay_machine > 0:
-                measured[(row, "delay-disc%")] = (
-                    100.0 * (delay_exponential - delay_machine) / delay_machine
-                )
-            else:
-                measured[(row, "delay-disc%")] = 0.0
+        else:
+            measured[(row, "delay-disc%")] = 0.0
     return ExperimentResult(
         experiment_id="product_form",
         title="Section 6 - constant vs exponential service characterisation "
@@ -106,6 +119,8 @@ SPEC = register(
         experiment_id="product_form",
         title="Product-form comparison (Section 6)",
         paper_artifact="Section 6 (>25% claim)",
-        run=run,
+        scenarios=scenarios,
+        render=render,
+        cycles=60_000,
     )
 )

@@ -1,7 +1,7 @@
 """Experiment registry: every reproducible table and figure.
 
-An *experiment* is a named, parameter-free callable that regenerates one
-artefact of the paper's evaluation and returns an
+An *experiment* declares the scenario specs one artefact of the paper's
+evaluation needs and renders their unit results into an
 :class:`ExperimentResult` - a grid of measured values plus, when the
 paper printed numbers, the reference values for side-by-side comparison.
 
@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.core.errors import ExperimentError
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.scenarios.execute import UnitResult
+    from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,17 +81,24 @@ class ExperimentResult:
         return sum(errors) / len(errors)
 
 
-ExperimentFunction = Callable[..., ExperimentResult]
-
-
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
-    """Registry entry: metadata plus the generating function."""
+    """Registry entry: metadata, the specs it needs and how it renders.
+
+    ``scenarios(cycles, seed)`` declares the scenario specs, the
+    simulated ones at ``cycles`` per unit under the one replication
+    seed ``seed``; analytic specs ignore both.  ``render`` is pure: it
+    maps the specs' unit results - one list per declared spec, in
+    declared order - to the experiment's table.  ``cycles`` is the
+    default simulated length (``None`` for an all-analytic experiment).
+    """
 
     experiment_id: str
     title: str
     paper_artifact: str
-    run: ExperimentFunction
+    scenarios: Callable[[int | None, int], Sequence["ScenarioSpec"]]
+    render: Callable[[Sequence[Sequence["UnitResult"]]], ExperimentResult]
+    cycles: int | None = None
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments                # list experiments
     python -m repro.experiments all            # run everything
-    python -m repro.experiments all --jobs 8   # ... on 8 worker processes
+    python -m repro.experiments all --workers 8   # ... on 8 sweep workers
     python -m repro.experiments table1 figure5
     python -m repro.experiments figure5 --chart
     python -m repro.experiments scenario       # list declarative scenarios
@@ -18,19 +18,26 @@ values (when the paper printed any) in the layout of the original
 tables; ``--chart`` additionally renders figure experiments as ASCII
 curves.
 
-Parallelism and caching
------------------------
-``--jobs N`` fans experiments out over ``N`` worker processes (and, for
-a single experiment that supports it, runs its scenario grid on ``N``
-sweep-service workers).  Results are deterministic functions of
-``(experiment, seed, cycles)``, so the report bytes are identical
+Execution and caching
+---------------------
+Every experiment declares the scenario specs it needs - its simulation
+grid and its analytic references - and renders their unit results
+(:class:`~repro.experiments.registry.ExperimentSpec`).  The runner
+compiles the specs of every selected experiment into one unit list and
+runs it once (:func:`~repro.scenarios.execute.run_scenarios`): in this
+process, or with ``--workers N`` through one sweep-service coordinator
+and N workers forked from it.  It then renders the experiments in
+registry order.  Results are deterministic functions of each unit's
+configuration, seed and cycles, so the report bytes are identical
 whatever ``N`` is.
 
-Completed results are cached by default under ``$REPRO_CACHE_DIR``
-(``~/.cache/repro-single-bus`` if unset), keyed on a content hash of the
-experiment id, its parameters and the library source code - re-running
-the same command serves the stored grid instantly, and any code change
-invalidates the cache automatically.  Disable with ``--no-cache``.
+Unit results are cached by default under ``$REPRO_CACHE_DIR``
+(``~/.cache/repro-single-bus`` if unset) in the per-unit store that
+``repro-experiments scenario`` uses, keyed on a content hash of each
+unit (configuration, workload, method and, for simulations, seed and
+cycles) and the library source code.  A rerun - or an experiment whose units a scenario run at
+the same cycles and seed already computed - is served from the store,
+and any code change invalidates it.  Disable with ``--no-cache``.
 Timings go to stderr so stdout stays byte-reproducible.
 
 Scenarios
@@ -42,28 +49,27 @@ TOML/JSON spec file, optionally as one shard of a multi-machine sweep
 
 The sweep service
 -----------------
-``scenario --workers N`` runs a scenario through the distributed sweep
-service (:mod:`repro.service`): a coordinator leases planned position
-lists to N local workers (forked from the coordinator, each speaking
-newline-delimited JSON over a pipe pair), retries the leases of dead or
-straggling workers, and merges the streamed results into stdout
-byte-identical to the serial ``scenario`` run.  ``sweep-work`` is the
-worker end, spawned where the coordinator cannot fork.
+``scenario --workers N`` and ``all --workers N`` run through the
+distributed sweep service (:mod:`repro.service`): a coordinator leases
+planned position lists to N local workers (forked from the coordinator,
+each speaking newline-delimited JSON over a pipe pair), retries the
+leases of dead or straggling workers, and merges the streamed results
+byte-identical to the serial run.  ``sweep-work`` is the worker end,
+spawned where the coordinator cannot fork.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
-from typing import Iterator, Sequence
+from typing import Sequence
 
+from repro.core.errors import ReproError
 from repro.experiments.asciichart import render_chart
 from repro.experiments.formatting import format_result, format_series
 from repro.experiments.registry import (
     ExperimentResult,
-    ExperimentSpec,
     all_experiments,
     get,
 )
@@ -84,37 +90,63 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
-def iter_reports(
-    ids: Sequence[str],
-    fast: bool = False,
-    chart: bool = False,
-    jobs: int = 1,
-    cache=None,
-) -> Iterator[str]:
-    """Yield one formatted report per experiment, as each completes."""
-    for outcome in _run_outcomes(ids, fast=fast, chart=chart, jobs=jobs, cache=cache):
-        yield outcome.report
-
-
 def run_experiments(
     ids: Sequence[str],
-    fast: bool = False,
-    chart: bool = False,
-    jobs: int = 1,
+    cycles: int | None = None,
+    seed: int | None = None,
     cache=None,
-) -> str:
-    """Run the named experiments (or all) and return the full report."""
-    return "\n\n".join(
-        iter_reports(ids, fast=fast, chart=chart, jobs=jobs, cache=cache)
+    workers: int | None = None,
+    telemetry: dict | None = None,
+) -> list[ExperimentResult]:
+    """Run the named experiments (``all`` or none: every one) as one
+    unit list and return their results in order.
+
+    Simulated specs run at ``cycles`` per unit (default: each
+    experiment's own length) under ``seed`` (default: the paper seed
+    1985).  The declared specs of every experiment execute once through
+    :func:`~repro.scenarios.execute.run_scenarios` - in this process,
+    or on ``workers`` forked sweep workers - on the per-unit ``cache``,
+    so a unit two experiments declare is computed once.  ``telemetry``
+    receives the unit count (``units``), how many came from the cache
+    (``from_cache``) and, with ``workers``, the service's counters.
+    """
+    from repro.scenarios.builtin import PAPER_SEED
+    from repro.scenarios.execute import run_scenarios
+
+    if not ids or list(ids) == ["all"]:
+        experiments = list(all_experiments())
+    else:
+        experiments = [get(experiment_id) for experiment_id in ids]
+    declared = [
+        tuple(
+            experiment.scenarios(
+                experiment.cycles if cycles is None else cycles,
+                PAPER_SEED if seed is None else seed,
+            )
+        )
+        for experiment in experiments
+    ]
+    groups = run_scenarios(
+        [spec for specs in declared for spec in specs],
+        cache=cache,
+        workers=workers,
+        telemetry=telemetry,
     )
+    if telemetry is not None:
+        telemetry["units"] = sum(len(group) for group in groups)
+        telemetry["from_cache"] = sum(
+            result.cached for group in groups for result in group
+        )
+    remaining = iter(groups)
+    return [
+        experiment.render([next(remaining) for _ in specs])
+        for experiment, specs in zip(experiments, declared)
+    ]
 
 
-def _accepts(spec: ExperimentSpec, keyword: str) -> bool:
-    """Whether the experiment's ``run`` takes ``keyword``."""
-    try:
-        return keyword in inspect.signature(spec.run).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
+def run_experiment(experiment_id: str, **options) -> ExperimentResult:
+    """One experiment's result (:func:`run_experiments` options)."""
+    return run_experiments([experiment_id], **options)[0]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -153,11 +185,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="render figure experiments as ASCII charts",
     )
     parser.add_argument(
-        "--jobs",
+        "--workers",
         type=int,
-        default=1,
+        default=None,
         metavar="N",
-        help="worker processes for experiment execution (default 1)",
+        help="run every experiment's units through the sweep service: "
+        "one coordinator leases them to N local workers forked from it; "
+        "stdout stays byte-identical to the serial run",
     )
     parser.add_argument(
         "--cache",
@@ -178,28 +212,42 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="additionally write a markdown paper-vs-measured report",
     )
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be a positive integer")
+    if args.workers is not None and args.workers < 1:
+        parser.error("--workers must be a positive integer")
     if not args.ids:
         print(list_experiments())
         return 0
     from repro.scenarios.cli import open_cache
 
     cache = open_cache(args)
-    collected = []
-    for outcome in _run_outcomes(
-        args.ids, fast=args.fast, chart=args.chart, jobs=args.jobs, cache=cache
-    ):
-        collected.append(outcome.result)
-        print(outcome.report, flush=True)
+    telemetry: dict = {}
+    started = time.time()
+    try:
+        results = run_experiments(
+            args.ids,
+            cycles=_FAST_CYCLES if args.fast else None,
+            cache=cache,
+            workers=args.workers,
+            telemetry=telemetry,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    elapsed = time.time() - started
+    for result in results:
+        print(_format(result, args.chart), flush=True)
         print(flush=True)
-        origin = "cached" if outcome.cached else f"{outcome.elapsed:.1f}s"
-        print(f"[{outcome.result.experiment_id}: {origin}]", file=sys.stderr)
+    print(
+        f"[{len(results)} experiment{'s' if len(results) != 1 else ''}: "
+        f"{telemetry['units']} units in {elapsed:.1f}s, "
+        f"{telemetry['from_cache']} from cache]",
+        file=sys.stderr,
+    )
     if args.markdown:
         from repro.experiments.report import write_markdown_report
 
         path = write_markdown_report(
-            collected, args.markdown, title="Paper-vs-measured report"
+            results, args.markdown, title="Paper-vs-measured report"
         )
         print(f"markdown report written to {path}")
     return 0
@@ -258,162 +306,8 @@ def cache_main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-class _Outcome:
-    """One finished experiment: result, rendered report, provenance."""
-
-    __slots__ = ("result", "report", "elapsed", "cached")
-
-    def __init__(
-        self,
-        result: ExperimentResult,
-        report: str,
-        elapsed: float,
-        cached: bool,
-    ) -> None:
-        self.result = result
-        self.report = report
-        self.elapsed = elapsed
-        self.cached = cached
-
-
-def _run_registered(item: tuple[str, dict]) -> tuple[ExperimentResult, float]:
-    """Pool worker: run one registered experiment by id (spawn-safe).
-
-    Returns the result with its own wall time, so pooled runs report
-    true per-experiment timings.
-    """
-    experiment_id, kwargs = item
-    started = time.time()
-    result = get(experiment_id).run(**kwargs)
-    return result, time.time() - started
-
-
-def _run_outcomes(
-    ids: Sequence[str],
-    fast: bool = False,
-    chart: bool = False,
-    jobs: int = 1,
-    cache=None,
-) -> Iterator[_Outcome]:
-    """Run experiments (with optional pool and cache), in registry order."""
-    if not ids or list(ids) == ["all"]:
-        specs = list(all_experiments())
-    else:
-        specs = [get(experiment_id) for experiment_id in ids]
-
-    run_kwargs: list[dict] = []
-    for spec in specs:
-        kwargs: dict = {}
-        if fast and _accepts(spec, "cycles"):
-            kwargs["cycles"] = _FAST_CYCLES
-        run_kwargs.append(kwargs)
-
-    # Cache lookups first: the key covers the experiment id and its
-    # parameters (never the worker count - jobs must not change bytes).
-    results: dict[int, tuple[ExperimentResult, float, bool]] = {}
-    if cache is not None:
-        from repro.core.errors import ExperimentError
-        from repro.experiments.serialization import result_from_payload
-
-        for index, (spec, kwargs) in enumerate(zip(specs, run_kwargs)):
-            payload = cache.lookup(_cache_payload(spec, kwargs))
-            if payload is not None:
-                try:
-                    results[index] = (result_from_payload(payload), 0.0, True)
-                except ExperimentError:
-                    # Malformed payload: treat as a miss and recompute.
-                    pass
-
-    pending = [index for index in range(len(specs)) if index not in results]
-
-    # Pooled execution streams: every uncached experiment is submitted
-    # up front, but each report is yielded as soon as its (in-order)
-    # result arrives, matching the serial path's incremental output.
-    executor = None
-    futures: dict[int, object] = {}
-    if jobs > 1 and len(pending) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Workers beyond the experiment count are handed down to each
-        # experiment's own grid (the cache payload keeps the
-        # workers-free kwargs, so worker counts never reach a cache key).
-        share = max(1, jobs // len(pending))
-        try:
-            executor = ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending))
-            )
-            for index in pending:
-                kwargs = dict(run_kwargs[index])
-                if share > 1 and _accepts(specs[index], "workers"):
-                    kwargs["workers"] = share
-                futures[index] = executor.submit(
-                    _run_registered, (specs[index].experiment_id, kwargs)
-                )
-        except (OSError, ValueError, ImportError):
-            # Pool-less platform (CPython raises ImportError when POSIX
-            # semaphores are missing): fall back to the serial loop below.
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-            executor = None
-            futures = {}
-
-    try:
-        for index in range(len(specs)):
-            spec = specs[index]
-            if index in results:
-                result, elapsed, cached = results[index]
-            elif index in futures:
-                result, elapsed = _pooled_result(
-                    futures[index], spec, run_kwargs[index]
-                )
-                cached = False
-            else:
-                kwargs = dict(run_kwargs[index])
-                if jobs > 1 and _accepts(spec, "workers"):
-                    kwargs["workers"] = jobs
-                started = time.time()
-                result = spec.run(**kwargs)
-                elapsed = time.time() - started
-                cached = False
-            if cache is not None and not cached:
-                _store_guarded(cache, _cache_payload(spec, run_kwargs[index]), result)
-            yield _Outcome(result, _format(spec, result, chart), elapsed, cached)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-
-def _pooled_result(future, spec: ExperimentSpec, kwargs: dict):
-    """Collect one pooled experiment, recomputing in-process if the
-    pool died underneath it."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        return future.result()
-    except BrokenProcessPool:
-        return _run_registered((spec.experiment_id, kwargs))
-
-
-def _store_guarded(cache, payload: dict, result: ExperimentResult) -> None:
-    """Cache a result; storage failures must never block the run."""
-    from repro.core.errors import ConfigurationError
-    from repro.experiments.serialization import result_to_payload
-
-    try:
-        cache.store(payload, result_to_payload(result))
-    except (OSError, ConfigurationError) as exc:
-        print(
-            f"warning: could not cache {payload['experiment_id']}: {exc}",
-            file=sys.stderr,
-        )
-
-
-def _cache_payload(spec: ExperimentSpec, kwargs: dict) -> dict:
-    return {"experiment_id": spec.experiment_id, "kwargs": kwargs}
-
-
-def _format(spec: ExperimentSpec, result: ExperimentResult, chart: bool) -> str:
-    is_series = spec.experiment_id in _SERIES_EXPERIMENTS
+def _format(result: ExperimentResult, chart: bool) -> str:
+    is_series = result.experiment_id in _SERIES_EXPERIMENTS
     formatter = format_series if is_series else format_result
     report = formatter(result)
     if chart and is_series:

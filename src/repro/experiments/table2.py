@@ -2,54 +2,38 @@
 
 from __future__ import annotations
 
-from repro.core.config import SystemConfig
-from repro.core.policy import Priority
-from repro.engine import EvaluationMethod, evaluate_config
+from repro.engine.base import EvaluationMethod
 from repro.experiments import paper_data
+from repro.experiments.grids import (
+    MEMORY_PRIORITY_SIZES,
+    memory_priority_scenario,
+    table_cells,
+)
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
-from repro.models.approx_memory_priority import approximate_memory_priority_ebw
 
-_SIZES = (2, 4, 6, 8)
+SCENARIO = memory_priority_scenario("table2", EvaluationMethod.APPROX)
+"""The Table 2 grid; the ``approx`` evaluator resolves priority to
+memories to the Section 3.2 model, non-symmetric as the paper prints
+it (the symmetrised variant of Section 5 is
+``approximate_memory_priority_ebw(config, symmetric=True)``)."""
 
 
-def run(symmetric: bool = False) -> ExperimentResult:
-    """Evaluate the Section 3.2 model over the Table 2 grid.
-
-    ``symmetric=True`` applies the paper's suggested symmetrisation
-    (mentioned in Section 5); the printed table is the plain variant.
-    """
-    measured: dict[tuple[str, str], float] = {}
-    reference: dict[tuple[str, str], float] = {}
-    for n in _SIZES:
-        for m in _SIZES:
-            config = SystemConfig(
-                processors=n,
-                memories=m,
-                memory_cycle_ratio=min(n, m) + 7,
-                priority=Priority.MEMORIES,
-            )
-            key = (f"n={n}", f"m={m}")
-            if symmetric:
-                # The symmetrised variant is a model-level option the
-                # declarative ``approx`` method does not expose.
-                measured[key] = approximate_memory_priority_ebw(
-                    config, symmetric=True
-                ).ebw
-            else:
-                measured[key] = evaluate_config(
-                    config, EvaluationMethod.APPROX
-                ).ebw
-            if not symmetric:
-                reference[key] = paper_data.TABLE2_APPROX_MEMORY_PRIORITY[(n, m)]
-    variant = "symmetrised" if symmetric else "non-symmetric"
+def render(results) -> ExperimentResult:
+    """The Section 3.2 model's EBW over the Table 2 grid."""
+    measured, reference = table_cells(
+        results[0],
+        "processors",
+        "memories",
+        paper_data.TABLE2_APPROX_MEMORY_PRIORITY,
+    )
     return ExperimentResult(
         experiment_id="table2",
-        title=f"Table 2 - EBW approximate values ({variant}), priority to "
-        "memory modules, r = min(n, m) + 7",
+        title="Table 2 - EBW approximate values (non-symmetric), priority "
+        "to memory modules, r = min(n, m) + 7",
         row_label="n",
         column_label="m",
-        rows=tuple(f"n={n}" for n in _SIZES),
-        columns=tuple(f"m={m}" for m in _SIZES),
+        rows=tuple(f"n={n}" for n in MEMORY_PRIORITY_SIZES),
+        columns=tuple(f"m={m}" for m in MEMORY_PRIORITY_SIZES),
         measured=measured,
         reference=reference,
         notes="deterministic model output; the paper prints the "
@@ -62,6 +46,7 @@ SPEC = register(
         experiment_id="table2",
         title="Combinational approximation, priority to memories",
         paper_artifact="Table 2",
-        run=run,
+        scenarios=lambda cycles, seed: (SCENARIO,),
+        render=render,
     )
 )

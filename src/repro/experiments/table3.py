@@ -2,36 +2,26 @@
 
 Both halves run through the declarative scenario subsystem: the
 registered ``table3a`` (simulation) and ``table3b`` (reduced Markov
-chain) scenarios own the grid, and this module only maps compiled unit
+chain) scenarios own the grid, and this module only maps their unit
 results into the paper's table layout.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.experiments import paper_data
+from repro.experiments.grids import table_cells, with_run
 from repro.experiments.registry import ExperimentResult, ExperimentSpec, register
-from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.spec import ReplicationPlan
 
 
-def run_simulation(
-    cycles: int = 100_000, seed: int = 1985, workers: int | None = None
-) -> ExperimentResult:
-    """Table 3(a): simulate every (m, r) cell with n = 8, p = 1."""
-    spec = dataclasses.replace(
-        get_scenario("table3a"), cycles=cycles, plan=ReplicationPlan(1, seed)
+def render_simulation(results) -> ExperimentResult:
+    """Table 3(a): every simulated (m, r) cell with n = 8, p = 1."""
+    measured, reference = table_cells(
+        results[0],
+        "memories",
+        "memory_cycle_ratio",
+        paper_data.TABLE3A_SIMULATION,
     )
-    measured: dict[tuple[str, str], float] = {}
-    reference: dict[tuple[str, str], float] = {}
-    for result in run_scenario(spec, workers=workers):
-        m = result.unit.config.memories
-        r = result.unit.config.memory_cycle_ratio
-        key = (f"m={m}", f"r={r}")
-        measured[key] = result.ebw
-        reference[key] = paper_data.TABLE3A_SIMULATION[(m, r)]
     return ExperimentResult(
         experiment_id="table3a",
         title="Table 3(a) - EBW simulation, priority to processors, n = 8",
@@ -46,17 +36,14 @@ def run_simulation(
     )
 
 
-def run_model() -> ExperimentResult:
-    """Table 3(b): evaluate the reconstructed Section 4 reduced chain."""
-    spec = get_scenario("table3b")
-    measured: dict[tuple[str, str], float] = {}
-    reference: dict[tuple[str, str], float] = {}
-    for result in run_scenario(spec):
-        m = result.unit.config.memories
-        r = result.unit.config.memory_cycle_ratio
-        key = (f"m={m}", f"r={r}")
-        measured[key] = result.ebw
-        reference[key] = paper_data.TABLE3B_APPROX_MODEL[(m, r)]
+def render_model(results) -> ExperimentResult:
+    """Table 3(b): the reconstructed Section 4 reduced chain."""
+    measured, reference = table_cells(
+        results[0],
+        "memories",
+        "memory_cycle_ratio",
+        paper_data.TABLE3B_APPROX_MODEL,
+    )
     return ExperimentResult(
         experiment_id="table3b",
         title="Table 3(b) - EBW approximate model, priority to processors, "
@@ -78,7 +65,11 @@ SPEC_A = register(
         experiment_id="table3a",
         title="Simulation, priority to processors",
         paper_artifact="Table 3(a)",
-        run=run_simulation,
+        scenarios=lambda cycles, seed: (
+            with_run(get_scenario("table3a"), cycles, seed),
+        ),
+        render=render_simulation,
+        cycles=100_000,
     )
 )
 
@@ -87,6 +78,7 @@ SPEC_B = register(
         experiment_id="table3b",
         title="Reduced Markov chain, priority to processors",
         paper_artifact="Table 3(b)",
-        run=run_model,
+        scenarios=lambda cycles, seed: (get_scenario("table3b"),),
+        render=render_model,
     )
 )

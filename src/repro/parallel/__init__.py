@@ -11,19 +11,19 @@ on how they were scheduled*.
   :func:`repro.des.replications.replicate` and
   :func:`~repro.des.replications.replicate_latency` loop over;
 * :class:`ResultCache` (:mod:`repro.parallel.cache`) is a
-  content-addressed JSON store keyed on a canonical hash of the work
-  description plus a code-version tag, so repeated sweeps and experiment
-  runs skip already-computed points;
+  content-addressed JSON store keyed on a canonical hash of each work
+  unit plus a code-version tag, so repeated sweeps and experiment runs
+  skip already-computed units;
 * :mod:`repro.parallel.fleet` aggregates batch-kernel requests into
   lockstep fleets (:func:`~repro.parallel.fleet.run_fleet`), handing
   whole replication blocks to one vectorized
   :class:`~repro.bus.batch.BatchBusKernel` call.
 
-Parallel execution lives elsewhere: a scenario grid runs on N forked
-sweep workers through
-:func:`run_scenario(spec, workers=N) <repro.scenarios.execute.run_scenario>`
-(:mod:`repro.service`), and ``repro-experiments all --jobs N`` fans
-whole experiments out over the runner's process pool.
+Parallel execution lives elsewhere: one executor, the sweep service
+(:mod:`repro.service`), runs a unit list on N forked workers through
+:func:`run_scenarios(specs, workers=N) <repro.scenarios.execute.run_scenarios>`
+- one scenario for ``repro-experiments scenario --workers N``, every
+experiment's declared specs for ``repro-experiments all --workers N``.
 
 Determinism guarantee
 ---------------------

@@ -7,7 +7,7 @@ waste.  This cache keys a JSON-serializable value on the SHA-256 of a
 canonical encoding of that triple:
 
 * the *payload* - an arbitrary JSON-able mapping describing the work
-  (experiment id, config fields, cycles, seeds, ...);
+  (a work unit's config fields, workload, method, cycles, seed, ...);
 * the *version tag* - by default a digest over the library's own source
   files, so any code change invalidates every cached entry.
 
@@ -112,7 +112,9 @@ def case_payload(request) -> dict[str, Any]:
     payload format bumps the version token, which retires every older
     metric-bearing entry instead of misreading it.  Requests without
     metrics keep the exact pre-metrics payload shape (no ``metrics``
-    key at all).
+    key at all).  Geometric access times add
+    ``"geometric_access_times": true``, and only when set, so every
+    constant-access key stays as it was.
     """
     from repro.workloads.spec import workload_payload
 
@@ -127,6 +129,8 @@ def case_payload(request) -> dict[str, Any]:
         from repro.metrics import LATENCY_METRICS_TOKEN
 
         payload["metrics"] = [LATENCY_METRICS_TOKEN]
+    if request.geometric_access_times:
+        payload["geometric_access_times"] = True
     return payload
 
 
@@ -322,14 +326,6 @@ class ResultCache:
             if value is not None:
                 found[key] = value
         return found
-
-    def lookup(self, payload: Mapping[str, Any]) -> Any | None:
-        """:meth:`get` keyed directly on a payload mapping."""
-        return self.get(self.key(payload))
-
-    def store(self, payload: Mapping[str, Any], value: Any) -> pathlib.Path:
-        """:meth:`put` keyed directly on a payload mapping."""
-        return self.put(self.key(payload), value)
 
     # ------------------------------------------------------------------
     def clear(self) -> int:

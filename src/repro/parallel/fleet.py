@@ -32,9 +32,9 @@ def pack_key(request: EvalRequest) -> tuple:
     arbitration branch and buffering mode - must match for rows to
     share one padded lockstep program.  So must the measurement window
     (rows of one kernel advance through identical cycle counts),
-    latency collection (a whole-kernel lever: one sketch pair per
-    fleet) and ``backend`` (one kernel instance runs on one array
-    substrate, even though every backend produces the same bytes).
+    latency collection and geometric access times (whole-kernel levers)
+    and ``backend`` (one kernel instance runs on one array substrate,
+    even though every backend produces the same bytes).
     """
     from repro.bus.batch import PACK_FIELDS
 
@@ -44,6 +44,7 @@ def pack_key(request: EvalRequest) -> tuple:
         request.cycles,
         request.warmup,
         request.collects_latency,
+        request.geometric_access_times,
         request.backend,
     )
 
@@ -113,6 +114,7 @@ def run_fleet(requests: Sequence[EvalRequest]) -> list[SimulationResult]:
             targets=targets,
             request_probabilities=probabilities,
             collect_latency=first.collects_latency,
+            geometric_access_times=first.geometric_access_times,
             backend=first.backend,
         )
         fleet_results = kernel.run(first.cycles, warmup=first.warmup)

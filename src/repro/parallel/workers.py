@@ -48,6 +48,7 @@ def run_case(request: EvalRequest) -> SimulationResult:
         request_probabilities=request_probabilities,
         collect_latency=request.collects_latency,
         kernel=request.kernel,
+        geometric_access_times=request.geometric_access_times,
         backend=request.backend,
     )
 

@@ -12,22 +12,24 @@ package makes that sweep a *value*:
   built-in registry (:mod:`repro.scenarios.registry`).
 * :func:`compile_scenario` (:mod:`repro.scenarios.compiler`) lowers a
   spec into a deterministic, stably-ordered tuple of :class:`WorkUnit`
-  items with content-addressed cache keys; :func:`shard_units` splits
-  that list for multi-machine execution.
-* :func:`run_scenario` / :func:`run_units`
+  items with content-addressed cache keys; :func:`compile_specs`
+  concatenates several specs' lists into one, and :func:`shard_units`
+  splits a list for multi-machine execution.
+* :func:`run_scenarios` / :func:`run_scenario` / :func:`run_units`
   (:mod:`repro.scenarios.execute`) execute units in-process or on the
   sweep service's local workers (:mod:`repro.service`), through the
   result cache, and render mergeable reports whose sharded outputs
   recombine byte-identically (:func:`merge_reports`).
 
-The paper experiments (:mod:`repro.experiments`) run through this
-subsystem; ``repro-experiments scenario`` exposes it on the command
-line.
+The paper experiments (:mod:`repro.experiments`) declare their specs
+and run through this subsystem as one unit list; ``repro-experiments
+scenario`` exposes it on the command line.
 """
 
 from repro.scenarios.compiler import (
     WorkUnit,
     compile_scenario,
+    compile_specs,
     merge_units,
     parse_shard,
     shard_units,
@@ -38,6 +40,7 @@ from repro.scenarios.execute import (
     merge_reports,
     render_report,
     run_scenario,
+    run_scenarios,
     run_units,
     unit_line,
 )
@@ -64,6 +67,7 @@ __all__ = [
     "spec_from_mapping",
     "WorkUnit",
     "compile_scenario",
+    "compile_specs",
     "shard_units",
     "merge_units",
     "parse_shard",
@@ -71,6 +75,7 @@ __all__ = [
     "evaluate_unit",
     "run_units",
     "run_scenario",
+    "run_scenarios",
     "unit_line",
     "render_report",
     "merge_reports",

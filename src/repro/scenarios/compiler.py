@@ -61,6 +61,9 @@ class WorkUnit:
     Every backend is bit-identical to numpy, so it is an execution lever
     and never enters :meth:`payload`: all backends share
     ``simulation-batch@1``."""
+    geometric_access_times: bool = False
+    """Geometric instead of constant memory access times (simulation
+    only; part of :meth:`payload` only when set)."""
 
     @property
     def collects_latency(self) -> bool:
@@ -78,6 +81,7 @@ class WorkUnit:
             metrics=self.metrics,
             kernel=self.kernel,
             backend=self.backend,
+            geometric_access_times=self.geometric_access_times,
         )
 
     def payload(self) -> dict[str, Any]:
@@ -171,6 +175,7 @@ def compile_scenario(
                     seed=seed,
                     replication=replication,
                     metrics=spec.metrics,
+                    geometric_access_times=spec.geometric_access_times,
                     kernel=kernel,
                     backend=backend,
                 )
@@ -181,6 +186,31 @@ def compile_scenario(
             f"scenario {spec.name!r} compiles to zero work units"
         )
     return tuple(units)
+
+
+def compile_specs(
+    specs: Sequence[ScenarioSpec],
+    kernel: str = DEFAULT_KERNEL,
+    backend: str = DEFAULT_BACKEND,
+    shard: tuple[int, int] | None = None,
+) -> tuple[WorkUnit, ...]:
+    """Compile ``specs`` into one unit list, each spec's units in turn.
+
+    The one list a run executes and its sweep workers compile again
+    from ``hello``, so a position means the same unit on both sides.
+    Each unit keeps the ``index`` its own spec gave it, so ``shard``
+    takes one shard of a single spec only.
+    """
+    if shard is not None and len(specs) != 1:
+        raise ConfigurationError(
+            f"a shard takes exactly one scenario, got {len(specs)}"
+        )
+    units = tuple(
+        unit
+        for spec in specs
+        for unit in compile_scenario(spec, kernel=kernel, backend=backend)
+    )
+    return units if shard is None else shard_units(units, *shard)
 
 
 def parse_shard(text: str) -> tuple[int, int]:

@@ -1,9 +1,10 @@
 """Execute compiled work units and render mergeable reports.
 
-:func:`run_scenario` is the one entry point: it compiles a spec once
-and executes the units in this process (:func:`run_units`) or hands
-them to the sweep service's coordinator with N local workers
-(:class:`repro.service.coordinator.Coordinator`).  :func:`evaluate_unit`
+:func:`run_scenarios` is the one entry point: it compiles a list of
+specs into one unit list and executes it once, in this process
+(:func:`run_units`) or through the sweep service's coordinator with N
+local workers (:class:`repro.service.coordinator.Coordinator`);
+:func:`run_scenario` is its one-spec form.  :func:`evaluate_unit`
 is the single dispatcher from a
 :class:`~repro.scenarios.compiler.WorkUnit` to its metrics;
 :func:`run_units` serves repeats from a
@@ -23,6 +24,7 @@ reproduces the unsharded report byte-for-byte.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import sys
 from typing import Any, Iterable, Sequence
 
@@ -30,7 +32,7 @@ from repro.core.errors import ConfigurationError, ExperimentError
 from repro.engine.base import EvalResult, EvaluationMethod, LittlesLawLatency
 from repro.engine.evaluators import get_evaluator
 from repro.metrics import LatencyReport
-from repro.scenarios.compiler import WorkUnit, compile_scenario, shard_units
+from repro.scenarios.compiler import WorkUnit, compile_specs
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -250,8 +252,8 @@ def run_units(units: Sequence[WorkUnit], cache=None) -> list[UnitResult]:
     return [results[position] for position in range(len(units))]
 
 
-def run_scenario(
-    spec: ScenarioSpec,
+def run_scenarios(
+    specs: Sequence[ScenarioSpec],
     shard: tuple[int, int] | None = None,
     cache=None,
     kernel: str = "fast",
@@ -262,8 +264,14 @@ def run_scenario(
     deadline: float | None = None,
     chaos_kill_after: int | None = None,
     telemetry: dict | None = None,
-) -> list[UnitResult]:
-    """Compile ``spec`` once, optionally take one shard, and execute it.
+) -> list[list[UnitResult]]:
+    """Compile ``specs`` into one unit list, execute it once, and
+    return each spec's results in spec order.
+
+    One list lets every spec share the cache probe, the plan and the
+    workers, and :func:`run_units` computes a unit that two specs
+    declare (equal payloads) once.  ``shard`` takes one shard of a
+    single spec (:func:`~repro.scenarios.compiler.compile_specs`).
 
     ``workers=None`` executes in this process (:func:`run_units`);
     ``workers=N`` hands the units to a
@@ -285,9 +293,8 @@ def run_scenario(
     (:mod:`repro.bus.backends`); every backend is bit-identical to
     numpy, so that choice too changes wall-clock only.
     """
-    units = compile_scenario(spec, kernel=kernel, backend=backend)
-    if shard is not None:
-        units = shard_units(units, shard[0], shard[1])
+    specs = tuple(specs)
+    units = compile_specs(specs, kernel=kernel, backend=backend, shard=shard)
     if workers is None:
         failed = cache.stats.put_errors if cache is not None else 0
         results = run_units(units, cache=cache)
@@ -305,7 +312,7 @@ def run_scenario(
         # sources last changed.
         reset_code_version_tag()
         coordinator = Coordinator(
-            spec,
+            specs,
             LocalWorkers(workers, exit_after=chaos_kill_after),
             kernel=kernel,
             backend=backend,
@@ -335,7 +342,29 @@ def run_scenario(
             f"cache; later runs will compute them again",
             file=sys.stderr,
         )
-    return results
+    sizes = (
+        [len(results)]
+        if shard is not None
+        else [spec.grid_size() * spec.plan.replications for spec in specs]
+    )
+    remaining = iter(results)
+    return [list(itertools.islice(remaining, size)) for size in sizes]
+
+
+def run_scenario(
+    spec: ScenarioSpec,
+    shard: tuple[int, int] | None = None,
+    cache=None,
+    kernel: str = "fast",
+    backend: str = "numpy",
+    workers: int | None = None,
+    **service,
+) -> list[UnitResult]:
+    """Compile and execute one spec: :func:`run_scenarios` of ``(spec,)``,
+    with the same options."""
+    return run_scenarios(
+        (spec,), shard, cache, kernel, backend, workers, **service
+    )[0]
 
 
 # ----------------------------------------------------------------------
@@ -374,10 +403,14 @@ def unit_line(result: UnitResult) -> str:
     on that token equal the unsharded output.  Latency-metric units
     append the percentile columns (``lat_count`` plus
     mean/p50/p90/p99/max for each of wait/service/total); units without
-    metrics render the exact pre-metrics bytes.
+    metrics render the exact pre-metrics bytes.  Geometric-access units
+    add ``access=geometric`` after the workload; constant-access units
+    carry no access token.
     """
     unit = result.unit
     workload = unit.workload.describe() if unit.workload is not None else "uniform"
+    if unit.geometric_access_times:
+        workload += " access=geometric"
     line = (
         f"unit {unit.index:06d} {_describe_config(unit)} "
         f"workload={workload} method={unit.method} seed={unit.seed} "

@@ -11,9 +11,11 @@ design-space exploration: it composes
 * an *evaluation method* (:class:`EvaluationMethod`: cycle-accurate bus
   simulation, reduced Markov chain, product-form MVA, the closed-form
   crossbar model, or the Section 3.2 combinational bandwidth model),
-* a *replication plan* (:class:`ReplicationPlan`: how many seeds), and
+* a *replication plan* (:class:`ReplicationPlan`: how many seeds),
 * optional extra *metrics* (currently ``latency``: streaming
-  wait/service/total percentile summaries per work unit).
+  wait/service/total percentile summaries per work unit), and
+* the memory access-time law (``geometric_access_times``: constant
+  ``r`` cycles, the paper's machine, or geometric with mean ``r``).
 
 Every figure and table of the paper is one such sweep; so are the
 non-paper studies (hot-spot severity, buffer-depth scaling, ...).  The
@@ -203,6 +205,10 @@ class ScenarioSpec:
     """Extra per-unit metric families (:data:`KNOWN_METRICS`), e.g.
     ``("latency",)`` for streaming wait/service/total percentiles.
     Stored sorted and deduplicated so equal requests hash equally."""
+    geometric_access_times: bool = False
+    """Simulate geometric memory access times of mean ``r`` instead of
+    the constant ``r`` cycles (simulation only); enters unit payloads
+    and report lines only when set."""
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name.strip():
@@ -290,6 +296,16 @@ class ScenarioSpec:
 
         capabilities = get_evaluator(self.method).capabilities
         capabilities.check_metrics(metrics)
+        if not isinstance(self.geometric_access_times, bool):
+            raise ConfigurationError(
+                "geometric_access_times must be true or false, got "
+                f"{self.geometric_access_times!r}"
+            )
+        if self.geometric_access_times and capabilities.analytic:
+            raise ConfigurationError(
+                f"method {self.method} is analytic; geometric access "
+                "times need the simulation method"
+            )
         workload_fields = [
             field
             for axis in grid
@@ -355,7 +371,7 @@ class ScenarioSpec:
 
     def payload(self) -> dict[str, Any]:
         """Canonical JSON-able description of the whole spec."""
-        return {
+        payload = {
             "name": self.name,
             "base": {
                 field: _json_value(value)
@@ -369,6 +385,9 @@ class ScenarioSpec:
             "plan": self.plan.payload(),
             "metrics": list(self.metrics),
         }
+        if self.geometric_access_times:
+            payload["geometric_access_times"] = True
+        return payload
 
 
 def _parse_axis(entry: Mapping[str, Any]) -> GridAxis:
@@ -402,7 +421,8 @@ def spec_from_mapping(data: Mapping[str, Any]) -> ScenarioSpec:
     The mapping uses exactly the TOML/JSON file schema (see
     ``SCENARIOS.md``): ``name``, ``description``, ``method``, ``cycles``,
     ``warmup``, a ``base`` table, a ``grid`` list of axis tables, a
-    ``workload`` table, and a ``replications`` table.
+    ``workload`` table, a ``replications`` table, ``metrics`` and
+    ``geometric_access_times``.
     """
     from repro.workloads.spec import workload_from_payload
 
@@ -422,6 +442,7 @@ def spec_from_mapping(data: Mapping[str, Any]) -> ScenarioSpec:
         "workload",
         "replications",
         "metrics",
+        "geometric_access_times",
     }
     unknown = sorted(set(data) - known)
     if unknown:
@@ -476,4 +497,6 @@ def spec_from_mapping(data: Mapping[str, Any]) -> ScenarioSpec:
         kwargs["cycles"] = data["cycles"]
     if "warmup" in data:
         kwargs["warmup"] = data["warmup"]
+    if "geometric_access_times" in data:
+        kwargs["geometric_access_times"] = data["geometric_access_times"]
     return ScenarioSpec(**kwargs)

@@ -17,7 +17,8 @@ multi-worker *service*:
   merge results byte-identical to a serial run;
 * :mod:`repro.service.cli` - the ``sweep-work`` subcommand.  The
   coordinator end is ``repro-experiments scenario <name> --workers N``
-  (:mod:`repro.scenarios.cli`).
+  (:mod:`repro.scenarios.cli`) or ``repro-experiments all --workers N``
+  (:mod:`repro.experiments.runner`).
 
 All workers share one concurrent :class:`repro.parallel.cache.ResultCache`
 store (sharded content-addressed layout, crash-safe writes), so a fleet

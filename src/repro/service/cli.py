@@ -8,8 +8,9 @@ Usage::
     repro-experiments sweep-work
 
 The coordinator side is ``repro-experiments scenario <name> --workers
-N`` (:mod:`repro.scenarios.cli`), which forks its workers where it can
-and spawns ``sweep-work`` peers where it cannot.
+N`` (:mod:`repro.scenarios.cli`) or ``repro-experiments all --workers
+N``, which forks its workers where it can and spawns ``sweep-work``
+peers where it cannot.
 """
 
 from __future__ import annotations

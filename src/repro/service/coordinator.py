@@ -1,6 +1,7 @@
 """The sweep coordinator: plan, lease, merge exactly.
 
-The coordinator owns the canonical compiled unit list and drives any
+The coordinator owns the canonical compiled unit list of one or more
+scenario specs and drives any
 number of :class:`~repro.service.transports.WorkerTransport` endpoints
 through the lease protocol (:mod:`repro.service.protocol`):
 
@@ -10,6 +11,10 @@ through the lease protocol (:mod:`repro.service.protocol`):
   sweeps never ship cached work to workers (a fully-warm sweep
   dispatches zero units, skips the handshake entirely and, with
   :class:`~repro.service.transports.LocalWorkers`, starts no worker);
+* positions whose units repeat an earlier position's payload (say, one
+  reference line two experiments declare) are never leased: they take
+  that position's result, as :func:`~repro.scenarios.execute.run_units`
+  computes such a unit once;
 * the remaining work is cut by the **sweep planner**
   (:func:`repro.scenarios.plan.carve_leases`) into position-list
   leases: each batch super-fleet stays one lease (one vectorized fleet
@@ -39,7 +44,7 @@ import time
 from typing import Any, Sequence
 
 from repro.core.errors import ConfigurationError, ExperimentError
-from repro.scenarios.compiler import WorkUnit, compile_scenario, shard_units
+from repro.scenarios.compiler import WorkUnit, compile_specs
 from repro.scenarios.execute import UnitResult, result_from_metrics
 from repro.scenarios.spec import ScenarioSpec
 from repro.service import protocol
@@ -74,19 +79,21 @@ class _Worker:
 
 
 class Coordinator:
-    """Drive one compiled scenario across a set of worker transports.
+    """Drive the compiled unit list of ``specs`` across a set of worker
+    transports.
 
     ``transports`` are started worker endpoints, or
     :class:`~repro.service.transports.LocalWorkers` to start only once
-    the plan leases something.  ``units`` is ``spec``'s compiled (and
-    sharded) unit list when the caller already holds it.  The probe and
-    the workers share the store at ``cache_dir`` under the version tag
-    ``cache_version`` (default: the code version).
+    the plan leases something.  ``units`` is the specs' compiled (and
+    sharded) unit list (:func:`~repro.scenarios.compiler.compile_specs`)
+    when the caller already holds it.  The probe and the workers share
+    the store at ``cache_dir`` under the version tag ``cache_version``
+    (default: the code version).
     """
 
     def __init__(
         self,
-        spec: ScenarioSpec,
+        specs: Sequence[ScenarioSpec],
         transports: Sequence[WorkerTransport] | LocalWorkers,
         kernel: str = "fast",
         backend: str = "numpy",
@@ -101,11 +108,12 @@ class Coordinator:
     ) -> None:
         if not len(transports):
             raise ExperimentError("the sweep service needs at least one worker")
+        specs = tuple(specs)
         if units is None:
-            units = compile_scenario(spec, kernel=kernel, backend=backend)
-            if shard is not None:
-                units = shard_units(units, shard[0], shard[1])
-        self.spec = spec
+            units = compile_specs(
+                specs, kernel=kernel, backend=backend, shard=shard
+            )
+        self.specs = specs
         self.units = units
         self.kernel = kernel
         self.backend = backend
@@ -130,6 +138,7 @@ class Coordinator:
         self._next_lease_id = 0
         self._queue: list[list[int]] = []
         self._metrics: dict[int, tuple[Any, bool]] = {}
+        self._twins: dict[int, list[int]] = {}
         self._retries: dict[int, int] = {}
         self.leases_issued = 0
         self.leases_retried = 0
@@ -144,11 +153,13 @@ class Coordinator:
         self._started = time.monotonic()
         self._probe_cache()
         self._queue = self._plan_leases(
-            [
-                position
-                for position in range(len(self.units))
-                if position not in self._metrics
-            ]
+            self._representatives(
+                [
+                    position
+                    for position in range(len(self.units))
+                    if position not in self._metrics
+                ]
+            )
         )
         if self._queue:
             # A fully-warm sweep skips the handshake entirely: there is
@@ -156,7 +167,7 @@ class Coordinator:
             # The hello is built first so that forked workers inherit
             # the memoized code version tag.
             hello = protocol.hello_message(
-                self.spec,
+                self.specs,
                 self.kernel,
                 self.backend,
                 shard=self.shard,
@@ -240,6 +251,21 @@ class Coordinator:
             self._metrics[position] = (value, True)
             self.probe_hits += 1
 
+    def _representatives(self, positions: list[int]) -> list[int]:
+        """``positions`` without those whose unit payload repeats an
+        earlier one's; each repeat is filed as a twin of the first and
+        takes its result."""
+        from repro.parallel.cache import canonical_json
+
+        first: dict[str, int] = {}
+        for position in positions:
+            payload = canonical_json(self.units[position].payload())
+            if payload in first:
+                self._twins.setdefault(first[payload], []).append(position)
+            else:
+                first[payload] = position
+        return list(first.values())
+
     def _plan_leases(self, positions: list[int]) -> list[list[int]]:
         """Cut the unresolved positions into the lease queue."""
         from repro.scenarios.plan import carve_leases
@@ -286,10 +312,9 @@ class Coordinator:
                 # Deterministic evaluation makes duplicates (from
                 # retried leases or retired stragglers) byte-identical,
                 # so first-writer-wins is exact, not approximate.
-                self._metrics[position] = (
-                    message["metrics"],
-                    bool(message.get("cached", False)),
-                )
+                value = (message["metrics"], bool(message.get("cached", False)))
+                for resolved in (position, *self._twins.get(position, ())):
+                    self._metrics[resolved] = value
         elif kind == "lease_done":
             self.put_errors += int(message.get("put_errors", 0))
             lease = self._leases.get(message["lease_id"])

@@ -7,15 +7,17 @@ directory of numbered files, a message queue - can carry the protocol
 unchanged.  The conversation is deliberately tiny:
 
 == ==================== ============================================
-→  ``hello``             coordinator → worker: the full scenario spec
-                         (file-schema mapping), kernel/backend, the
-                         optional shard designator, the shared cache
-                         configuration and the coordinator's
+→  ``hello``             coordinator → worker: the list of scenario
+                         specs (file-schema mappings), kernel/backend,
+                         the optional shard designator (one spec only),
+                         the shared cache configuration and the
+                         coordinator's
                          :func:`~repro.parallel.cache.code_version_tag`
                          (a worker on other code answers ``error``).
                          The worker compiles the *same* deterministic
-                         unit list locally, so leases can name
-                         positions instead of shipping units.
+                         unit list locally (each spec's units in turn),
+                         so leases can name positions instead of
+                         shipping units.
 ←  ``ready``             worker → coordinator: unit count (checked
                          against the coordinator's own compile - a
                          mismatch means version skew) and the worker
@@ -47,18 +49,20 @@ transport fails loudly instead of silently dropping work.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.parallel.cache import code_version_tag
 from repro.scenarios.spec import ScenarioSpec, spec_from_mapping
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 """Bumped on any incompatible message-shape change; ``hello`` carries
 it and workers reject mismatches, so mixed-version fleets fail fast.
 Version 2 replaced the contiguous ``[start, stop)`` range lease with an
 explicit position list, so planners can compose fleet-affine leases.
-Version 3 made ``hello``'s ``code_version`` field required."""
+Version 3 made ``hello``'s ``code_version`` field required.  Version 4
+replaced ``hello``'s one ``spec`` with a ``specs`` list, so one
+coordinator runs several scenarios as one unit list."""
 
 MESSAGE_TYPES = frozenset(
     {"hello", "ready", "lease", "result", "lease_done", "error", "shutdown"}
@@ -123,6 +127,8 @@ def spec_to_mapping(spec: ScenarioSpec) -> dict[str, Any]:
     }
     if payload["warmup"] is not None:
         mapping["warmup"] = payload["warmup"]
+    if spec.geometric_access_times:
+        mapping["geometric_access_times"] = True
     return mapping
 
 
@@ -135,7 +141,7 @@ def spec_from_wire(mapping: Mapping[str, Any]) -> ScenarioSpec:
 # Message constructors.
 # ----------------------------------------------------------------------
 def hello_message(
-    spec: ScenarioSpec,
+    specs: Sequence[ScenarioSpec],
     kernel: str,
     backend: str,
     shard: tuple[int, int] | None = None,
@@ -155,7 +161,7 @@ def hello_message(
         "type": "hello",
         "protocol": PROTOCOL_VERSION,
         "code_version": code_version_tag(),
-        "spec": spec_to_mapping(spec),
+        "specs": [spec_to_mapping(spec) for spec in specs],
         "kernel": kernel,
         "backend": backend,
         "shard": list(shard) if shard is not None else None,

@@ -10,10 +10,10 @@ subprocess transport or remotely (``ssh host repro-experiments
 sweep-work`` works unchanged, which is what keeps the lease protocol
 transport-agnostic).
 
-A worker compiles the scenario it receives in ``hello`` locally -
-compilation is deterministic, so coordinator and worker hold identical
-unit lists and leases can name positions instead of shipping unit
-objects.  Leased blocks execute through the ordinary
+A worker compiles the scenario specs it receives in ``hello`` locally
+into one unit list - compilation is deterministic, so coordinator and
+worker hold identical unit lists and leases can name positions instead
+of shipping unit objects.  Leased blocks execute through the ordinary
 :func:`repro.scenarios.execute.run_units` path, so workers get fleet
 aggregation, per-unit caching against the shared concurrent store, and
 the exact evaluator byte behaviour of a serial run for free.  Results
@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.core.errors import ConfigurationError, ReproError
 from repro.engine.base import EvalResult
 from repro.parallel.cache import ResultCache, code_version_tag
-from repro.scenarios.compiler import WorkUnit, compile_scenario, shard_units
+from repro.scenarios.compiler import WorkUnit, compile_specs
 from repro.service import protocol
 
 
@@ -102,16 +102,13 @@ class WorkerSession:
                 f"{message.get('code_version')!r}, worker runs "
                 f"{code_version_tag()!r}"
             )
-        spec = protocol.spec_from_wire(message["spec"])
-        units: Sequence[WorkUnit] = compile_scenario(
-            spec,
+        shard = message.get("shard")
+        units = compile_specs(
+            [protocol.spec_from_wire(spec) for spec in message["specs"]],
             kernel=message.get("kernel", "fast"),
             backend=message.get("backend", "numpy"),
+            shard=tuple(shard) if shard is not None else None,
         )
-        shard = message.get("shard")
-        if shard is not None:
-            shard_index, shard_count = shard
-            units = shard_units(units, shard_index, shard_count)
         self._units = units
         cache_config = message.get("cache") or {}
         if cache_config.get("enabled", False):

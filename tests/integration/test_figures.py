@@ -15,11 +15,8 @@ pytestmark = pytest.mark.slow
 
 from repro.experiments import paper_data
 from repro.experiments.figure2 import check_claims as check_figure2
-from repro.experiments.figure2 import run as run_figure2
-from repro.experiments.figure3 import run as run_figure3
 from repro.experiments.figure5 import check_claims as check_figure5
-from repro.experiments.figure5 import run as run_figure5
-from repro.experiments.figure6 import run as run_figure6
+from repro.experiments.runner import run_experiment
 from repro.scenarios.execute import run_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ReplicationPlan
@@ -32,22 +29,22 @@ SEED = 99
 def figure2_result():
     # The near-crossbar claim needs tighter statistics than the shape
     # checks, hence the longer window for this figure.
-    return run_figure2(cycles=8_000, seed=SEED)
+    return run_experiment("figure2", cycles=8_000, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def figure3_result():
-    return run_figure3(cycles=CYCLES, seed=SEED)
+    return run_experiment("figure3", cycles=CYCLES, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def figure5_result():
-    return run_figure5(cycles=CYCLES, seed=SEED)
+    return run_experiment("figure5", cycles=CYCLES, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def figure6_result():
-    return run_figure6(cycles=CYCLES, seed=SEED)
+    return run_experiment("figure6", cycles=CYCLES, seed=SEED)
 
 
 def utilisation_range(scenario: str) -> tuple[float, float]:

@@ -1,12 +1,15 @@
-"""The scenario CLI's coordinator never loads the heavy modules.
+"""The CLI's coordinator never loads the heavy modules.
 
 A ``repro-experiments scenario`` run pays for every module it imports
 on each invocation.  The exact kernels need no numpy, and a
 ``--workers`` run forks its workers with ``os.fork``, so neither
 ``concurrent.futures`` nor ``multiprocessing`` belongs in the
 coordinator; a batch run imports numpy only inside the forked workers.
-Each case runs the CLI in a fresh interpreter and reads that process's
-``sys.modules`` after ``main`` returns.
+The experiment runner's coordinator is held to the same rule: loading
+the experiment registry imports no model module, so the process that
+forks the workers runs no native (OpenBLAS) thread.  Each case runs the
+CLI in a fresh interpreter and reads that process's ``sys.modules``
+after ``main`` returns.
 """
 
 from __future__ import annotations
@@ -33,14 +36,22 @@ with open(sys.argv[1], "w") as handle:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,first_line",
     [
-        ["latency-tail", "--fast"],
-        ["table4", "--kernel", "batch", "--workers", "2"],
+        (
+            ["scenario", "latency-tail", "--fast", "--cycles", "1"],
+            "unit 000000 ",
+        ),
+        (
+            ["scenario", "table4", "--kernel", "batch", "--workers", "2",
+             "--cycles", "1"],
+            "unit 000000 ",
+        ),
+        (["figure5", "--fast", "--workers", "2"], "Figure 5 - "),
     ],
-    ids=["latency-tail-fast", "table4-batch-workers-2"],
+    ids=["latency-tail-fast", "table4-batch-workers-2", "figure5-workers-2"],
 )
-def test_coordinator_skips_heavy_modules(argv, tmp_path):
+def test_coordinator_skips_heavy_modules(argv, first_line, tmp_path):
     report = tmp_path / "modules.json"
     env = dict(os.environ)
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
@@ -48,15 +59,14 @@ def test_coordinator_skips_heavy_modules(argv, tmp_path):
         part for part in (src, env.get("PYTHONPATH")) if part
     )
     completed = subprocess.run(
-        [sys.executable, "-c", _DRIVER, str(report), "scenario", *argv,
-         "--cycles", "1", "--no-cache"],
+        [sys.executable, "-c", _DRIVER, str(report), *argv, "--no-cache"],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.startswith("unit 000000 ")
+    assert completed.stdout.startswith(first_line)
     result = json.loads(report.read_text())
     assert result["code"] == 0
     loaded = [name for name in HEAVY if name in result["modules"]]

@@ -18,7 +18,6 @@ from repro.bus import simulate
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority
 from repro.experiments import paper_data
-from repro.experiments.table2 import run as run_table2
 from repro.models.approx_memory_priority import approximate_memory_priority_ebw
 from repro.models.exact_memory_priority import exact_memory_priority_ebw
 from repro.models.processor_priority import processor_priority_ebw
@@ -68,8 +67,13 @@ class TestTable2DigitExact:
 
     def test_symmetric_variant_in_range(self):
         # The symmetrised variant Section 5 suggests has no printed
-        # reference; every cell must stay a plausible EBW.
-        for value in run_table2(symmetric=True).measured.values():
+        # reference; every cell of the Table 2 grid must stay a
+        # plausible EBW.
+        for n, m in paper_data.TABLE2_APPROX_MEMORY_PRIORITY:
+            config = SystemConfig(
+                n, m, min(n, m) + 7, priority=Priority.MEMORIES
+            )
+            value = approximate_memory_priority_ebw(config, symmetric=True).ebw
             assert 1.0 < value < 5.5
 
     def test_first_row_equals_table1(self):

@@ -3,7 +3,10 @@
 Runs every scenario in the registry - every evaluation method, workload
 and metric family the declarative layer exposes - in ``--fast`` mode
 (fast kernel, reduced cycles, no cache) and asserts the rendered report
-matches ``tests/golden/scenario_goldens.txt`` byte for byte.  This is
+matches ``tests/golden/scenario_goldens.txt`` byte for byte.  The
+simulation-method scenarios run again under ``kernel="batch"`` against
+``tests/golden/scenario_goldens_batch.txt``: batch bytes are not the
+exact tier's, but they must not move between versions either.  This is
 the guard rail for the engine refactor and every future one: any change
 that perturbs dispatch, kernels, caching glue or report rendering shows
 up as a golden diff.
@@ -13,7 +16,7 @@ Regenerate after an *intentional* output change with::
     REPRO_REGENERATE_GOLDENS=1 python -m pytest \
         tests/integration/test_scenario_goldens.py -q
 
-and commit the updated golden file alongside the change.  The same
+and commit the updated golden files alongside the change.  The same
 variable regenerates ``tests/golden/unit_payloads.txt``, the pin on
 every registered scenario's cache keys.
 """
@@ -25,11 +28,17 @@ import hashlib
 import os
 import pathlib
 
+import pytest
+
 GOLDEN_PATH = (
     pathlib.Path(__file__).resolve().parent.parent
     / "golden"
     / "scenario_goldens.txt"
 )
+GOLDEN_PATHS = {
+    "fast": GOLDEN_PATH,
+    "batch": GOLDEN_PATH.with_name("scenario_goldens_batch.txt"),
+}
 PAYLOAD_GOLDEN_PATH = GOLDEN_PATH.with_name("unit_payloads.txt")
 GOLDEN_CYCLES = 1_200
 """Cycles per unit: small enough for CI, long enough to exercise
@@ -38,25 +47,32 @@ warm-up, batching and the latency pipeline."""
 _HEADER = "== "
 
 
-def generate_report() -> str:
-    """One deterministic text block per registered scenario."""
+def generate_report(kernel: str = "fast") -> str:
+    """One deterministic text block per registered scenario; the batch
+    kernel covers the simulation-method scenarios only (the analytic
+    ones do not depend on the kernel)."""
+    from repro.engine.base import EvaluationMethod
     from repro.scenarios.execute import render_report, run_scenario
     from repro.scenarios.registry import all_scenarios
 
     blocks = []
     for spec in all_scenarios():
+        if kernel == "batch" and spec.method is not EvaluationMethod.SIMULATION:
+            continue
         runnable = dataclasses.replace(spec, cycles=GOLDEN_CYCLES)
-        report = render_report(run_scenario(runnable, kernel="fast"))
+        report = render_report(run_scenario(runnable, kernel=kernel))
         blocks.append(f"{_HEADER}{spec.name} cycles={GOLDEN_CYCLES}\n{report}")
     return "\n".join(blocks) + "\n"
 
 
-def test_all_registered_scenarios_match_golden():
-    actual = generate_report()
+@pytest.mark.parametrize("kernel", sorted(GOLDEN_PATHS))
+def test_all_registered_scenarios_match_golden(kernel):
+    golden = GOLDEN_PATHS[kernel]
+    actual = generate_report(kernel)
     if os.environ.get("REPRO_REGENERATE_GOLDENS"):
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(actual, encoding="utf-8")
-    expected = GOLDEN_PATH.read_text(encoding="utf-8")
+        golden.parent.mkdir(parents=True, exist_ok=True)
+        golden.write_text(actual, encoding="utf-8")
+    expected = golden.read_text(encoding="utf-8")
     if actual != expected:
         actual_blocks = {
             block.splitlines()[0]: block
@@ -74,7 +90,7 @@ def test_all_registered_scenarios_match_golden():
             if actual_blocks.get(name) != expected_blocks.get(name)
         )
         raise AssertionError(
-            "scenario reports diverge from tests/golden/scenario_goldens.txt "
+            f"scenario reports diverge from tests/golden/{golden.name} "
             f"for: {', '.join(changed)}; if the change is intentional, "
             "regenerate with REPRO_REGENERATE_GOLDENS=1 (see module docstring)"
         )

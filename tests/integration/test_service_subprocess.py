@@ -158,7 +158,7 @@ class TestSpawnedWorkers:
             SubprocessTransport(sweep_work_argv(), name="w1"),
         ]
         coordinator = Coordinator(
-            spec, transports, lease_size=2, cache_enabled=False
+            [spec], transports, lease_size=2, cache_enabled=False
         )
         served = render_report(coordinator.run())
         assert served == render_report(run_scenario(spec))

@@ -58,7 +58,7 @@ class TestMergeInvariance:
     )
     def test_invariant_to_workers_and_lease_size(self, workers, lease_size):
         coordinator = Coordinator(
-            _SPEC,
+            [_SPEC],
             _workers(workers, None),
             lease_size=lease_size,
             cache_enabled=False,
@@ -78,7 +78,7 @@ class TestMergeInvariance:
         """One worker dies abruptly after its n-th result; the healthy
         rest absorb the retried lease and the bytes do not move."""
         coordinator = Coordinator(
-            _SPEC,
+            [_SPEC],
             _workers(workers, (killed_worker % workers, fail_after)),
             lease_size=lease_size,
             cache_enabled=False,
@@ -103,7 +103,7 @@ class TestMergeInvariance:
         serial_reports = []
         for shard_index in range(1, shard_count + 1):
             coordinator = Coordinator(
-                _SPEC,
+                [_SPEC],
                 _workers(workers, None),
                 shard=(shard_index, shard_count),
                 lease_size=lease_size,
@@ -147,7 +147,7 @@ class TestPlanInvariance:
     )
     def test_invariant_to_plan_shape(self, workers, lease_size):
         coordinator = Coordinator(
-            _SPEC,
+            [_SPEC],
             _workers(workers, None),
             lease_size=lease_size,
             cache_enabled=False,
@@ -162,7 +162,7 @@ class TestPlanInvariance:
         coordinators = []
         for _ in range(2):
             coordinator = Coordinator(
-                _SPEC,
+                [_SPEC],
                 _workers(2, None),
                 cache_enabled=True,
                 cache_dir=str(store),
@@ -182,7 +182,7 @@ class TestPlanInvariance:
             )
         )
         coordinator = Coordinator(
-            _SPEC,
+            [_SPEC],
             _workers(2, None),
             kernel="batch",
             backend=backend,
@@ -197,7 +197,7 @@ class TestRetryAccounting:
         # construction: one result of the two-unit lease is streamed,
         # the other position must be re-leased to a healthy worker.
         coordinator = Coordinator(
-            _SPEC,
+            [_SPEC],
             _workers(3, (0, 1)),
             lease_size=2,
             cache_enabled=False,

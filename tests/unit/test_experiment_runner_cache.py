@@ -1,59 +1,16 @@
-"""Runner-level tests: --jobs / --cache wiring and result serialization."""
+"""Runner-level tests: the per-unit cache, --workers and the spec wire."""
 
 from __future__ import annotations
 
+import errno
+import os
+
 import pytest
 
-from repro.core.errors import ExperimentError
-from repro.experiments.registry import ExperimentResult
+from repro.experiments.formatting import format_result
+from repro.experiments.registry import all_experiments
 from repro.experiments.runner import main, run_experiments
-from repro.experiments.serialization import (
-    result_from_payload,
-    result_to_payload,
-)
 from repro.parallel.cache import ResultCache
-
-
-def make_result() -> ExperimentResult:
-    return ExperimentResult(
-        experiment_id="demo",
-        title="Demo table",
-        row_label="n",
-        column_label="m",
-        rows=("n=2", "n=4"),
-        columns=("m=2",),
-        measured={("n=2", "m=2"): 0.1 + 0.2, ("n=4", "m=2"): 1.75},
-        reference={("n=2", "m=2"): 0.3},
-        notes="demo",
-    )
-
-
-class TestSerialization:
-    def test_round_trip_is_lossless(self):
-        result = make_result()
-        assert result_from_payload(result_to_payload(result)) == result
-
-    def test_payload_is_json_serializable(self):
-        import json
-
-        json.dumps(result_to_payload(make_result()))
-
-    def test_floats_survive_json_round_trip_exactly(self):
-        import json
-
-        payload = json.loads(json.dumps(result_to_payload(make_result())))
-        restored = result_from_payload(payload)
-        assert restored.measured[("n=2", "m=2")] == 0.1 + 0.2
-
-    def test_malformed_payload_raises(self):
-        with pytest.raises(ExperimentError):
-            result_from_payload({"payload_version": 1})
-
-    def test_version_mismatch_raises(self):
-        payload = result_to_payload(make_result())
-        payload["payload_version"] = 999
-        with pytest.raises(ExperimentError, match="version"):
-            result_from_payload(payload)
 
 
 @pytest.fixture
@@ -62,27 +19,48 @@ def cache(tmp_path):
 
 
 class TestRunnerCache:
-    def test_cold_then_cached_output_identical(self, cache):
+    """``all`` and ``scenario`` share one store: one entry per unit."""
+
+    def test_cold_then_cached_results_identical(self, cache):
         cold = run_experiments(["table1"], cache=cache)
-        assert cache.stats.stores == 1
+        assert cache.stats.stores == 16
         warm = run_experiments(["table1"], cache=cache)
         assert warm == cold
-        assert cache.stats.hits == 1
+        assert cache.stats.hits == 16
 
-    def test_cache_shared_between_jobs_settings(self, cache):
+    def test_cache_shared_between_serial_and_workers(self, cache):
         serial = run_experiments(["table1"], cache=cache)
-        pooled = run_experiments(["table1"], jobs=4, cache=cache)
-        assert pooled == serial
-        # Second run must have been served from the cache.
-        assert cache.stats.hits >= 1
+        telemetry: dict = {}
+        served = run_experiments(
+            ["table1"], cache=cache, workers=2, telemetry=telemetry
+        )
+        assert served == serial
+        assert telemetry["from_cache"] == 16
+        assert telemetry["dispatched"] == 0
 
-    def test_fast_and_full_have_distinct_keys(self, cache):
+    def test_analytic_units_ignore_cycles(self, cache):
+        # table3b is a deterministic model: its unit keys exclude the
+        # cycle count, so --fast hits the entries a full run stored.
         run_experiments(["table3b"], cache=cache)
-        run_experiments(["table3b"], cache=cache)
-        # table3b ignores --fast (deterministic model) so keys collide
-        # only for identical kwargs: exactly one store, one hit.
-        assert cache.stats.stores == 1
-        assert cache.stats.hits == 1
+        run_experiments(["table3b"], cycles=6_000, cache=cache)
+        assert cache.stats.stores == 42
+        assert cache.stats.hits == 42
+
+    def test_scenario_run_warms_the_experiment(self, capsys, tmp_path):
+        # A scenario run at --fast's cycles and the paper seed stores
+        # exactly the units table4 --fast declares.
+        store = str(tmp_path / "shared")
+        argv = ["--cycles", "6000", "--seed", "1985", "--cache-dir", store]
+        assert main(["scenario", "table4", *argv]) == 0
+        capsys.readouterr()
+        telemetry: dict = {}
+        run_experiments(
+            ["table4"],
+            cycles=6_000,
+            cache=ResultCache(cache_dir=store),
+            telemetry=telemetry,
+        )
+        assert telemetry == {"units": 70, "from_cache": 70}
 
     def test_corrupted_cache_entry_recomputes(self, cache):
         cold = run_experiments(["table1"], cache=cache)
@@ -99,76 +77,84 @@ class TestRunnerCache:
     def test_cache_write_failure_does_not_block_run(
         self, cache, monkeypatch, capsys
     ):
-        def failing_store(payload, value):
-            raise OSError("disk full")
+        real_replace = os.replace
 
-        monkeypatch.setattr(cache, "store", failing_store)
-        report = run_experiments(["table1"], cache=cache)
-        assert "Table 1" in report
-        assert "could not cache table1" in capsys.readouterr().err
+        def full_disk(source, target):
+            if str(source).endswith(".tmp"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        (result,) = run_experiments(["table1"], cache=cache)
+        assert "Table 1" in format_result(result)
+        assert cache.stats.put_errors == 16
+        assert (
+            "16 result(s) could not be stored in the cache"
+            in capsys.readouterr().err
+        )
 
 
-class TestRunKeywords:
-    """``--fast`` cycles and ``--jobs`` workers reach exactly the
-    experiments whose ``run`` accepts them, so every experiment's
-    keyword arguments, and with them its cache payload, are pinned."""
+class TestDeclaredSpecs:
+    def test_every_declared_spec_crosses_the_wire(self):
+        """A worker rebuilds each spec from ``hello``; its ``ready``
+        check compares only unit counts, so a field lost on the wire
+        would change bytes silently."""
+        from repro.service.protocol import spec_from_wire, spec_to_mapping
 
-    def _accepting(self, keyword):
-        from repro.experiments.registry import all_experiments
-        from repro.experiments.runner import _accepts
-
-        return {
-            spec.experiment_id
-            for spec in all_experiments()
-            if _accepts(spec, keyword)
-        }
-
-    def test_fast_cycles_reach_the_simulating_experiments(self):
-        assert self._accepting("cycles") == {
-            "figure2", "figure3", "figure5", "figure6", "hot_spot",
-            "product_form", "table3a", "table4",
-        }
-
-    def test_workers_reach_the_scenario_grids(self):
-        assert self._accepting("workers") == {
-            "figure2", "figure3", "figure5", "figure6", "hot_spot",
-            "table3a", "table4",
-        }
+        geometric = 0
+        for experiment in all_experiments():
+            for cycles in (experiment.cycles, 6_000):
+                for spec in experiment.scenarios(cycles, 1985):
+                    assert spec_from_wire(spec_to_mapping(spec)) == spec
+                    geometric += spec.geometric_access_times
+        assert geometric == 2  # product_form, at both lengths
 
 
 class TestMainFlags:
-    def test_jobs_flag_byte_identical_output(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c1"))
-        assert main(["table1", "--no-cache"]) == 0
+    def test_workers_flag_byte_identical_output(self, capsys):
+        assert main(["table1", "figure3", "--fast", "--no-cache"]) == 0
         serial_out = capsys.readouterr().out
-        assert main(["table1", "--jobs", "4", "--no-cache"]) == 0
-        jobs_out = capsys.readouterr().out
-        assert jobs_out == serial_out
+        argv = ["table1", "figure3", "--fast", "--workers", "2", "--no-cache"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == serial_out
 
     def test_cache_dir_flag(self, capsys, tmp_path):
         target = tmp_path / "explicit"
         assert main(["table1", "--cache-dir", str(target)]) == 0
         capsys.readouterr()
-        assert list(target.rglob("*.json"))
+        assert len(list(target.rglob("*.json"))) == 16
 
     def test_cached_rerun_identical_stdout(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c2"))
         assert main(["table1"]) == 0
         cold = capsys.readouterr().out
         assert main(["table1"]) == 0
-        warm = capsys.readouterr().out
-        assert warm == cold
+        warm = capsys.readouterr()
+        assert warm.out == cold
+        assert "16 units in" in warm.err and "16 from cache]" in warm.err
 
-    def test_rejects_nonpositive_jobs(self, capsys):
+    def test_rejects_nonpositive_workers(self, capsys):
         with pytest.raises(SystemExit):
-            main(["table1", "--jobs", "0"])
+            main(["table1", "--workers", "0"])
+        assert "--workers must be a positive integer" in capsys.readouterr().err
+
+    def test_unknown_experiment_is_a_one_line_error(self, capsys):
+        assert main(["table99", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown experiment 'table99'")
+        assert "Traceback" not in err
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["table1", "--jobs", "2"])
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_timings_go_to_stderr_not_stdout(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c3"))
         assert main(["table1"]) == 0
         captured = capsys.readouterr()
-        assert "[table1:" in captured.err
-        assert "[table1:" not in captured.out
+        assert "[1 experiment: 16 units in" in captured.err
+        assert "units in" not in captured.out
 
 
 class TestCacheSubcommand:

@@ -80,7 +80,7 @@ class TestRegistry:
     def test_get_known(self):
         spec = get("table1")
         assert spec.paper_artifact == "Table 1"
-        assert callable(spec.run)
+        assert callable(spec.scenarios) and callable(spec.render)
 
     def test_get_unknown(self):
         with pytest.raises(ExperimentError, match="unknown experiment"):
@@ -121,7 +121,8 @@ class TestRunner:
         assert "Figure 5" in text
 
     def test_run_single_deterministic_experiment(self):
-        report = run_experiments(["table1"])
+        (result,) = run_experiments(["table1"])
+        report = format_result(result)
         assert "Table 1" in report
         assert "worst |err|" in report
 
@@ -144,10 +145,9 @@ class TestRunner:
         assert content.startswith("# Paper-vs-measured report")
         assert "Table 1" in content
 
-    def test_iter_reports_streams(self):
-        from repro.experiments.runner import iter_reports
-
-        reports = list(iter_reports(["table1", "table2"]))
-        assert len(reports) == 2
-        assert "Table 1" in reports[0]
-        assert "Table 2" in reports[1]
+    def test_results_follow_the_requested_order(self):
+        results = run_experiments(["table2", "table1"])
+        assert [result.experiment_id for result in results] == [
+            "table2",
+            "table1",
+        ]

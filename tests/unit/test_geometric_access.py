@@ -118,3 +118,93 @@ class TestFastKernelGeometric:
             config, cycles=2_000, seed=3, geometric_access_times=True
         )
         assert constant.completions != geometric.completions
+
+
+class TestDeclarativeField:
+    """``geometric_access_times`` on a scenario spec: one unit field
+    that enters cache payloads and report lines only when set."""
+
+    @staticmethod
+    def spec(**overrides):
+        from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
+
+        kwargs = dict(
+            name="geometric-field",
+            base={"processors": 4, "memories": 4, "buffered": True},
+            grid=(GridAxis("memory_cycle_ratio", (1, 6)),),
+            cycles=1_500,
+            plan=ReplicationPlan(1, 1985),
+            geometric_access_times=True,
+        )
+        kwargs.update(overrides)
+        return ScenarioSpec(**kwargs)
+
+    def test_units_simulate_geometric_access(self):
+        from repro.bus import simulate
+        from repro.scenarios.execute import run_scenario
+
+        for result in run_scenario(self.spec()):
+            direct = simulate(
+                result.unit.config,
+                cycles=1_500,
+                seed=1985,
+                geometric_access_times=True,
+            )
+            assert result.ebw == direct.ebw
+
+    @pytest.mark.parametrize("kernel", ["fast", "batch"])
+    def test_payload_and_line_carry_the_field_only_when_set(self, kernel):
+        import dataclasses
+
+        from repro.scenarios.compiler import compile_scenario
+        from repro.scenarios.execute import UnitResult, unit_line
+
+        geometric = compile_scenario(self.spec(), kernel=kernel)[1]
+        constant = dataclasses.replace(geometric, geometric_access_times=False)
+        assert geometric.payload() == {
+            **constant.payload(),
+            "geometric_access_times": True,
+        }
+        assert "geometric_access_times" not in constant.payload()
+
+        def line(unit):
+            return unit_line(UnitResult(unit, 1.0, 0.5, 0.25))
+
+        assert line(geometric) == line(constant).replace(
+            "workload=uniform ", "workload=uniform access=geometric "
+        )
+        assert "access=" not in line(constant)
+
+    def test_batch_units_pack_apart_from_constant_ones(self):
+        from repro.parallel.fleet import pack_key
+        from repro.scenarios.compiler import compile_scenario
+
+        geometric = compile_scenario(self.spec(), kernel="batch")[1]
+        constant = compile_scenario(
+            self.spec(geometric_access_times=False), kernel="batch"
+        )[1]
+        assert pack_key(geometric.request()) != pack_key(constant.request())
+
+    def test_mapping_round_trip(self):
+        from repro.scenarios.spec import spec_from_mapping
+        from repro.service.protocol import spec_to_mapping
+
+        mapping = spec_to_mapping(self.spec())
+        assert mapping["geometric_access_times"] is True
+        assert spec_from_mapping(mapping) == self.spec()
+        assert "geometric_access_times" not in spec_to_mapping(
+            self.spec(geometric_access_times=False)
+        )
+
+    def test_analytic_methods_reject_the_field(self):
+        from repro.core.errors import ConfigurationError
+        from repro.engine.base import EvaluationMethod
+
+        with pytest.raises(ConfigurationError, match="analytic"):
+            self.spec(method=EvaluationMethod.MVA)
+
+    def test_non_boolean_is_rejected(self):
+        from repro.core.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="true or false"):
+            self.spec(geometric_access_times="yes")

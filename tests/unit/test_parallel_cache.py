@@ -64,12 +64,6 @@ class TestHitMiss:
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
 
-    def test_lookup_store_payload_interface(self, cache):
-        payload = {"experiment_id": "demo", "kwargs": {"cycles": 100}}
-        assert cache.lookup(payload) is None
-        cache.store(payload, [1.0, 2.5])
-        assert cache.lookup(payload) == [1.0, 2.5]
-
     def test_float_values_survive_exactly(self, cache):
         value = [0.1 + 0.2, 1e-17, 123456.789012345]
         cache.put("k" * 64, value)
@@ -81,7 +75,7 @@ class TestHitMiss:
 
     def test_len_and_clear(self, cache):
         for i in range(3):
-            cache.store({"i": i}, i)
+            cache.put(cache.key({"i": i}), i)
         assert len(cache) == 3
         assert cache.clear() == 3
         assert len(cache) == 0
@@ -105,23 +99,24 @@ class TestHitMiss:
 
 class TestInvalidation:
     def test_different_config_misses(self, cache):
-        cache.store({"config": config_payload(SystemConfig(2, 2, 2))}, 1.0)
+        stored = cache.key({"config": config_payload(SystemConfig(2, 2, 2))})
+        cache.put(stored, 1.0)
         assert (
-            cache.lookup({"config": config_payload(SystemConfig(2, 2, 3))})
+            cache.get(cache.key({"config": config_payload(SystemConfig(2, 2, 3))}))
             is None
         )
 
     def test_different_seed_misses(self, cache):
-        cache.store({"seed": 1}, 1.0)
-        assert cache.lookup({"seed": 2}) is None
+        cache.put(cache.key({"seed": 1}), 1.0)
+        assert cache.get(cache.key({"seed": 2})) is None
 
     def test_version_tag_change_invalidates(self, tmp_path):
         old = ResultCache(cache_dir=tmp_path, version_tag="v1")
         new = ResultCache(cache_dir=tmp_path, version_tag="v2")
         payload = {"experiment_id": "demo"}
-        old.store(payload, "old-value")
-        assert new.lookup(payload) is None
-        assert old.lookup(payload) == "old-value"
+        old.put(old.key(payload), "old-value")
+        assert new.get(new.key(payload)) is None
+        assert old.get(old.key(payload)) == "old-value"
 
     def test_default_version_tag_tracks_source(self):
         tag = code_version_tag()

@@ -8,13 +8,14 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority
 from repro.engine.base import EvalRequest
-from repro.experiments.hot_spot import degradation_at, run as run_hot_spot
+from repro.experiments.hot_spot import degradation_at
 from repro.experiments.registry import ExperimentResult
 from repro.experiments.report import (
     result_to_markdown,
     results_to_markdown,
     write_markdown_report,
 )
+from repro.experiments.runner import run_experiment
 from repro.parallel.workers import run_case
 from repro.workloads.spec import HotSpotWorkload
 
@@ -71,7 +72,7 @@ class TestMarkdown:
 class TestHotSpotExperiment:
     @pytest.fixture(scope="class")
     def hot_spot_result(self):
-        return run_hot_spot(cycles=5_000, seed=3)
+        return run_experiment("hot_spot", cycles=5_000, seed=3)
 
     def test_degradation_monotone(self, hot_spot_result):
         result = hot_spot_result

@@ -65,7 +65,7 @@ class TestProtocol:
 
     def test_hello_message_carries_shard_and_cache_config(self):
         message = protocol.hello_message(
-            tiny_spec(),
+            [tiny_spec()],
             "fast",
             "numpy",
             shard=(2, 3),
@@ -86,7 +86,7 @@ class TestWorkerSession:
 
     def test_protocol_version_mismatch_is_rejected(self):
         session = WorkerSession(lambda message: None)
-        hello = protocol.hello_message(tiny_spec(), "fast", "numpy")
+        hello = protocol.hello_message([tiny_spec()], "fast", "numpy")
         hello["protocol"] = 999
         with pytest.raises(ConfigurationError, match="version mismatch"):
             session.handle(hello)
@@ -94,7 +94,7 @@ class TestWorkerSession:
     def test_code_version_mismatch_answers_error_naming_both_tags(self):
         """A peer on other code refuses the sweep instead of caching
         results under the coordinator's tag."""
-        hello = protocol.hello_message(tiny_spec(), "fast", "numpy")
+        hello = protocol.hello_message([tiny_spec()], "fast", "numpy")
         hello["code_version"] = "0123456789abcdef"
         session = WorkerSession(lambda message: None)
         with pytest.raises(ConfigurationError, match="code version mismatch"):
@@ -116,7 +116,7 @@ class TestWorkerSession:
         session = WorkerSession(outbox.append)
         session.handle(
             protocol.hello_message(
-                tiny_spec(), "fast", "numpy", cache_enabled=False
+                [tiny_spec()], "fast", "numpy", cache_enabled=False
             )
         )
         units = outbox[-1]["units"]
@@ -128,7 +128,7 @@ class TestWorkerSession:
         session = WorkerSession(outbox.append)
         session.handle(
             protocol.hello_message(
-                tiny_spec(), "fast", "numpy", cache_enabled=False
+                [tiny_spec()], "fast", "numpy", cache_enabled=False
             )
         )
         outbox.clear()
@@ -184,13 +184,13 @@ class _StubTransport:
 class TestCoordinator:
     def test_needs_at_least_one_worker(self):
         with pytest.raises(ExperimentError, match="at least one worker"):
-            Coordinator(tiny_spec(), [])
+            Coordinator([tiny_spec()], [])
 
     def test_unit_count_mismatch_is_version_skew(self):
         spec = tiny_spec()
         wrong = len(compile_scenario(spec)) + 5
         coordinator = Coordinator(
-            spec,
+            [spec],
             [_StubTransport("skewed", wrong)],
             cache_enabled=False,
         )
@@ -199,7 +199,7 @@ class TestCoordinator:
 
     def test_all_workers_dying_aborts_with_outstanding_count(self):
         coordinator = Coordinator(
-            tiny_spec(),
+            [tiny_spec()],
             [LoopbackTransport("dies", fail_after_results=1)],
             lease_size=2,
             cache_enabled=False,
@@ -210,7 +210,7 @@ class TestCoordinator:
     def test_retry_budget_bounds_protocol_violators(self):
         spec = tiny_spec()
         coordinator = Coordinator(
-            spec,
+            [spec],
             [_StubTransport("liar", len(compile_scenario(spec)))],
             lease_size=2,
             max_retries=2,
@@ -221,7 +221,7 @@ class TestCoordinator:
 
     def test_single_loopback_worker_completes_everything(self):
         coordinator = Coordinator(
-            tiny_spec(),
+            [tiny_spec()],
             [LoopbackTransport("solo")],
             cache_enabled=False,
         )
@@ -230,13 +230,43 @@ class TestCoordinator:
             range(len(coordinator.units))
         )
 
+    def test_spec_list_runs_as_one_unit_list(self):
+        """Two specs compile into one list; a unit the second repeats
+        (same payload, other scenario name) is leased once and both
+        positions carry its result."""
+        from repro.scenarios.execute import render_report, run_units
+
+        first = tiny_spec()
+        second = tiny_spec(
+            name="service-unit-test-repeat",
+            grid=(GridAxis("request_probability", (1.0, 0.25)),),
+        )
+        coordinator = Coordinator(
+            [first, second],
+            [LoopbackTransport("w0"), LoopbackTransport("w1")],
+            cache_enabled=False,
+        )
+        results = coordinator.run()
+        units = compile_scenario(first) + compile_scenario(second)
+        assert render_report(results) == render_report(run_units(units))
+        # p = 1.0 appears in both specs under both seeds.
+        assert coordinator.units_dispatched == len(units) - 2
+
+    def test_shard_takes_one_spec(self):
+        with pytest.raises(ConfigurationError, match="exactly one scenario"):
+            Coordinator(
+                [tiny_spec(), tiny_spec()],
+                [LoopbackTransport("w0")],
+                shard=(1, 2),
+            )
+
     def test_workers_share_the_result_store(self, tmp_path):
         """A second sweep over a warm shared store is served entirely
         from the coordinator's pre-lease probe - zero units dispatched."""
         store = tmp_path / "store"
         for expect_cached in (False, True):
             coordinator = Coordinator(
-                tiny_spec(),
+                [tiny_spec()],
                 [LoopbackTransport("w0"), LoopbackTransport("w1")],
                 cache_enabled=True,
                 cache_dir=str(store),
