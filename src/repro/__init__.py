@@ -32,20 +32,31 @@ Quick start::
     config = SystemConfig(processors=8, memories=16, memory_cycle_ratio=8,
                           priority=Priority.PROCESSORS)
     print(simulate(config, cycles=100_000, seed=1).summary())
+
+The names above load their modules on first use (:mod:`repro._lazy`),
+so ``import repro`` alone imports no simulator.
 """
 
-from repro.bus import MultiplexedBusSystem, simulate
-from repro.core import (
-    ConfigurationError,
-    ExperimentError,
-    ModelError,
-    ModelResult,
-    Priority,
-    ReproError,
-    SimulationError,
-    SimulationResult,
-    SystemConfig,
-    TieBreak,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bus": ("simulate",),
+        "repro.bus.system": ("MultiplexedBusSystem",),
+        "repro.core": (
+            "ConfigurationError",
+            "ExperimentError",
+            "ModelError",
+            "ModelResult",
+            "Priority",
+            "ReproError",
+            "SimulationError",
+            "SimulationResult",
+            "SystemConfig",
+            "TieBreak",
+        ),
+    },
 )
 
 __version__ = "1.0.0"

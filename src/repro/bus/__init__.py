@@ -1,26 +1,39 @@
-"""Cycle-accurate simulator of the multiplexed single-bus machine."""
+"""Cycle-accurate simulator of the multiplexed single-bus machine.
 
-from repro.bus.arbiter import (
-    BusArbiter,
-    Grant,
-    GrantKind,
-    RequestCandidate,
-    ResponseCandidate,
-)
-from repro.bus.memory import MemoryModule, PendingRequest
-from repro.bus.processor import Processor, ProcessorState
-from repro.bus.system import MultiplexedBusSystem
-from repro.bus.trace import (
-    NullTrace,
-    TraceEvent,
-    TraceEventKind,
-    TraceRecorder,
-    TraceSink,
-)
+:func:`simulate` runs one configuration on the loop its inputs call
+for.  The reference machine's component classes are re-exported here
+but load on first use, so a run on the flattened kernel
+(:mod:`repro.bus.kernel`) never imports the reference machine.
+"""
+
+from repro._lazy import lazy_exports
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.core.results import SimulationResult
 from repro.workloads.generators import TargetSampler, is_library_sampler
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bus.arbiter": (
+            "BusArbiter",
+            "Grant",
+            "GrantKind",
+            "RequestCandidate",
+            "ResponseCandidate",
+        ),
+        "repro.bus.memory": ("MemoryModule", "PendingRequest"),
+        "repro.bus.processor": ("Processor", "ProcessorState"),
+        "repro.bus.system": ("MultiplexedBusSystem",),
+        "repro.bus.trace": (
+            "NullTrace",
+            "TraceEvent",
+            "TraceEventKind",
+            "TraceRecorder",
+            "TraceSink",
+        ),
+    },
+)
 
 DEFAULT_KERNEL = "fast"
 """The simulation tier every entry point uses unless told otherwise."""
@@ -138,6 +151,8 @@ def simulate(
             collect_latency=collect_latency,
             geometric_access_times=geometric_access_times,
         )
+    from repro.bus.system import MultiplexedBusSystem
+
     system = MultiplexedBusSystem(
         config,
         seed=seed,

@@ -31,10 +31,20 @@ numba installed).
 
 from __future__ import annotations
 
+from repro._lazy import lazy_exports
 from repro.bus.backends.base import BATCH_ENGINE_TOKEN, BatchBackend
-from repro.bus.backends.numba_backend import NumbaBackend, NumbaParallelBackend
 from repro.bus.backends.numpy_backend import NumpyBackend
 from repro.core.errors import ConfigurationError
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bus.backends.numba_backend": (
+            "NumbaBackend",
+            "NumbaParallelBackend",
+        ),
+    },
+)
 
 __all__ = [
     "BATCH_ENGINE_TOKEN",
@@ -58,11 +68,9 @@ The one table of backend names: :func:`check_backend` and both CLIs'
 ``--backend`` choices read it, so names outside it are rejected before
 any work unit exists, mirroring ``KNOWN_KERNELS``."""
 
-_REGISTRY: dict[str, BatchBackend] = {
-    "numpy": NumpyBackend(),
-    "numba": NumbaBackend(),
-    "numba-parallel": NumbaParallelBackend(),
-}
+_REGISTRY: dict[str, BatchBackend] = {"numpy": NumpyBackend()}
+"""Backend instances by name.  A numba backend joins on its first
+request, so a run that names none never loads ``numba_backend.py``."""
 
 
 def get_backend(backend: str | BatchBackend) -> BatchBackend:
@@ -73,13 +81,22 @@ def get_backend(backend: str | BatchBackend) -> BatchBackend:
     """
     if isinstance(backend, BatchBackend):
         return backend
-    try:
-        return _REGISTRY[backend]
-    except KeyError:
+    resolved = _REGISTRY.get(backend)
+    if resolved is not None:
+        return resolved
+    if backend not in KNOWN_BACKENDS:
         raise ConfigurationError(
             f"unknown batch backend {backend!r}; "
             f"known backends: {', '.join(KNOWN_BACKENDS)}"
-        ) from None
+        )
+    from repro.bus.backends.numba_backend import (
+        NumbaBackend,
+        NumbaParallelBackend,
+    )
+
+    for cls in (NumbaBackend, NumbaParallelBackend):
+        _REGISTRY.setdefault(cls.name, cls())
+    return _REGISTRY[backend]
 
 
 def check_backend(kernel: str, backend: str | BatchBackend) -> None:

@@ -94,7 +94,7 @@ from repro.bus.backends import (
     BatchBackend,
     get_backend,
 )
-from repro.bus.system import (
+from repro.bus.measurement import (
     _DEFAULT_BATCHES,
     _DEFAULT_WARMUP_FRACTION,
     _resolve_request_probabilities,

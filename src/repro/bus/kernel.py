@@ -20,7 +20,9 @@ method dispatch dominate wall-clock time.
   by the response transfer that frees the output slot - the only event
   that can unblock a stalled module;
 * random draws go straight to the underlying :class:`random.Random`
-  objects of the same named streams the reference machine uses.
+  objects of the same named streams the reference machine uses, and
+  uniform picks (targets, random tie-breaks) call the stream's
+  ``getrandbits`` in ``randrange``'s own loop (:func:`_randbelow`).
 
 **Bit-identical contract.**  For every supported configuration the
 kernel performs *exactly the same random draws in exactly the same
@@ -58,15 +60,16 @@ from bisect import insort
 from collections import deque
 from typing import Sequence
 
+from repro.bus.measurement import (
+    _DEFAULT_BATCHES,
+    _DEFAULT_WARMUP_FRACTION,
+    _resolve_request_probabilities,
+)
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.core.policy import Priority, TieBreak
 from repro.core.results import SimulationResult
 from repro.des.rng import RandomStream, derive_seed
-
-# The measurement-protocol defaults are the reference machine's own -
-# imported, not copied, so the two kernels can never drift apart.
-from repro.bus.system import _DEFAULT_BATCHES, _DEFAULT_WARMUP_FRACTION
 from repro.workloads.generators import (
     HotSpotTargets,
     TargetSampler,
@@ -80,6 +83,23 @@ _UNIFORM, _HOT_SPOT, _TRACE = 0, 1, 2
 def _stream_random(stream: RandomStream):
     """The underlying :class:`random.Random` of a named stream."""
     return stream._random
+
+
+def _randbelow(getrandbits, n: int) -> int:
+    """``randrange(n)`` of the stream ``getrandbits`` belongs to, ``n >= 1``.
+
+    The same draws and the same final stream state: CPython's
+    ``Random.randrange(n)`` is ``Random._randbelow_with_getrandbits``,
+    unchanged from 3.8 to 3.13, which draws ``n.bit_length()`` bits and
+    redraws while the value is ``>= n``.  Calling ``getrandbits``
+    directly skips two Python-level calls per draw;
+    :meth:`FastBusKernel.advance` inlines the same loop.
+    """
+    bits = n.bit_length()
+    value = getrandbits(bits)
+    while value >= n:
+        value = getrandbits(bits)
+    return value
 
 
 class FastBusKernel:
@@ -100,8 +120,6 @@ class FastBusKernel:
         collect_latency: bool = False,
         geometric_access_times: bool = False,
     ) -> None:
-        from repro.bus.system import _resolve_request_probabilities
-
         self.config = config
         self.seed = seed
         self._collect_latency = collect_latency
@@ -197,7 +215,9 @@ class FastBusKernel:
         """One target draw, identical to the sampler the mode mirrors."""
         mode = self._mode
         if mode == _UNIFORM:
-            return self._targets_rnd.randrange(self._target_modules)
+            return _randbelow(
+                self._targets_rnd.getrandbits, self._target_modules
+            )
         if mode == _HOT_SPOT:
             hot_fraction = self._hot_fraction
             rnd = self._targets_rnd
@@ -205,7 +225,7 @@ class FastBusKernel:
             # without a draw; anything below draws exactly once.
             if hot_fraction == 1.0 or rnd.random() < hot_fraction:
                 return self._hot_module
-            return rnd.randrange(self._target_modules)
+            return _randbelow(rnd.getrandbits, self._target_modules)
         assert self._traces is not None and self._trace_positions is not None
         trace = self._traces[processor]
         position = self._trace_positions[processor]
@@ -272,15 +292,18 @@ class FastBusKernel:
         modules = self._target_modules
         targets_rnd = self._targets_rnd
         targets_random = targets_rnd.random if targets_rnd is not None else None
-        targets_randrange = (
-            targets_rnd.randrange if targets_rnd is not None else None
+        # Uniform picks inline _randbelow: the loops below are
+        # randrange(modules) and randrange(len(candidates)).
+        targets_getrandbits = (
+            targets_rnd.getrandbits if targets_rnd is not None else None
         )
+        target_bits = modules.bit_length()
         hot_fraction = self._hot_fraction
         hot_module = self._hot_module
         traces = self._traces
         trace_positions = self._trace_positions
         think_random = self._think_rnd.random
-        arb_randrange = self._arb_rnd.randrange
+        arb_getrandbits = self._arb_rnd.getrandbits
         geometric = self._geometric
         access_p = self._access_p
         if geometric:
@@ -333,21 +356,20 @@ class FastBusKernel:
                 if len(bucket) > 1:
                     bucket.sort()
                 for i in bucket:
-                    if mode == _UNIFORM:
-                        target[i] = targets_randrange(modules)
-                    elif mode == _HOT_SPOT:
-                        if (
-                            hot_fraction == 1.0
-                            or targets_random() < hot_fraction
-                        ):
-                            target[i] = hot_module
-                        else:
-                            target[i] = targets_randrange(modules)
-                    else:
+                    if mode == _TRACE:
                         trace = traces[i]
                         position = trace_positions[i]
                         trace_positions[i] = (position + 1) % len(trace)
                         target[i] = trace[position]
+                    elif mode == _HOT_SPOT and (
+                        hot_fraction == 1.0 or targets_random() < hot_fraction
+                    ):
+                        target[i] = hot_module
+                    else:
+                        drawn = targets_getrandbits(target_bits)
+                        while drawn >= modules:
+                            drawn = targets_getrandbits(target_bits)
+                        target[i] = drawn
                     issue[i] = cycle
                     insort(requesting, i)
 
@@ -376,7 +398,12 @@ class FastBusKernel:
                     if len(eligible) == 1:
                         grant_request = eligible[0]
                     elif random_tie:
-                        grant_request = eligible[arb_randrange(len(eligible))]
+                        choices = len(eligible)
+                        bits = choices.bit_length()
+                        pick = arb_getrandbits(bits)
+                        while pick >= choices:
+                            pick = arb_getrandbits(bits)
+                        grant_request = eligible[pick]
                     else:
                         best = eligible[0]
                         best_issue = issue[best]
@@ -388,9 +415,12 @@ class FastBusKernel:
                 if len(ready_modules) == 1:
                     grant_response = ready_modules[0]
                 elif random_tie:
-                    grant_response = ready_modules[
-                        arb_randrange(len(ready_modules))
-                    ]
+                    choices = len(ready_modules)
+                    bits = choices.bit_length()
+                    pick = arb_getrandbits(bits)
+                    while pick >= choices:
+                        pick = arb_getrandbits(bits)
+                    grant_response = ready_modules[pick]
                 else:
                     best = ready_modules[0]
                     best_ready = outq[best][0][2]

@@ -37,6 +37,11 @@ from repro.bus.arbiter import (
     RequestCandidate,
     ResponseCandidate,
 )
+from repro.bus.measurement import (
+    _DEFAULT_BATCHES,
+    _DEFAULT_WARMUP_FRACTION,
+    _resolve_request_probabilities,
+)
 from repro.bus.memory import MemoryModule, PendingRequest
 from repro.bus.processor import Processor, ProcessorState
 from repro.bus.trace import NullTrace, TraceEvent, TraceEventKind, TraceSink
@@ -45,9 +50,6 @@ from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.results import SimulationResult
 from repro.des.rng import StreamFactory
 from repro.workloads.generators import TargetSampler, UniformTargets
-
-_DEFAULT_WARMUP_FRACTION = 0.25
-_DEFAULT_BATCHES = 20
 
 
 class MultiplexedBusSystem:
@@ -365,29 +367,6 @@ class MultiplexedBusSystem:
                 raise SimulationError(
                     f"processor {processor.index} has a stray in-flight request"
                 )
-
-
-def _resolve_request_probabilities(
-    config: SystemConfig, request_probabilities: Sequence[float] | None
-) -> list[float]:
-    """Validate the optional heterogeneous-p vector (one p per processor)."""
-    if request_probabilities is None:
-        return [config.request_probability] * config.processors
-    values = list(request_probabilities)
-    if len(values) != config.processors:
-        raise ConfigurationError(
-            f"request_probabilities lists {len(values)} values but the "
-            f"system has {config.processors} processors"
-        )
-    for index, p in enumerate(values):
-        if not isinstance(p, (int, float)) or isinstance(p, bool) or not (
-            0.0 < p <= 1.0
-        ):
-            raise ConfigurationError(
-                f"request probability for processor {index} must satisfy "
-                f"0 < p <= 1, got {p!r}"
-            )
-    return values
 
 
 def _module_requests(module: MemoryModule) -> list[PendingRequest]:

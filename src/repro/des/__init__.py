@@ -3,24 +3,43 @@
 A small, deterministic, dependency-free event scheduler plus the
 statistics and random-stream utilities that every simulator in this
 repository builds on.  It replaces the SimPy dependency with an
-auditable in-tree core.
+auditable in-tree core.  The names below load their modules on first
+use, so the bus kernels, which need only :mod:`repro.des.rng`, never
+import the event engine.
 """
 
-from repro.des.engine import Engine
-from repro.des.events import Event, EventHandle
-from repro.des.processes import Acquire, FifoResource, ProcessRunner, Timeout
-from repro.des.replications import (
-    LatencyReplication,
-    ReplicationResult,
-    ebw_estimator,
-    latency_estimator,
-    replicate,
-    replicate_latency,
-    replicate_until,
-    replication_seeds,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.des.engine": ("Engine",),
+        "repro.des.events": ("Event", "EventHandle"),
+        "repro.des.processes": (
+            "Acquire",
+            "FifoResource",
+            "ProcessRunner",
+            "Timeout",
+        ),
+        "repro.des.replications": (
+            "LatencyReplication",
+            "ReplicationResult",
+            "ebw_estimator",
+            "latency_estimator",
+            "replicate",
+            "replicate_latency",
+            "replicate_until",
+            "replication_seeds",
+        ),
+        "repro.des.rng": ("RandomStream", "StreamFactory", "derive_seed"),
+        "repro.des.stats": (
+            "BatchMeans",
+            "Counter",
+            "TimeWeighted",
+            "autocorrelation",
+        ),
+    },
 )
-from repro.des.rng import RandomStream, StreamFactory, derive_seed
-from repro.des.stats import BatchMeans, Counter, TimeWeighted, autocorrelation
 
 __all__ = [
     "Engine",

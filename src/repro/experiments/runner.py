@@ -63,16 +63,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.errors import ReproError
-from repro.experiments.asciichart import render_chart
-from repro.experiments.formatting import format_result, format_series
-from repro.experiments.registry import (
-    ExperimentResult,
-    all_experiments,
-    get,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.experiments.registry import ExperimentResult
 
 _SERIES_EXPERIMENTS = {"figure2", "figure3", "figure5", "figure6"}
 
@@ -82,6 +78,8 @@ _FAST_CYCLES = 6_000
 
 def list_experiments() -> str:
     """Human-readable table of everything in the registry."""
+    from repro.experiments.registry import all_experiments
+
     lines = ["available experiments:"]
     for spec in all_experiments():
         lines.append(
@@ -110,6 +108,7 @@ def run_experiments(
     receives the unit count (``units``), how many came from the cache
     (``from_cache``) and, with ``workers``, the service's counters.
     """
+    from repro.experiments.registry import all_experiments, get
     from repro.scenarios.builtin import PAPER_SEED
     from repro.scenarios.execute import run_scenarios
 
@@ -307,6 +306,9 @@ def cache_main(argv: Sequence[str] | None = None) -> int:
 
 
 def _format(result: ExperimentResult, chart: bool) -> str:
+    from repro.experiments.asciichart import render_chart
+    from repro.experiments.formatting import format_result, format_series
+
     is_series = result.experiment_id in _SERIES_EXPERIMENTS
     formatter = format_series if is_series else format_result
     report = formatter(result)

@@ -27,29 +27,36 @@ replication layer aggregates reports across seeds
 (:func:`repro.des.replications.replicate_latency`), and the scenario
 pipeline renders percentile columns per work unit
 (``repro-experiments scenario <name> --metrics latency``).
+
+The names below load their modules on first use, so the exact kernels
+never import the batch kernel's sketch.
 """
 
-from repro.metrics.quantiles import (
-    DEFAULT_EXACT_LIMIT,
-    P2Quantile,
-    exact_quantile,
-)
-from repro.metrics.sketch import (
-    DEFAULT_SKETCH_BINS,
-    FleetQuantileSketch,
-)
-from repro.metrics.summary import (
-    LATENCY_METRICS_TOKEN,
-    LATENCY_METRICS_VERSION,
-    LatencyReport,
-    LatencySummary,
-    merge_latency_reports,
-    merge_summaries,
-)
-from repro.metrics.tracker import (
-    TRACKED_QUANTILES,
-    LatencyTracker,
-    StreamingQuantiles,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.quantiles": (
+            "DEFAULT_EXACT_LIMIT",
+            "P2Quantile",
+            "exact_quantile",
+        ),
+        "repro.metrics.sketch": ("DEFAULT_SKETCH_BINS", "FleetQuantileSketch"),
+        "repro.metrics.summary": (
+            "LATENCY_METRICS_TOKEN",
+            "LATENCY_METRICS_VERSION",
+            "LatencyReport",
+            "LatencySummary",
+            "merge_latency_reports",
+            "merge_summaries",
+        ),
+        "repro.metrics.tracker": (
+            "TRACKED_QUANTILES",
+            "LatencyTracker",
+            "StreamingQuantiles",
+        ),
+    },
 )
 
 __all__ = [

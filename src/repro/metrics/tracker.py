@@ -8,6 +8,9 @@ append; each chunk of at most :data:`CHUNK` pending values is folded
 into the aggregates with builtins and fed to every estimator's
 :meth:`~repro.metrics.quantiles.P2Quantile.extend`, which still sees the
 values in arrival order, so chunking never moves a bit of an estimate.
+A population that has held one value so far (the service time of a
+constant-``r`` run) is kept as a run count instead and reaches the
+estimators only if it ever varies; see :class:`StreamingQuantiles`.
 :class:`LatencyTracker` bundles the three populations the bus simulator
 measures (wait/service/total) into a
 :class:`~repro.metrics.summary.LatencyReport`.
@@ -74,10 +77,27 @@ class StreamingQuantiles:
     of at most :data:`CHUNK` values; a full chunk, :meth:`quantile` and
     :meth:`summary` flush it.  :attr:`count` and :attr:`exact` include
     pending values.
+
+    **Constant runs.**  While every value flushed so far has one float
+    value ``v`` (``min == max``; the estimators see ``float(value)``),
+    the flushed values are only counted - a run - and not fed to the
+    estimators.  The service population of a run with constant access
+    time ``r`` stays in that state for its whole life.  This is exact:
+
+    * past ``exact_limit``, the markers of a constant stream are seeded
+      with five heights ``v``, and every P² update term is a difference
+      of equal heights, so each height stays ``v`` and the estimate is
+      ``v`` itself;
+    * at the first flush that breaks the run, and at a read while
+      :attr:`count` is at most ``exact_limit`` (where the estimate is
+      the interpolated exact quantile, which may round away from
+      ``v``), the run is replayed into the estimators before anything
+      else, and :meth:`P2Quantile.extend` gives the same state however
+      a stream is split.
     """
 
     __slots__ = ("exact_limit", "_flushed", "_total", "_minimum",
-                 "_maximum", "_pending", "_estimators")
+                 "_maximum", "_pending", "_estimators", "_run")
 
     def __init__(self, exact_limit: int = DEFAULT_EXACT_LIMIT) -> None:
         # Validate up front, exactly like P2Quantile does: a too-small
@@ -95,6 +115,9 @@ class StreamingQuantiles:
         self._estimators = tuple(
             P2Quantile(q, exact_limit=exact_limit) for q in TRACKED_QUANTILES
         )
+        # Flushed values the estimators have not seen: a constant run,
+        # every one equal to self._minimum (== self._maximum).
+        self._run = 0
 
     # ------------------------------------------------------------------
     def add(self, value: float) -> None:
@@ -107,17 +130,48 @@ class StreamingQuantiles:
             self._flush()
 
     def _flush(self) -> None:
-        """Fold the pending chunk into the aggregates and estimators."""
+        """Fold the pending chunk into the aggregates and estimators
+        (or into the constant run, while there is one)."""
         pending = self._pending
         if not pending:
             return
         self._total += sum(pending)
-        self._minimum = min(self._minimum, float(min(pending)))
-        self._maximum = max(self._maximum, float(max(pending)))
-        for estimator in self._estimators:
-            estimator.extend(pending)
+        low = min(self._minimum, float(min(pending)))
+        high = max(self._maximum, float(max(pending)))
+        if low == high:
+            self._run += len(pending)
+        else:
+            self._replay()
+            for estimator in self._estimators:
+                estimator.extend(pending)
+        self._minimum = low
+        self._maximum = high
         self._flushed += len(pending)
         pending.clear()
+
+    def _replay(self) -> None:
+        """Feed the constant run to the estimators, a chunk at a time."""
+        run = self._run
+        if not run:
+            return
+        self._run = 0
+        full, rest = divmod(run, CHUNK)
+        block = [self._minimum] * min(run, CHUNK)
+        for estimator in self._estimators:
+            for _ in range(full):
+                estimator.extend(block)
+            if rest:
+                estimator.extend(block[:rest])
+
+    def _estimates(self) -> tuple[float, ...]:
+        """The tracked quantiles' estimates, pending values included."""
+        self._flush()
+        if self._run:
+            if self._flushed > self.exact_limit:
+                # Every P2 height of a constant stream is its value.
+                return (self._minimum,) * len(TRACKED_QUANTILES)
+            self._replay()
+        return tuple(estimator.estimate() for estimator in self._estimators)
 
     @property
     def count(self) -> int:
@@ -130,8 +184,7 @@ class StreamingQuantiles:
             raise ConfigurationError(
                 f"quantile {q} is not tracked; tracked: {TRACKED_QUANTILES}"
             )
-        self._flush()
-        return self._estimators[TRACKED_QUANTILES.index(q)].estimate()
+        return self._estimates()[TRACKED_QUANTILES.index(q)]
 
     @property
     def exact(self) -> bool:
@@ -143,9 +196,7 @@ class StreamingQuantiles:
         self._flush()
         if self._flushed == 0:
             return LatencySummary()
-        p50, p90, p99 = (
-            Fraction(estimator.estimate()) for estimator in self._estimators
-        )
+        p50, p90, p99 = (Fraction(value) for value in self._estimates())
         return LatencySummary(
             count=self._flushed,
             total=Fraction(self._total),

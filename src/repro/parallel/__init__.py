@@ -31,22 +31,31 @@ Each item's randomness derives solely from its own seed via
 :mod:`repro.des.rng`, so a request computes the same bytes in whichever
 process runs it, and cached values are the bytes a fresh run would
 produce.
+
+The names above load their modules on first use.
 """
 
-from repro.parallel.fleet import run_fleet
-from repro.parallel.cache import (
-    ENV_CACHE_DIR,
-    CacheStats,
-    ResultCache,
-    canonical_json,
-    case_payload,
-    code_version_tag,
-    config_payload,
-    default_cache_dir,
-    fingerprint,
-    reset_code_version_tag,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.parallel.cache": (
+            "ENV_CACHE_DIR",
+            "CacheStats",
+            "ResultCache",
+            "canonical_json",
+            "case_payload",
+            "code_version_tag",
+            "config_payload",
+            "default_cache_dir",
+            "fingerprint",
+            "reset_code_version_tag",
+        ),
+        "repro.parallel.fleet": ("run_fleet",),
+        "repro.parallel.workers": ("EbwTask", "LatencyTask", "run_case"),
+    },
 )
-from repro.parallel.workers import EbwTask, LatencyTask, run_case
 
 __all__ = [
     "ResultCache",

@@ -13,8 +13,9 @@ ship:
   ``repro-experiments sweep-work`` instead, and because the bytes are
   plain JSON lines, an ssh or batch-queue transport is the same class
   pointed at a different argv.  :class:`LocalWorkers` forks wherever
-  ``os.fork`` exists and the process runs no other thread, and spawns
-  otherwise (a Jupyter kernel, for one, runs threads).
+  ``os.fork`` exists and the process runs no other thread, native
+  threads included (:func:`os_thread_count`), and spawns otherwise (a
+  Jupyter kernel, for one, runs threads).
 * :class:`LoopbackTransport` runs a real :class:`WorkerSession`
   in-process and synchronously.  It exists for tests: it makes
   coordinator scheduling deterministic and lets a "worker" be killed
@@ -255,6 +256,20 @@ def _serve_forked(siblings, parent_fds, child_fds, exit_after) -> NoReturn:
             os._exit(code)
 
 
+def os_thread_count() -> int:
+    """Threads this process runs, native ones included.
+
+    ``threading.active_count()`` sees only Python threads; the OpenBLAS
+    pool that ``import numpy`` starts, or a numba thread pool, shows
+    only in ``/proc/self/task``.  Where that does not exist, the Python
+    count is the best available.
+    """
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
 @dataclasses.dataclass(frozen=True)
 class LocalWorkers:
     """Up to ``count`` local workers, started only when :meth:`start` runs.
@@ -278,7 +293,7 @@ class LocalWorkers:
         where forking is unavailable or unsafe (other threads are
         running)."""
         count = min(self.count, max(leases, 2))
-        if hasattr(os, "fork") and threading.active_count() == 1:
+        if hasattr(os, "fork") and os_thread_count() == 1:
             return fork_workers(count, self.exit_after)
         return [
             SubprocessTransport(

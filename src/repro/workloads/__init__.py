@@ -1,21 +1,31 @@
-"""Workload models: request-target generators, traces, and specs."""
+"""Workload models: request-target generators, traces, and specs.
 
-from repro.workloads.generators import (
-    HotSpotTargets,
-    TargetSampler,
-    TraceTargets,
-    UniformTargets,
+The names below load their modules on first use.
+"""
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.generators": (
+            "HotSpotTargets",
+            "TargetSampler",
+            "TraceTargets",
+            "UniformTargets",
+        ),
+        "repro.workloads.spec": (
+            "HotSpotWorkload",
+            "RequestMixWorkload",
+            "TraceWorkload",
+            "UniformWorkload",
+            "WorkloadSpec",
+            "workload_from_payload",
+            "workload_payload",
+        ),
+        "repro.workloads.trace": ("RequestTrace",),
+    },
 )
-from repro.workloads.spec import (
-    HotSpotWorkload,
-    RequestMixWorkload,
-    TraceWorkload,
-    UniformWorkload,
-    WorkloadSpec,
-    workload_from_payload,
-    workload_payload,
-)
-from repro.workloads.trace import RequestTrace
 
 __all__ = [
     "TargetSampler",

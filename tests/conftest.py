@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.bus.system import MultiplexedBusSystem
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority
+
+# The sweep service forks its workers only from a process with one OS
+# thread (repro.service.transports.os_thread_count), and OpenBLAS
+# starts a thread pool when numpy loads.  Without this, every in-process
+# ``--workers`` test after the first numpy import would spawn its
+# workers, where no monkeypatch reaches them.  Set before any test
+# module loads; nothing imported above loads numpy.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 # Property tests run simulations and chain solves; allow them time but
 # keep example counts bounded so the suite stays fast.

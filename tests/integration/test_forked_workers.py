@@ -21,7 +21,7 @@ import pytest
 from repro.parallel.cache import ResultCache
 from repro.scenarios.execute import render_report, run_scenario
 from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
-from repro.service.transports import fork_workers
+from repro.service.transports import fork_workers, os_thread_count
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="forked workers need os.fork"
@@ -149,6 +149,57 @@ def test_a_threaded_coordinator_spawns_its_workers(monkeypatch):
         release.set()
         bystander.join()
     assert served == render_report(run_scenario(_SPEC))
+
+
+_NATIVE_THREAD_SCRIPT = """
+import sys, threading
+if sys.argv[1] == "numpy":
+    import numpy  # noqa: F401 - OpenBLAS starts its thread pool
+else:
+    import _thread
+    hold = _thread.allocate_lock()
+    hold.acquire()
+    _thread.start_new_thread(hold.acquire, ())
+from repro.service.transports import LocalWorkers, os_thread_count
+print(os_thread_count(), threading.active_count())
+transports = LocalWorkers(2).start(2)
+print(*[type(transport).__name__ for transport in transports])
+for transport in transports:
+    transport.close()
+"""
+
+_THREAD_CAPS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("source", ["numpy", "raw-thread"])
+def test_a_native_thread_sends_the_workers_to_spawn(source):
+    """``threading.active_count()`` misses threads started outside the
+    threading module: the OpenBLAS pool ``import numpy`` starts, or a
+    bare ``_thread`` thread.  The check counts OS threads, so a
+    coordinator running one spawns ``sweep-work`` workers."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_CAPS}
+    completed = subprocess.run(
+        [sys.executable, "-c", _NATIVE_THREAD_SCRIPT, source],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    counts, kinds = completed.stdout.splitlines()
+    os_threads, python_threads = map(int, counts.split())
+    if os_threads == 1:
+        pytest.skip("numpy started no thread here (one CPU or serial BLAS)")
+    assert python_threads == 1
+    assert kinds.split() == ["SubprocessTransport"] * 2
+
+
+def test_numpy_starts_no_thread_in_the_suite():
+    """The suite pins OpenBLAS to one thread (``tests/conftest.py``), so
+    in-process ``--workers`` tests fork whether or not numpy is loaded."""
+    import numpy  # noqa: F401
+
+    assert os_thread_count() == threading.active_count()
 
 
 def test_workers_key_the_store_on_the_callers_version_tag(tmp_path):

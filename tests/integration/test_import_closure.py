@@ -7,9 +7,11 @@ on each invocation.  The exact kernels need no numpy, and a
 coordinator; a batch run imports numpy only inside the forked workers.
 The experiment runner's coordinator is held to the same rule: loading
 the experiment registry imports no model module, so the process that
-forks the workers runs no native (OpenBLAS) thread.  Each case runs the
-CLI in a fresh interpreter and reads that process's ``sys.modules``
-after ``main`` returns.
+forks the workers runs no native (OpenBLAS) thread.  An exact-tier run
+also skips the reference machine, the event engine, the batch kernel and
+its sketch, and the ``--workers`` coordinators skip the reference
+machine and the numba backend.  Each case runs the CLI in a fresh interpreter and
+reads that process's ``sys.modules`` after ``main`` returns.
 """
 
 from __future__ import annotations
@@ -26,6 +28,32 @@ import repro
 
 HEAVY = ("concurrent.futures", "multiprocessing", "numpy")
 
+REFERENCE_MACHINE = (
+    "repro.bus.arbiter",
+    "repro.bus.memory",
+    "repro.bus.processor",
+    "repro.bus.system",
+    "repro.bus.trace",
+)
+"""The component-object machine: the tests' oracle, never a CLI path."""
+
+NUMBA_BACKEND = ("repro.bus.backends.numba_backend",)
+
+EXACT_TIER_UNUSED = (
+    *REFERENCE_MACHINE,
+    *NUMBA_BACKEND,
+    "repro.bus.batch",
+    "repro.des.engine",
+    "repro.des.events",
+    "repro.des.processes",
+    "repro.des.replications",
+    "repro.des.stats",
+    "repro.metrics.sketch",
+)
+"""Modules an exact-tier ``scenario`` run never calls.  Each CLI
+process compiles every module it imports from source, so package
+re-exports load on first use (``repro._lazy``)."""
+
 _DRIVER = """\
 import json, sys
 from repro.experiments.runner import main
@@ -36,22 +64,28 @@ with open(sys.argv[1], "w") as handle:
 
 
 @pytest.mark.parametrize(
-    "argv,first_line",
+    "argv,first_line,unused",
     [
         (
             ["scenario", "latency-tail", "--fast", "--cycles", "1"],
             "unit 000000 ",
+            EXACT_TIER_UNUSED,
         ),
         (
             ["scenario", "table4", "--kernel", "batch", "--workers", "2",
              "--cycles", "1"],
             "unit 000000 ",
+            (*REFERENCE_MACHINE, *NUMBA_BACKEND),
         ),
-        (["figure5", "--fast", "--workers", "2"], "Figure 5 - "),
+        (
+            ["figure5", "--fast", "--workers", "2"],
+            "Figure 5 - ",
+            (*REFERENCE_MACHINE, *NUMBA_BACKEND),
+        ),
     ],
     ids=["latency-tail-fast", "table4-batch-workers-2", "figure5-workers-2"],
 )
-def test_coordinator_skips_heavy_modules(argv, first_line, tmp_path):
+def test_coordinator_skips_heavy_modules(argv, first_line, unused, tmp_path):
     report = tmp_path / "modules.json"
     env = dict(os.environ)
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
@@ -69,5 +103,5 @@ def test_coordinator_skips_heavy_modules(argv, first_line, tmp_path):
     assert completed.stdout.startswith(first_line)
     result = json.loads(report.read_text())
     assert result["code"] == 0
-    loaded = [name for name in HEAVY if name in result["modules"]]
+    loaded = [name for name in (*HEAVY, *unused) if name in result["modules"]]
     assert loaded == []

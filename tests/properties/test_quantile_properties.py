@@ -18,6 +18,8 @@ Two contracts from :mod:`repro.metrics` are stated as properties:
   equal (``==``) to a one-observation-at-a-time reference kept below,
   on int, float and mixed streams long enough to cross ``exact_limit``
   and several chunk boundaries, read at random points mid-stream.
+  Constant streams, and streams that vary only after a constant prefix,
+  check the collector's constant-run path the same way.
 """
 
 from __future__ import annotations
@@ -405,9 +407,30 @@ def reference_stream(kind: str, rng: random.Random, n: int) -> list:
     return [one_int() if rng.random() < 0.5 else one_float() for _ in range(n)]
 
 
+def constant_stream(kind: str, rng: random.Random, n: int) -> list:
+    """``n`` observations of one float value: ints, floats or both.
+
+    Past 2**53 the int kind varies by one, which floats cannot see: the
+    estimators read every value through ``float``.
+    """
+    if kind == "float":
+        value = rng.choice((0.0, 0.1, 2.5, 7.0, rng.expovariate(0.1)))
+        return [value] * n
+    value = rng.choice((0, 1, 4, 200, 2**60))
+    if value == 2**60:
+        return [value + rng.randrange(2) for _ in range(n)]
+    if kind == "int":
+        return [value] * n
+    return [value if rng.random() < 0.5 else float(value) for _ in range(n)]
+
+
 stream_kinds = st.sampled_from(["int", "float", "mixed"])
 # Up to 1,500 values: past DEFAULT_EXACT_LIMIT and five CHUNK boundaries.
 stream_lengths = st.integers(min_value=0, max_value=1_500)
+# Constant runs up to 800 values: across every exact_limit below and
+# three CHUNK boundaries.
+run_lengths = st.integers(min_value=0, max_value=800)
+exact_limits = st.integers(min_value=5, max_value=80)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -441,6 +464,50 @@ class TestReferenceEquivalence:
         reads = draw_positions(data, n, "reads")
         collector = StreamingQuantiles()
         reference = ReferenceStreamingQuantiles()
+        for index, value in enumerate(values):
+            collector.add(value)
+            reference.add(value)
+            if index in reads:
+                assert_same_reads(collector, reference)
+        assert_same_reads(collector, reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=stream_kinds,
+        n=run_lengths,
+        seed=seeds,
+        exact_limit=exact_limits,
+        data=st.data(),
+    )
+    def test_constant_streams_match_reference(
+        self, kind, n, seed, exact_limit, data
+    ):
+        values = constant_stream(kind, random.Random(seed), n)
+        self._check_stream(values, exact_limit, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=stream_kinds,
+        n=run_lengths,
+        seed=seeds,
+        exact_limit=exact_limits,
+        data=st.data(),
+    )
+    def test_constant_prefix_then_varied_streams_match_reference(
+        self, kind, n, seed, exact_limit, data
+    ):
+        rng = random.Random(seed)
+        prefix = data.draw(st.integers(min_value=0, max_value=n), label="prefix")
+        values = constant_stream(kind, rng, prefix) + reference_stream(
+            kind, rng, n - prefix
+        )
+        self._check_stream(values, exact_limit, data)
+
+    @staticmethod
+    def _check_stream(values: list, exact_limit: int, data) -> None:
+        reads = draw_positions(data, len(values), "reads")
+        collector = StreamingQuantiles(exact_limit)
+        reference = ReferenceStreamingQuantiles(exact_limit)
         for index, value in enumerate(values):
             collector.add(value)
             reference.add(value)

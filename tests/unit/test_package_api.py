@@ -2,10 +2,66 @@
 
 from __future__ import annotations
 
+import importlib
+import json
+import subprocess
+import sys
+
 import pytest
 
 import repro
 from repro import Priority, SystemConfig, simulate
+
+LAZY_EXPORTS = {
+    "repro": ("repro.bus", "repro.bus.system", "repro.core"),
+    "repro.bus": (
+        "repro.bus.arbiter",
+        "repro.bus.memory",
+        "repro.bus.processor",
+        "repro.bus.system",
+        "repro.bus.trace",
+    ),
+    "repro.bus.backends": ("repro.bus.backends.numba_backend",),
+    "repro.des": (
+        "repro.des.engine",
+        "repro.des.events",
+        "repro.des.processes",
+        "repro.des.replications",
+        "repro.des.rng",
+        "repro.des.stats",
+    ),
+    "repro.experiments": ("repro.experiments.registry",),
+    "repro.metrics": (
+        "repro.metrics.quantiles",
+        "repro.metrics.sketch",
+        "repro.metrics.summary",
+        "repro.metrics.tracker",
+    ),
+    "repro.parallel": (
+        "repro.parallel.cache",
+        "repro.parallel.fleet",
+        "repro.parallel.workers",
+    ),
+    "repro.workloads": (
+        "repro.workloads.generators",
+        "repro.workloads.spec",
+        "repro.workloads.trace",
+    ),
+}
+"""Each package whose re-exports load on first use, and the modules
+those re-exports live in."""
+
+
+def fresh_interpreter(script: str, *args: str) -> str:
+    """Run ``script`` in a new interpreter; its stdout."""
+    completed = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
 
 
 class TestTopLevelExports:
@@ -60,6 +116,54 @@ class TestTopLevelExports:
         ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_EXPORTS))
+class TestLazyExports:
+    def test_every_export_resolves(self, name):
+        package = importlib.import_module(name)
+        for export in package.__all__:
+            assert hasattr(package, export), f"{name}.{export}"
+            assert export in dir(package)
+
+    def test_star_import_binds_every_export(self, name):
+        namespace: dict = {}
+        exec(f"from {name} import *", namespace)
+        package = importlib.import_module(name)
+        for export in package.__all__:
+            assert namespace[export] is getattr(package, export)
+
+    def test_unknown_attribute_raises(self, name):
+        package = importlib.import_module(name)
+        with pytest.raises(AttributeError, match="no_such_export"):
+            package.no_such_export
+        assert not hasattr(package, "no_such_export")
+
+    def test_importing_the_package_loads_no_export(self, name):
+        script = (
+            "import importlib, json, sys\n"
+            "importlib.import_module(sys.argv[1])\n"
+            "print(json.dumps(sorted(sys.modules)))"
+        )
+        loaded = set(json.loads(fresh_interpreter(script, name)))
+        assert [m for m in LAZY_EXPORTS[name] if m in loaded] == []
+
+
+class TestQuickStart:
+    def test_package_docstring_quick_start_runs(self):
+        """The quick start of the ``repro`` docstring, shortened."""
+        script = (
+            "from repro import SystemConfig, Priority, simulate\n"
+            "config = SystemConfig(processors=8, memories=16, "
+            "memory_cycle_ratio=8, priority=Priority.PROCESSORS)\n"
+            "print(simulate(config, cycles=2_000, seed=1).summary())"
+        )
+        expected = simulate(
+            SystemConfig(8, 16, 8, priority=Priority.PROCESSORS),
+            cycles=2_000,
+            seed=1,
+        ).summary()
+        assert fresh_interpreter(script) == f"{expected}\n"
 
 
 class TestSimulateEntryPoint:
