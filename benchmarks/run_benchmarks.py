@@ -25,10 +25,8 @@ Two tables drive a run (:func:`table`): one :class:`Row` per
 per ``speedups`` key.  Each row runs its warm-up calls untimed, then its
 timed repeats: ``seconds`` is their minimum (the low-noise signal the
 compare reads), ``mean`` their average (far above the min on a noisy
-host).  A row on an optional backend that does not import here is
-skipped with a warning naming the extra, never retimed on another
-substrate.  Timings are machine-dependent; the speedups are the
-portable signal.
+host).  Timings are machine-dependent; the speedups are the portable
+signal.
 
 ``--compare OLD.json`` exits 4 when a same-meta entry slowed down, or a
 speedup dropped, by more than :data:`THRESHOLD`, or an entry went
@@ -49,15 +47,15 @@ import time
 from functools import partial
 from typing import Callable, NamedTuple
 
-from repro.bus.backends import DEFAULT_BACKEND, KNOWN_BACKENDS, get_backend
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority
 from repro.workloads.spec import HotSpotWorkload
 
 SCHEMA = "repro-bench-kernels@4"
 
-OPTIONAL_BACKENDS = tuple(b for b in KNOWN_BACKENDS if b != DEFAULT_BACKEND)
-"""The batch backends timed beside numpy wherever they import."""
+BATCH_META = {"backend": "numpy"}
+"""What every batch row's meta records about the array library the
+kernel runs on, as the committed baselines do."""
 
 THRESHOLD = 0.25
 """``--compare`` tolerance: a change beyond 25% is a regression."""
@@ -109,19 +107,12 @@ class Row(NamedTuple):
     meta: dict
     repeat: int = 2
     warmup: int = 1
-    backend: str | None = None
-    """The optional array backend the row needs, or ``None``."""
 
 
-def optional(backend: str) -> str | None:
-    """``backend`` if a row on it can be skipped here, else ``None``."""
-    return backend if backend in OPTIONAL_BACKENDS else None
-
-
-def row(name: str, build, meta: dict, *, repeat: int = 2, warmup: int = 1,
-        backend: str | None = None) -> Row:
+def row(name: str, build, meta: dict, *, repeat: int = 2,
+        warmup: int = 1) -> Row:
     """A :class:`Row` whose meta records its repeat count."""
-    return Row(name, build, {**meta, "repeat": repeat}, repeat, warmup, backend)
+    return Row(name, build, {**meta, "repeat": repeat}, repeat, warmup)
 
 
 def best_of(repeat: int, func: Callable[[], object],
@@ -238,13 +229,13 @@ def time_cache(store: str, loops: int, hit: bool):
 
 
 def time_fleet(kernel: str, rows: int, cycles: int, config: SystemConfig,
-               collect_latency: bool = False, backend: str = DEFAULT_BACKEND):
-    """One whole replication fleet under ``kernel`` (and ``backend``).
+               collect_latency: bool = False):
+    """One whole replication fleet under ``kernel``.
 
     The batch kernel runs the fleet as a single lockstep call
-    (:func:`repro.parallel.fleet.run_fleet`) on the selected array
-    backend; the exact kernels run the same requests one by one - which is
-    precisely the comparison the fleet-aggregation layer exists to win.
+    (:func:`repro.parallel.fleet.run_fleet`); the exact kernels run the
+    same requests one by one - which is precisely the comparison the
+    fleet-aggregation layer exists to win.
     """
     from repro.engine.base import EvalRequest
     from repro.parallel.fleet import run_fleet
@@ -253,7 +244,7 @@ def time_fleet(kernel: str, rows: int, cycles: int, config: SystemConfig,
     requests = [
         EvalRequest(config, cycles=cycles, seed=seed,
                     metrics=("latency",) if collect_latency else (),
-                    kernel="batch" if batch else "fast", backend=backend)
+                    kernel="batch" if batch else "fast")
         for seed in range(rows)
     ]
     if batch:
@@ -314,7 +305,7 @@ def time_planned_sweep(replications: int, cycles: int):
     return run
 
 
-def time_packed_sweep(replications: int, cycles: int, backend: str):
+def time_packed_sweep(replications: int, cycles: int):
     """The figure2-shaped fragmented grid as one padded super-fleet.
 
     Every (n, m) system crossed with every access ratio, ``replications``
@@ -326,7 +317,7 @@ def time_packed_sweep(replications: int, cycles: int, backend: str):
 
     requests = [
         EvalRequest(SystemConfig(n, m, ratio, priority=Priority.PROCESSORS),
-                    cycles=cycles, seed=seed, kernel="batch", backend=backend)
+                    cycles=cycles, seed=seed, kernel="batch")
         for n, m in PACKED_GRID_SYSTEMS
         for ratio in PACKED_GRID_RATIOS
         for seed in range(replications)
@@ -336,19 +327,18 @@ def time_packed_sweep(replications: int, cycles: int, backend: str):
 
 def fleet_row(name: str, kernel: str, rows: int, cycles: int,
               config: SystemConfig = FLEET_CONFIG, *,
-              collect_latency: bool = False, backend: str = DEFAULT_BACKEND,
-              repeat: int = 2, warmup: int = 1) -> Row:
+              collect_latency: bool = False, repeat: int = 2,
+              warmup: int = 1) -> Row:
     """A :func:`time_fleet` row; its meta names every size it runs at."""
     meta = {"rows": rows, "cycles": cycles, "kernel": kernel,
             "config": config.describe()}
     if config.buffered:
         meta["collect_latency"] = collect_latency
     if kernel == "batch":
-        meta["backend"] = backend
+        meta.update(BATCH_META)
     return row(name, partial(time_fleet, kernel, rows, cycles, config,
-                             collect_latency, backend),
-               meta, repeat=repeat, warmup=warmup,
-               backend=optional(backend))
+                             collect_latency),
+               meta, repeat=repeat, warmup=warmup)
 
 
 def table(quick: bool,
@@ -412,9 +402,8 @@ def table(quick: bool,
             {"cells": 64, "loops": 256}, warmup=0),
     ]
 
-    # One figure2-shaped replication fleet through every kernel and
-    # backend.  The reference leg takes ~30 s at full size, too long to
-    # repeat.
+    # One figure2-shaped replication fleet through every kernel.  The
+    # reference leg takes ~30 s at full size, too long to repeat.
     rows += [
         fleet_row("batch_fleet_reference", "reference", fleet_rows,
                   fleet_cycles, repeat=1, warmup=0),
@@ -426,11 +415,6 @@ def table(quick: bool,
         ("batch_fleet_vs_reference", "batch_fleet_reference",
          "batch_fleet_batch"),
     ]
-    for backend in OPTIONAL_BACKENDS:
-        name = f"batch_fleet_batch_{backend}"
-        rows.append(fleet_row(name, "batch", fleet_rows, fleet_cycles,
-                              backend=backend))
-        pairs.append((f"{backend}_fleet_vs_numpy", "batch_fleet_batch", name))
 
     # The same fleet over the buffered machine, the circular-queue hot
     # path the batch kernel vectorizes; no reference leg (minutes per
@@ -493,37 +477,23 @@ def table(quick: bool,
                     {"replications": replications, "cycles": plan_cycles,
                      "kernel": "batch", "workers": 2}))
 
-    # Fleet packing: the shape-fragmented grid as one super-fleet call,
-    # on every backend.
+    # Fleet packing: the shape-fragmented grid as one super-fleet call.
     packed = {"replications": sizes["packed_replications"],
               "cycles": sizes["packed_cycles"], "kernel": "batch"}
-    for backend in KNOWN_BACKENDS:
-        name = "packed_sweep_packed"
-        if backend != DEFAULT_BACKEND:
-            name += f"_{backend}"
-            pairs.append((f"packed_sweep_{backend}_vs_numpy",
-                          "packed_sweep_packed", name))
-        rows.append(row(name, partial(time_packed_sweep, packed["replications"],
-                                      packed["cycles"], backend),
-                        {**packed, "backend": backend},
-                        backend=optional(backend)))
+    rows.append(row("packed_sweep_packed",
+                    partial(time_packed_sweep, packed["replications"],
+                            packed["cycles"]),
+                    {**packed, **BATCH_META}))
     return rows, pairs
 
 
 def run(rows: list[Row],
         pairs: list[tuple[str, str, str]]) -> tuple[list[dict], dict]:
-    """Time every row whose backend imports here, then every speedup
-    pair whose two rows ran: ``(results, speedups)``."""
+    """Time every row, then every speedup pair: ``(results,
+    speedups)``."""
     results = []
     seconds = {}
     for entry in rows:
-        if entry.backend is not None:
-            backend = get_backend(entry.backend)
-            if not backend.available():
-                print(f"warning: {entry.backend} unavailable - skipping "
-                      f"{entry.name} (install the [{backend.extra}] extra)",
-                      file=sys.stderr)
-                continue
         best, mean = best_of(entry.repeat, entry.build(), warmup=entry.warmup)
         seconds[entry.name] = best
         results.append({"name": entry.name, "seconds": best, "mean": mean,
@@ -532,7 +502,6 @@ def run(rows: list[Row],
     speedups = {
         key: seconds[numerator] / seconds[denominator]
         for key, numerator, denominator in pairs
-        if numerator in seconds and denominator in seconds
     }
     for key, value in speedups.items():
         print(f"speedup {key}: {value:.2f}x", file=sys.stderr)

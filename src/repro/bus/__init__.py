@@ -3,14 +3,23 @@
 :func:`simulate` runs one configuration on the loop its inputs call
 for.  The reference machine's component classes are re-exported here
 but load on first use, so a run on the flattened kernel
-(:mod:`repro.bus.kernel`) never imports the reference machine.
+(:mod:`repro.bus.kernel`) never imports the reference machine.  The
+batch kernel's compile-time rules (:data:`PACK_FIELDS`,
+:func:`check_batch_features`) live here too, so a coordinator checks
+and groups batch work without importing :mod:`repro.bus.batch`.
 """
+
+from typing import Sequence
 
 from repro._lazy import lazy_exports
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.core.results import SimulationResult
-from repro.workloads.generators import TargetSampler, is_library_sampler
+from repro.workloads.generators import (
+    TargetSampler,
+    is_library_sampler,
+    require_library_sampler,
+)
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
@@ -42,9 +51,31 @@ KNOWN_KERNELS = ("fast", "batch")
 """The two simulation tiers: exact (``"fast"``) and ``"batch"``.
 
 :func:`check_kernel` validates against this tuple, so a typo fails at
-scenario load time, not mid-sweep.  The batch kernel's array substrate
-is validated the same way against
-:data:`repro.bus.backends.KNOWN_BACKENDS`."""
+scenario load time, not mid-sweep."""
+
+PACK_FIELDS = (
+    "priority",
+    "tie_break",
+    "buffered",
+)
+"""The :class:`SystemConfig` fields every row of one batch kernel must
+share.
+
+Priority and tie-break select the arbitration branch and ``buffered``
+selects the loop body, so they stay whole-kernel properties.  Shape
+numbers (``n``, ``m``, ``r``, buffer depth) are per-row arrays: rows of
+different shapes *pack* into one padded lockstep program
+(:mod:`repro.bus.batch`).  Everything else - seed, request
+probabilities, workload parameters - varies per row; rows are fully
+independent simulations that merely share the lockstep loop."""
+
+BATCH_METRICS = frozenset({"latency"})
+"""Metric families the batch kernel can produce.
+
+``latency`` is collected through the vectorized per-row quantile sketch
+(:class:`repro.metrics.FleetQuantileSketch`): statistically equivalent
+to the exact kernels' streaming summaries, not bit-identical - which is
+already the batch kernel's contract for every number it emits."""
 
 
 def check_kernel(kernel: str) -> None:
@@ -58,6 +89,42 @@ def check_kernel(kernel: str) -> None:
         )
 
 
+def check_batch_metrics(metrics: Sequence[str]) -> None:
+    """Reject metric families the batch kernel cannot produce.
+
+    Latency distributions are supported (sketch-based, statistically
+    equivalent); anything else is rejected with a message naming the
+    offending family.
+    """
+    unsupported = sorted(set(metrics) - BATCH_METRICS)
+    if unsupported:
+        raise ConfigurationError(
+            "kernel='batch' does not support metric(s) "
+            f"{', '.join(unsupported)}; use kernel='fast' "
+            "(bit-identical to the reference machine)"
+        )
+
+
+def check_batch_features(
+    *,
+    metrics: Sequence[str] = (),
+    geometric_access_times: bool = False,
+    targets: TargetSampler | None = None,
+) -> None:
+    """The one authority on what ``kernel='batch'`` cannot run.
+
+    Raises :class:`ConfigurationError` naming the unsupported feature -
+    never a silent fallback to another kernel.  Called by
+    :func:`simulate` at request time and by
+    :func:`repro.scenarios.compiler.compile_scenario` at scenario load
+    time, so unsupported sweeps fail before any cycle is simulated.
+    It lives here, not in :mod:`repro.bus.batch`, so a coordinator
+    validates a batch sweep without loading the kernel.
+    """
+    check_batch_metrics(metrics)
+    require_library_sampler(targets, "batch")
+
+
 def simulate(
     config: SystemConfig,
     cycles: int = 100_000,
@@ -68,7 +135,6 @@ def simulate(
     collect_latency: bool = False,
     kernel: str = DEFAULT_KERNEL,
     geometric_access_times: bool = False,
-    backend: str = "numpy",
 ) -> SimulationResult:
     """Simulate ``config`` once, on the loop its inputs call for.
 
@@ -106,21 +172,10 @@ def simulate(
       equivalent and live in their own cache namespace.  The batch
       kernel pays off when whole replication fleets run through
       :func:`repro.parallel.fleet.run_fleet`.
-
-    ``backend`` selects the batch kernel's array substrate
-    (:mod:`repro.bus.backends`): ``"numpy"`` (default), ``"numba"``
-    or ``"numba-parallel"`` (JIT, serial or threaded, bit-identical to
-    numpy).  Non-default backends require ``kernel="batch"`` - the
-    exact tier has no array substrate to swap - and a missing
-    optional backend raises naming its install extra.
     """
     check_kernel(kernel)
-    if backend != "numpy":
-        from repro.bus.backends import check_backend
-
-        check_backend(kernel, backend)
     if kernel == "batch":
-        from repro.bus.batch import check_batch_features, run_batch
+        from repro.bus.batch import run_batch
 
         check_batch_features(
             metrics=("latency",) if collect_latency else (),
@@ -136,7 +191,6 @@ def simulate(
             request_probabilities=request_probabilities,
             collect_latency=collect_latency,
             geometric_access_times=geometric_access_times,
-            backend=backend,
         )
     if is_library_sampler(targets):
         from repro.bus.kernel import run_fast
@@ -165,8 +219,12 @@ def simulate(
 
 
 __all__ = [
+    "BATCH_METRICS",
     "DEFAULT_KERNEL",
     "KNOWN_KERNELS",
+    "PACK_FIELDS",
+    "check_batch_features",
+    "check_batch_metrics",
     "MultiplexedBusSystem",
     "check_kernel",
     "simulate",

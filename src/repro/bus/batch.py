@@ -36,8 +36,11 @@ counter-based bit generators).  Its contract is instead:
 
 Because the numbers differ from the exact kernels at the bit level, the
 batch kernel - unlike ``fast`` - **does enter cache keys**: its results
-are stored under the :data:`BATCH_ENGINE_TOKEN` engine namespace and can
-never collide with ``simulation@1`` entries.
+are stored under the
+:data:`~repro.engine.evaluators.BATCH_ENGINE_TOKEN` engine namespace and
+can never collide with ``simulation@1`` entries.  Its independent
+oracle is the exact chain of :mod:`repro.markov.machine`
+(``tests/integration/test_exact_machine.py``).
 
 **Coverage.**  Declarative workloads only: uniform, hot-spot and trace
 targets, heterogeneous per-processor ``p``, both priorities, both
@@ -53,8 +56,8 @@ sketch); like every batch number they are statistically - not bit -
 equivalent to the exact kernels' streaming summaries.  Custom
 :class:`~repro.workloads.generators.TargetSampler` objects and
 cycle-level trace sinks stay on the exact tier;
-:func:`check_batch_features` is the single authority that rejects them
-with a message naming the unsupported feature.
+:func:`~repro.bus.check_batch_features` is the single authority that
+rejects them with a message naming the unsupported feature.
 
 **Fleet packing.**  Shape numbers - ``n``, ``m``, ``r`` and buffer
 depth - are per-row state, so rows of *different* machine shapes pack
@@ -64,15 +67,9 @@ padded lanes are inert - never requesting, wake pinned at the never
 sentinel, targets pinned to a valid module - and, crucially, **never
 consume a random draw**, so each row's per-row Philox draw sequence is
 bit-identical to the same row in a homogeneous fleet or alone.
-Packed results therefore share the :data:`BATCH_ENGINE_TOKEN`
+Packed results therefore share the ``simulation-batch@1``
 namespace with no token bump (hypothesis-proven in
 ``tests/properties/test_fleet_packing.py``).
-
-**Backends.**  The lockstep program runs on a pluggable array substrate
-(:mod:`repro.bus.backends`): ``numpy`` (default), or ``numba`` and
-``numba-parallel`` (the same state arrays driven by one JIT-compiled
-scalar loop, serial or threaded over rows, bit-identical to numpy).
-All backends share the :data:`BATCH_ENGINE_TOKEN` cache namespace.
 
 **Buffered fast path.**  Input and output queues are circular-buffer
 index arrays (``(slots, m * fleet)`` rings plus per-module head/length
@@ -80,20 +77,18 @@ counters), so a push or pop is a flat fancy-indexed scatter over the
 affected modules only - no per-cycle FIFO shifting - and stall
 bookkeeping travels through the same flat index lists.
 
-NumPy is imported lazily, through the backend's ``require``, so the
-exact kernels and the scenario coordinator never load it.
+NumPy is imported when a kernel is built, so the exact kernels and the
+scenario coordinator never load it; the compile-time rules
+(:data:`~repro.bus.PACK_FIELDS`,
+:func:`~repro.bus.check_batch_features`) live in :mod:`repro.bus` for
+the same reason.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.bus.backends import (
-    BATCH_ENGINE_TOKEN,  # noqa: F401  (canonical home: backends.base)
-    DEFAULT_BACKEND,
-    BatchBackend,
-    get_backend,
-)
+from repro.bus import PACK_FIELDS
 from repro.bus.measurement import (
     _DEFAULT_BATCHES,
     _DEFAULT_WARMUP_FRACTION,
@@ -111,21 +106,6 @@ from repro.workloads.generators import (
     require_library_sampler,
 )
 
-PACK_FIELDS = (
-    "priority",
-    "tie_break",
-    "buffered",
-)
-"""The :class:`SystemConfig` fields every row of one kernel must share.
-
-Priority and tie-break select the arbitration branch and ``buffered``
-selects the loop body, so they stay whole-kernel properties.  Shape
-numbers (``n``, ``m``, ``r``, buffer depth) are per-row arrays: rows of
-different shapes *pack* into one padded lockstep program.  Everything
-else - seed, request probabilities, workload parameters - varies per
-row; rows are fully independent simulations that merely share the
-lockstep loop."""
-
 _NEVER = 1 << 30
 """Wake/resolve sentinel: a cycle index no supported run ever reaches.
 
@@ -133,50 +113,13 @@ Cycle-indexed state lives in ``int32`` arrays (half the memory traffic
 of ``int64`` on the hot loop), so one batch run is capped at ``2**30``
 bus cycles - six orders of magnitude beyond the paper's windows."""
 
+_DRAW_CHUNK = 256
+"""Uniform draws buffered per row and stream between Philox refills.
 
-BATCH_METRICS = frozenset({"latency"})
-"""Metric families the batch kernel can produce.
-
-``latency`` is collected through the vectorized per-row quantile sketch
-(:class:`repro.metrics.FleetQuantileSketch`): statistically equivalent
-to the exact kernels' streaming summaries, not bit-identical - which is
-already the batch kernel's contract for every number it emits."""
-
-
-def check_batch_metrics(metrics: Sequence[str]) -> None:
-    """Reject metric families the batch kernel cannot produce.
-
-    Latency distributions are supported (sketch-based, statistically
-    equivalent); anything else is rejected with a message naming the
-    offending family.
-    """
-    unsupported = sorted(set(metrics) - BATCH_METRICS)
-    if unsupported:
-        raise ConfigurationError(
-            "kernel='batch' does not support metric(s) "
-            f"{', '.join(unsupported)}; use kernel='fast' "
-            "(bit-identical to the reference machine)"
-        )
-
-
-def check_batch_features(
-    *,
-    metrics: Sequence[str] = (),
-    geometric_access_times: bool = False,
-    targets: TargetSampler | None = None,
-) -> None:
-    """The one authority on what ``kernel='batch'`` cannot run.
-
-    Raises :class:`ConfigurationError` naming the unsupported feature -
-    never a silent fallback to another kernel or backend.  Called by
-    :func:`repro.bus.simulate` at request time and by
-    :func:`repro.scenarios.compiler.compile_scenario` at scenario load
-    time, so unsupported sweeps fail before any cycle is simulated.
-    Backend names are checked separately, by
-    :func:`repro.bus.backends.check_backend`.
-    """
-    check_batch_metrics(metrics)
-    require_library_sampler(targets, "batch")
+Each row consumes its stream strictly in sequence, so the size never
+changes a draw, only how often a row refills.  2 KB per row and stream:
+a sweep worker running the whole 70-row Table 4 super-fleet peaked at
+40.1 MB, against 41.9 MB with 2048, and 512-row fleets ran no slower."""
 
 
 # ----------------------------------------------------------------------
@@ -194,15 +137,13 @@ class _PhiloxLanes:
     gather.
     """
 
-    def __init__(
-        self,
-        backend: BatchBackend,
-        keys: Sequence[int],
-        chunk: int,
-    ) -> None:
-        np = backend.require()
+    def __init__(self, keys: Sequence[int], chunk: int) -> None:
+        import numpy as np
+
         self._np = np
-        self._gens = backend.philox_generators(keys)
+        self._gens = [
+            np.random.Generator(np.random.Philox(key=int(key))) for key in keys
+        ]
         self._chunk = chunk
         fleet = len(self._gens)
         self._buf = np.empty((fleet, chunk), dtype=np.float64)
@@ -364,12 +305,6 @@ class BatchBusKernel:
         (rows with ``r = 1`` keep the degenerate constant path and
         draw nothing).  Combines with ``collect_latency``: geometric
         rows' per-access durations feed a dedicated service sketch.
-    backend:
-        The array substrate to execute on: a registered name from
-        :data:`repro.bus.backends.KNOWN_BACKENDS` or a
-        :class:`~repro.bus.backends.BatchBackend` instance.  Every
-        backend produces bit-identical results.  Missing substrates
-        raise naming the install extra.
 
     :meth:`run` replicates the reference measurement protocol (warm-up
     exclusion, batch-means windows) per row and returns one
@@ -384,10 +319,9 @@ class BatchBusKernel:
         request_probabilities: Sequence[Sequence[float] | None] | None = None,
         collect_latency: bool = False,
         geometric_access_times: bool = False,
-        backend: str | BatchBackend = DEFAULT_BACKEND,
     ) -> None:
-        self._backend = get_backend(backend)
-        np = self._backend.require()
+        import numpy as np
+
         self._np = np
         configs = list(configs)
         seeds = [int(seed) for seed in seeds]
@@ -551,13 +485,13 @@ class BatchBusKernel:
         # --- per-row Philox streams, keyed by the derive_seed scheme.
         # One call takes at most n draws per row (initial targets) or
         # m + 2 (buffered geometric pulls), so buffers never hold less.
-        chunk = max(self._backend.draw_chunk, n, m + 2)
+        chunk = max(_DRAW_CHUNK, n, m + 2)
 
         def lanes(stream: str, needed: bool):
             if not needed:
                 return None
             keys = [derive_seed(seed, stream) for seed in seeds]
-            return _PhiloxLanes(self._backend, keys, chunk)
+            return _PhiloxLanes(keys, chunk)
 
         self._targets_lanes = lanes("targets", self._any_random)
         self._think_lanes = lanes("think", not self._all_p1)
@@ -841,10 +775,10 @@ class BatchBusKernel:
                 f"a batch run is limited to {_NEVER} total bus cycles "
                 "(int32 cycle state); split the run or use kernel='fast'"
             )
-        # The backend owns the execution strategy: numpy runs the
-        # vectorized loops below; numba drives its compiled scalar loop
-        # over the same state arrays.
-        self._backend.advance(self, count)
+        if self._buffered:
+            self._advance_buffered(count)
+        else:
+            self._advance_unbuffered(count)
 
     def _make_arbiter(self):
         """Build the per-cycle arbitration closure both loops share.
@@ -1525,7 +1459,6 @@ def run_batch(
     request_probabilities: Sequence[float] | None = None,
     collect_latency: bool = False,
     geometric_access_times: bool = False,
-    backend: str | BatchBackend = DEFAULT_BACKEND,
 ) -> SimulationResult:
     """Run one configuration through a single-row batch fleet.
 
@@ -1537,8 +1470,6 @@ def run_batch(
     ``collect_latency`` attaches the sketch-based
     :class:`~repro.metrics.LatencyReport` (statistically - not bit -
     equivalent to the exact kernels' streaming summaries).
-    ``backend`` selects the array substrate; see
-    :class:`BatchBusKernel`.
     """
     kernel = BatchBusKernel(
         [config],
@@ -1547,6 +1478,5 @@ def run_batch(
         request_probabilities=[request_probabilities],
         collect_latency=collect_latency,
         geometric_access_times=geometric_access_times,
-        backend=backend,
     )
     return kernel.run(cycles, warmup=warmup)[0]

@@ -185,13 +185,10 @@ class EvalRequest:
     tier: ``"fast"`` is exact; ``"batch"`` (the vectorized lockstep
     fleet kernel) is reproducible in itself but not bit-identical, so
     batch requests cache under the distinct ``simulation-batch@1``
-    engine namespace.  ``backend`` selects the batch kernel's array
-    substrate (:mod:`repro.bus.backends`); every backend is
-    bit-identical to numpy, so it stays out of the cache key.
-    ``geometric_access_times`` replaces the constant ``r``-cycle memory
-    access with a geometric one of mean ``r`` (the Section 6
-    exponential-service comparison); it enters the cache key only when
-    set.
+    engine namespace.  ``geometric_access_times`` replaces the constant
+    ``r``-cycle memory access with a geometric one of mean ``r`` (the
+    Section 6 exponential-service comparison); it enters the cache key
+    only when set.
     """
 
     config: SystemConfig
@@ -201,7 +198,6 @@ class EvalRequest:
     seed: int = 0
     metrics: tuple[str, ...] = ()
     kernel: str = "fast"
-    backend: str = "numpy"
     geometric_access_times: bool = False
 
     @property

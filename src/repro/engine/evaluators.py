@@ -34,6 +34,16 @@ from repro.engine.base import (
     LITTLES_LAW_TOKEN,
 )
 
+BATCH_ENGINE_TOKEN = "simulation-batch@1"
+"""Versioned engine token for batch-kernel cache entries.
+
+The batch kernel (:mod:`repro.bus.batch`) is reproducible in itself but
+not bit-identical to the exact kernels, so - unlike the ``fast`` lever -
+it owns a cache namespace: bump the version when the batch kernel's
+numerical semantics change, and only batch entries are retired.  It
+lives here, beside the other engine tokens, so naming the namespace
+never imports the kernel."""
+
 
 def _model_result(model) -> EvalResult:
     """Adapt a :class:`~repro.core.results.ModelResult` to the engine."""
@@ -98,18 +108,13 @@ class SimulationEvaluator:
 
         Exact (``fast``) requests carry the ``simulation@1`` namespace.
         The ``batch`` kernel is only statistically equivalent, so its
-        requests carry the distinct ``simulation-batch@1`` namespace.
-        Every batch backend is bit-identical to numpy, so the backend
-        stays out of the key and their cache entries are
-        interchangeable.
+        requests carry the distinct :data:`BATCH_ENGINE_TOKEN` namespace.
         """
         from repro.parallel.cache import case_payload
 
         payload = case_payload(request)
         payload["method"] = str(self.capabilities.method)
         if request.kernel == "batch":
-            from repro.bus.backends import BATCH_ENGINE_TOKEN
-
             payload["engine"] = BATCH_ENGINE_TOKEN
         else:
             payload["engine"] = self.capabilities.engine_token

@@ -3,7 +3,10 @@
 Generic DTMC machinery (:mod:`repro.markov.chain`), reachability-driven
 chain construction (:mod:`repro.markov.builder`) and the shared sorted
 occupancy-vector chain (:mod:`repro.markov.occupancy`) that underlies the
-crossbar, multiple-bus and Section 3.1.1 exact models.
+crossbar, multiple-bus and Section 3.1.1 exact models.  The exact chain
+of the simulated machine itself, the simulators' independent oracle for
+tiny configurations, is :mod:`repro.markov.machine`; import it from
+there (it is not re-exported, so loading this package stays cheap).
 """
 
 from repro.markov.builder import build_chain

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.bus import PACK_FIELDS
 from repro.core.results import SimulationResult
 from repro.engine.base import EvalRequest
 
@@ -28,16 +29,12 @@ def pack_key(request: EvalRequest) -> tuple:
     """The super-fleet grouping key: pack fields plus the window.
 
     Shape numbers (``n``, ``m``, ``r``, buffer depth) are per-row
-    kernel state, so only the :data:`~repro.bus.batch.PACK_FIELDS` -
+    kernel state, so only the :data:`~repro.bus.PACK_FIELDS` -
     arbitration branch and buffering mode - must match for rows to
     share one padded lockstep program.  So must the measurement window
     (rows of one kernel advance through identical cycle counts),
-    latency collection and geometric access times (whole-kernel levers)
-    and ``backend`` (one kernel instance runs on one array substrate,
-    even though every backend produces the same bytes).
+    latency collection and geometric access times (whole-kernel levers).
     """
-    from repro.bus.batch import PACK_FIELDS
-
     return tuple(
         getattr(request.config, field) for field in PACK_FIELDS
     ) + (
@@ -45,7 +42,6 @@ def pack_key(request: EvalRequest) -> tuple:
         request.warmup,
         request.collects_latency,
         request.geometric_access_times,
-        request.backend,
     )
 
 
@@ -56,7 +52,7 @@ def pack_fleets(requests: Sequence[EvalRequest]) -> list[list[int]]:
     first appearance, so the grouping is a deterministic function of
     the request list alone.  A fragmented sweep - many shapes, few
     replications each - lands in one padded batch call per
-    arbitration/window/backend combination instead of one tiny fleet
+    arbitration/window combination instead of one tiny fleet
     per shape.  By the packing contract each
     row's bytes are independent of the grouping (proven in
     ``tests/properties/test_fleet_packing.py``), so this is purely a
@@ -115,7 +111,6 @@ def run_fleet(requests: Sequence[EvalRequest]) -> list[SimulationResult]:
             request_probabilities=probabilities,
             collect_latency=first.collects_latency,
             geometric_access_times=first.geometric_access_times,
-            backend=first.backend,
         )
         fleet_results = kernel.run(first.cycles, warmup=first.warmup)
         for position, result in zip(positions, fleet_results):

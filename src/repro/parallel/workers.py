@@ -49,7 +49,6 @@ def run_case(request: EvalRequest) -> SimulationResult:
         collect_latency=request.collects_latency,
         kernel=request.kernel,
         geometric_access_times=request.geometric_access_times,
-        backend=request.backend,
     )
 
 

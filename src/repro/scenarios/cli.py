@@ -30,7 +30,6 @@ import time
 from typing import Sequence
 
 from repro.bus import DEFAULT_KERNEL, KNOWN_KERNELS
-from repro.bus.backends import DEFAULT_BACKEND, KNOWN_BACKENDS
 from repro.core.errors import ConfigurationError, ReproError
 from repro.scenarios.compiler import parse_shard
 from repro.scenarios.execute import run_scenario, unit_line
@@ -167,17 +166,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "in itself, statistically equivalent, own cache namespace",
     )
     parser.add_argument(
-        "--backend",
-        choices=KNOWN_BACKENDS,
-        default=DEFAULT_BACKEND,
-        help="array substrate for the batch kernel (requires --kernel "
-        "batch): 'numpy' (default), 'numba' (JIT-compiled cycle loop, "
-        "bit-identical to numpy, [batch-jit] extra) or 'numba-parallel' "
-        "(same loop compiled with prange over fleet rows on threads, "
-        "bit-identical, [batch-jit] extra); a missing backend fails "
-        "loudly naming its extra",
-    )
-    parser.add_argument(
         "--cache",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -215,10 +203,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--workers must be a positive integer")
     if args.lease_size is not None and args.lease_size < 1:
         parser.error("--lease-size must be a positive integer")
-    if args.backend != DEFAULT_BACKEND and kernel != "batch":
-        # Backends are the batch kernel's array substrate; silently
-        # ignoring --backend on another kernel would misreport what ran.
-        parser.error("--backend requires --kernel batch")
     if args.scenario is None:
         print(list_scenarios())
         return 0
@@ -246,7 +230,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             shard=shard,
             cache=cache,
             kernel=kernel,
-            backend=args.backend,
             workers=args.workers,
             lease_size=args.lease_size,
             deadline=args.deadline,

@@ -24,8 +24,7 @@ import dataclasses
 import re
 from typing import Any, Iterable, Sequence
 
-from repro.bus import DEFAULT_KERNEL, check_kernel
-from repro.bus.backends import DEFAULT_BACKEND, check_backend
+from repro.bus import DEFAULT_KERNEL, check_batch_features, check_kernel
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.engine.base import EvalRequest
@@ -56,11 +55,6 @@ class WorkUnit:
     Exact units cache under ``simulation@1``.  Batch results are
     reproducible in themselves but not bit-identical, so their payloads
     carry the ``simulation-batch@1`` engine token instead."""
-    backend: str = DEFAULT_BACKEND
-    """Array substrate of the batch kernel (:mod:`repro.bus.backends`).
-    Every backend is bit-identical to numpy, so it is an execution lever
-    and never enters :meth:`payload`: all backends share
-    ``simulation-batch@1``."""
     geometric_access_times: bool = False
     """Geometric instead of constant memory access times (simulation
     only; part of :meth:`payload` only when set)."""
@@ -80,7 +74,6 @@ class WorkUnit:
             seed=self.seed,
             metrics=self.metrics,
             kernel=self.kernel,
-            backend=self.backend,
             geometric_access_times=self.geometric_access_times,
         )
 
@@ -106,7 +99,6 @@ class WorkUnit:
 def compile_scenario(
     spec: ScenarioSpec,
     kernel: str = DEFAULT_KERNEL,
-    backend: str = DEFAULT_BACKEND,
 ) -> tuple[WorkUnit, ...]:
     """Lower ``spec`` into its canonical ordered work-unit tuple.
 
@@ -124,25 +116,14 @@ def compile_scenario(
     ``"fast"`` is exact; ``"batch"`` (vectorized lockstep fleets)
     changes bytes within statistical equivalence and is validated here
     against its capability set
-    (:func:`repro.bus.batch.check_batch_features`) - e.g. latency
-    metrics compile (sketch-based percentiles).  ``backend`` selects
-    the batch kernel's array substrate (:mod:`repro.bus.backends`); a
-    non-default backend requires ``kernel="batch"``.  Unknown kernel or
-    backend names are rejected here too, so a typo fails at scenario
-    load time instead of mid-sweep - never a silent fallback.
+    (:func:`repro.bus.check_batch_features`) - e.g. latency metrics
+    compile (sketch-based percentiles).  Unknown kernel names are
+    rejected here too, so a typo fails at scenario load time instead of
+    mid-sweep - never a silent fallback.
     """
     check_kernel(kernel)
-    try:
-        check_backend(kernel, backend)
-    except ConfigurationError as exc:
-        raise ConfigurationError(
-            f"scenario {spec.name!r} cannot run under "
-            f"backend={backend!r}: {exc}"
-        ) from exc
     capabilities = get_evaluator(spec.method).capabilities
     if kernel == "batch" and spec.method is EvaluationMethod.SIMULATION:
-        from repro.bus.batch import check_batch_features
-
         try:
             check_batch_features(metrics=spec.metrics)
         except ConfigurationError as exc:
@@ -177,7 +158,6 @@ def compile_scenario(
                     metrics=spec.metrics,
                     geometric_access_times=spec.geometric_access_times,
                     kernel=kernel,
-                    backend=backend,
                 )
             )
             index += 1
@@ -191,7 +171,6 @@ def compile_scenario(
 def compile_specs(
     specs: Sequence[ScenarioSpec],
     kernel: str = DEFAULT_KERNEL,
-    backend: str = DEFAULT_BACKEND,
     shard: tuple[int, int] | None = None,
 ) -> tuple[WorkUnit, ...]:
     """Compile ``specs`` into one unit list, each spec's units in turn.
@@ -208,7 +187,7 @@ def compile_specs(
     units = tuple(
         unit
         for spec in specs
-        for unit in compile_scenario(spec, kernel=kernel, backend=backend)
+        for unit in compile_scenario(spec, kernel=kernel)
     )
     return units if shard is None else shard_units(units, *shard)
 

@@ -257,7 +257,6 @@ def run_scenarios(
     shard: tuple[int, int] | None = None,
     cache=None,
     kernel: str = "fast",
-    backend: str = "numpy",
     workers: int | None = None,
     *,
     lease_size: int | None = None,
@@ -289,12 +288,9 @@ def run_scenarios(
     themselves (across shards, workers and grouping) but deliberately
     different from the exact tier's - never mix batch and exact shards
     of one sweep.
-    ``backend`` selects the batch kernel's array substrate
-    (:mod:`repro.bus.backends`); every backend is bit-identical to
-    numpy, so that choice too changes wall-clock only.
     """
     specs = tuple(specs)
-    units = compile_specs(specs, kernel=kernel, backend=backend, shard=shard)
+    units = compile_specs(specs, kernel=kernel, shard=shard)
     if workers is None:
         failed = cache.stats.put_errors if cache is not None else 0
         results = run_units(units, cache=cache)
@@ -315,7 +311,6 @@ def run_scenarios(
             specs,
             LocalWorkers(workers, exit_after=chaos_kill_after),
             kernel=kernel,
-            backend=backend,
             shard=shard,
             lease_size=lease_size,
             deadline=DEFAULT_DEADLINE if deadline is None else deadline,
@@ -356,14 +351,13 @@ def run_scenario(
     shard: tuple[int, int] | None = None,
     cache=None,
     kernel: str = "fast",
-    backend: str = "numpy",
     workers: int | None = None,
     **service,
 ) -> list[UnitResult]:
     """Compile and execute one spec: :func:`run_scenarios` of ``(spec,)``,
     with the same options."""
     return run_scenarios(
-        (spec,), shard, cache, kernel, backend, workers, **service
+        (spec,), shard, cache, kernel, workers, **service
     )[0]
 
 

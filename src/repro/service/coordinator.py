@@ -96,7 +96,6 @@ class Coordinator:
         specs: Sequence[ScenarioSpec],
         transports: Sequence[WorkerTransport] | LocalWorkers,
         kernel: str = "fast",
-        backend: str = "numpy",
         shard: tuple[int, int] | None = None,
         lease_size: int | None = None,
         deadline: float = DEFAULT_DEADLINE,
@@ -110,13 +109,10 @@ class Coordinator:
             raise ExperimentError("the sweep service needs at least one worker")
         specs = tuple(specs)
         if units is None:
-            units = compile_specs(
-                specs, kernel=kernel, backend=backend, shard=shard
-            )
+            units = compile_specs(specs, kernel=kernel, shard=shard)
         self.specs = specs
         self.units = units
         self.kernel = kernel
-        self.backend = backend
         self.shard = shard
         self.cache_enabled = cache_enabled
         self.cache_dir = cache_dir
@@ -169,7 +165,6 @@ class Coordinator:
             hello = protocol.hello_message(
                 self.specs,
                 self.kernel,
-                self.backend,
                 shard=self.shard,
                 cache_dir=self.cache_dir,
                 cache_enabled=self.cache_enabled,

@@ -8,7 +8,7 @@ unchanged.  The conversation is deliberately tiny:
 
 == ==================== ============================================
 →  ``hello``             coordinator → worker: the list of scenario
-                         specs (file-schema mappings), kernel/backend,
+                         specs (file-schema mappings), the kernel,
                          the optional shard designator (one spec only),
                          the shared cache configuration and the
                          coordinator's
@@ -55,14 +55,15 @@ from repro.core.errors import ConfigurationError
 from repro.parallel.cache import code_version_tag
 from repro.scenarios.spec import ScenarioSpec, spec_from_mapping
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 """Bumped on any incompatible message-shape change; ``hello`` carries
 it and workers reject mismatches, so mixed-version fleets fail fast.
 Version 2 replaced the contiguous ``[start, stop)`` range lease with an
 explicit position list, so planners can compose fleet-affine leases.
 Version 3 made ``hello``'s ``code_version`` field required.  Version 4
 replaced ``hello``'s one ``spec`` with a ``specs`` list, so one
-coordinator runs several scenarios as one unit list."""
+coordinator runs several scenarios as one unit list.  Version 5 dropped
+``hello``'s ``backend`` field: the batch kernel runs on numpy only."""
 
 MESSAGE_TYPES = frozenset(
     {"hello", "ready", "lease", "result", "lease_done", "error", "shutdown"}
@@ -143,7 +144,6 @@ def spec_from_wire(mapping: Mapping[str, Any]) -> ScenarioSpec:
 def hello_message(
     specs: Sequence[ScenarioSpec],
     kernel: str,
-    backend: str,
     shard: tuple[int, int] | None = None,
     cache_dir: str | None = None,
     cache_enabled: bool = True,
@@ -163,7 +163,6 @@ def hello_message(
         "code_version": code_version_tag(),
         "specs": [spec_to_mapping(spec) for spec in specs],
         "kernel": kernel,
-        "backend": backend,
         "shard": list(shard) if shard is not None else None,
         "cache": cache,
     }

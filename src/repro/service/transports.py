@@ -260,8 +260,8 @@ def os_thread_count() -> int:
     """Threads this process runs, native ones included.
 
     ``threading.active_count()`` sees only Python threads; the OpenBLAS
-    pool that ``import numpy`` starts, or a numba thread pool, shows
-    only in ``/proc/self/task``.  Where that does not exist, the Python
+    pool that ``import numpy`` starts shows only in
+    ``/proc/self/task``.  Where that does not exist, the Python
     count is the best available.
     """
     try:

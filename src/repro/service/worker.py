@@ -106,7 +106,6 @@ class WorkerSession:
         units = compile_specs(
             [protocol.spec_from_wire(spec) for spec in message["specs"]],
             kernel=message.get("kernel", "fast"),
-            backend=message.get("backend", "numpy"),
             shard=tuple(shard) if shard is not None else None,
         )
         self._units = units

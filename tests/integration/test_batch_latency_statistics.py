@@ -27,7 +27,7 @@ import statistics
 
 import pytest
 
-from repro.bus.batch import BATCH_ENGINE_TOKEN
+from repro.engine.evaluators import BATCH_ENGINE_TOKEN
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority, TieBreak
 from repro.engine.base import EvalRequest

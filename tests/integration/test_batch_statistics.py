@@ -19,12 +19,12 @@ import statistics
 
 import pytest
 
-from repro.bus.batch import BATCH_ENGINE_TOKEN
 from repro.bus.system import MultiplexedBusSystem
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority, TieBreak
-from repro.parallel.cache import ResultCache, fingerprint
 from repro.engine.base import EvalRequest
+from repro.engine.evaluators import BATCH_ENGINE_TOKEN
+from repro.parallel.cache import ResultCache, fingerprint
 from repro.parallel.fleet import run_fleet
 from repro.parallel.workers import run_case
 from repro.scenarios.compiler import compile_scenario
@@ -34,6 +34,7 @@ from repro.scenarios.spec import (
     ReplicationPlan,
     ScenarioSpec,
 )
+from repro.workloads.spec import HotSpotWorkload, TraceWorkload
 
 REPLICATIONS = 8
 CYCLES = 4_000
@@ -61,6 +62,45 @@ EQUIVALENCE_FLEET = [
 """The >= 10-configuration equivalence fleet (both priorities, both
 tie-breaks, buffering, partial load)."""
 
+_TRACES = (
+    (0, 1, 2, 3, 0, 0, 2),
+    (1, 1, 3, 0, 2),
+    (2, 0, 0, 1, 3, 3, 1, 2),
+    (3, 2, 1),
+    (0, 2, 2, 1, 3, 1),
+    (1, 3, 0, 0),
+)
+"""Per-processor target traces for up to six processors on four
+modules, cycled by each processor at its own length."""
+
+WORKLOAD_FLEET = [
+    (SystemConfig(8, 8, 8), HotSpotWorkload(0.3)),
+    (
+        SystemConfig(6, 4, 4, buffered=True, priority=Priority.MEMORIES),
+        HotSpotWorkload(0.5, hot_module=2),
+    ),
+    (
+        SystemConfig(4, 8, 6, request_probability=0.6, tie_break=TieBreak.FCFS),
+        HotSpotWorkload(0.2, hot_module=7),
+    ),
+    (SystemConfig(6, 4, 4), TraceWorkload(_TRACES)),
+    (
+        SystemConfig(6, 4, 3, buffered=True, buffer_depth=2),
+        TraceWorkload(_TRACES),
+    ),
+    (
+        SystemConfig(
+            4, 4, 5, request_probability=0.5, priority=Priority.MEMORIES,
+            tie_break=TieBreak.FCFS,
+        ),
+        TraceWorkload(_TRACES[:4]),
+    ),
+]
+"""The workload families beyond uniform targets: hot-spot and trace
+targets through both buffering modes, both priorities, both tie-breaks
+and partial load.  Traces carry the only gate on batch trace rows
+besides the bytes golden (the exact chain covers no traces)."""
+
 
 def _welch_bound(a, b) -> float:
     return Z * math.sqrt(
@@ -75,16 +115,28 @@ def _means(results):
 
 
 @pytest.mark.parametrize(
-    "config", EQUIVALENCE_FLEET, ids=lambda c: c.describe()
+    "config, workload",
+    [
+        pytest.param(config, None, id=config.describe())
+        for config in EQUIVALENCE_FLEET
+    ]
+    + [
+        pytest.param(
+            config, workload, id=f"{config.describe()}-{workload.describe()}"
+        )
+        for config, workload in WORKLOAD_FLEET
+    ],
 )
-def test_batch_agrees_with_fast_within_confidence_bounds(config):
+def test_batch_agrees_with_fast_within_confidence_bounds(config, workload):
     fast = [
-        run_case(EvalRequest(config, cycles=CYCLES, seed=seed))
+        run_case(EvalRequest(config, workload, cycles=CYCLES, seed=seed))
         for seed in range(REPLICATIONS)
     ]
     batch = run_fleet(
         [
-            EvalRequest(config, cycles=CYCLES, seed=seed, kernel="batch")
+            EvalRequest(
+                config, workload, cycles=CYCLES, seed=seed, kernel="batch"
+            )
             for seed in range(REPLICATIONS)
         ]
     )

@@ -4,14 +4,15 @@ A ``repro-experiments scenario`` run pays for every module it imports
 on each invocation.  The exact kernels need no numpy, and a
 ``--workers`` run forks its workers with ``os.fork``, so neither
 ``concurrent.futures`` nor ``multiprocessing`` belongs in the
-coordinator; a batch run imports numpy only inside the forked workers.
-The experiment runner's coordinator is held to the same rule: loading
-the experiment registry imports no model module, so the process that
-forks the workers runs no native (OpenBLAS) thread.  An exact-tier run
-also skips the reference machine, the event engine, the batch kernel and
-its sketch, and the ``--workers`` coordinators skip the reference
-machine and the numba backend.  Each case runs the CLI in a fresh interpreter and
-reads that process's ``sys.modules`` after ``main`` returns.
+coordinator; a batch run imports numpy and the batch kernel only inside
+the forked workers.  The experiment runner's coordinator is held to the
+same rule: loading the experiment registry imports no model module, so
+the process that forks the workers runs no native (OpenBLAS) thread.
+An exact-tier run also skips the reference machine, the event engine,
+the batch kernel and its sketch, and the ``--workers`` coordinators skip
+the reference machine and the batch kernel.  Each case runs the CLI in
+a fresh interpreter and reads that process's ``sys.modules`` after
+``main`` returns.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ REFERENCE_MACHINE = (
 )
 """The component-object machine: the tests' oracle, never a CLI path."""
 
-NUMBA_BACKEND = ("repro.bus.backends.numba_backend",)
+BATCH_KERNEL = ("repro.bus.batch",)
+"""The lockstep kernel: only a process that simulates a batch fleet
+needs it, and a ``--workers`` coordinator leases its fleets out."""
 
 EXACT_TIER_UNUSED = (
     *REFERENCE_MACHINE,
-    *NUMBA_BACKEND,
-    "repro.bus.batch",
+    *BATCH_KERNEL,
     "repro.des.engine",
     "repro.des.events",
     "repro.des.processes",
@@ -75,12 +77,12 @@ with open(sys.argv[1], "w") as handle:
             ["scenario", "table4", "--kernel", "batch", "--workers", "2",
              "--cycles", "1"],
             "unit 000000 ",
-            (*REFERENCE_MACHINE, *NUMBA_BACKEND),
+            (*REFERENCE_MACHINE, *BATCH_KERNEL),
         ),
         (
             ["figure5", "--fast", "--workers", "2"],
             "Figure 5 - ",
-            (*REFERENCE_MACHINE, *NUMBA_BACKEND),
+            (*REFERENCE_MACHINE, *BATCH_KERNEL),
         ),
     ],
     ids=["latency-tail-fast", "table4-batch-workers-2", "figure5-workers-2"],

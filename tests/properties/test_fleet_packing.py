@@ -11,9 +11,9 @@ licenses packing to ship under the unchanged ``simulation-batch@1``
 cache token with byte-identical scenario stdout.
 
 These properties drive randomized *heterogeneous* fleets - mixed
-shapes sharing only the :data:`~repro.bus.batch.PACK_FIELDS` - through
+shapes sharing only the :data:`~repro.bus.PACK_FIELDS` - through
 three groupings (one packed kernel, per-shape kernels, one kernel per
-row) on the numpy and numba backends and assert exact equality of
+row) and assert exact equality of
 
 * every counter of every row's ``SimulationResult``;
 * the per-row latency quantile sketches (identical percentile
@@ -34,11 +34,9 @@ bytes of one call per shape group.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bus.backends import NumbaBackend
 from repro.bus.batch import BatchBusKernel
 from repro.core.config import SystemConfig
 from repro.core.policy import Priority, TieBreak
@@ -49,28 +47,6 @@ from repro.workloads.spec import (
     RequestMixWorkload,
     TraceWorkload,
 )
-
-
-def _numba_importable() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-BACKENDS = [
-    pytest.param("numpy", id="numpy"),
-    pytest.param(lambda: NumbaBackend(jit=False), id="numba-interpreted"),
-    pytest.param(
-        lambda: NumbaBackend(jit=True),
-        id="numba-jit",
-        marks=pytest.mark.skipif(
-            not _numba_importable(),
-            reason="numba not installed ([batch-jit] extra)",
-        ),
-    ),
-]
 
 
 def shape_of(config):
@@ -225,8 +201,7 @@ def packed_fleet_specs(draw):
     return rows, geometric, collect_latency
 
 
-def _build_kernel(rows, geometric, collect_latency, backend):
-    backend = backend if isinstance(backend, str) else backend()
+def _build_kernel(rows, geometric, collect_latency):
     configs = [config for config, _, _ in rows]
     seeds = [seed for _, seed, _ in rows]
     targets = [
@@ -246,11 +221,10 @@ def _build_kernel(rows, geometric, collect_latency, backend):
         request_probabilities=probabilities,
         collect_latency=collect_latency,
         geometric_access_times=geometric,
-        backend=backend,
     )
 
 
-def _run_grouped(rows, geometric, collect_latency, backend, group_key):
+def _run_grouped(rows, geometric, collect_latency, group_key):
     """Run ``rows`` as one kernel per ``group_key`` class; returns
     results and per-original-row ``(kernel, local_row)`` locators."""
     groups: dict = {}
@@ -260,7 +234,7 @@ def _run_grouped(rows, geometric, collect_latency, backend, group_key):
     locators = [None] * len(rows)
     for members in groups.values():
         kernel = _build_kernel(
-            [rows[i] for i in members], geometric, collect_latency, backend
+            [rows[i] for i in members], geometric, collect_latency
         )
         for local, position in enumerate(members):
             locators[position] = (kernel, local)
@@ -269,26 +243,23 @@ def _run_grouped(rows, geometric, collect_latency, backend, group_key):
     return results, locators
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestPackingBitIdentity:
     @given(data=st.data())
     @settings(max_examples=12, deadline=None)
-    def test_packed_equals_unpacked_equals_singletons(self, backend, data):
+    def test_packed_equals_unpacked_equals_singletons(self, data):
         rows, geometric, collect_latency = data.draw(packed_fleet_specs())
-        packed = _build_kernel(rows, geometric, collect_latency, backend)
+        packed = _build_kernel(rows, geometric, collect_latency)
         packed_results = packed.run(300, warmup=60)
         by_shape, shape_locators = _run_grouped(
             rows,
             geometric,
             collect_latency,
-            backend,
             lambda _, row: shape_of(row[0]),
         )
         singles, single_locators = _run_grouped(
             rows,
             geometric,
             collect_latency,
-            backend,
             lambda position, _: position,
         )
         for position in range(len(rows)):
@@ -311,7 +282,7 @@ class TestPackingBitIdentity:
             kernel, local = single_locators[position]
             assert_tails_match(packed_tails, row_tails(kernel, local))
 
-    def test_mixed_depth_buffered_fcfs_pack(self, backend):
+    def test_mixed_depth_buffered_fcfs_pack(self):
         """The deepest packed path: per-row buffer depths and memory
         counts under FCFS memory priority, with latency sketches."""
         rows = [
@@ -343,10 +314,10 @@ class TestPackingBitIdentity:
                 RequestMixWorkload((0.4, 1.0)),
             ),
         ]
-        packed = _build_kernel(rows, False, True, backend)
+        packed = _build_kernel(rows, False, True)
         packed_results = packed.run(900, warmup=150)
         for position, row in enumerate(rows):
-            alone = _build_kernel([row], False, True, backend)
+            alone = _build_kernel([row], False, True)
             (expected,) = alone.run(900, warmup=150)
             assert result_key(packed_results[position]) == result_key(
                 expected
@@ -358,7 +329,7 @@ class TestPackingBitIdentity:
                 row_tails(packed, position), row_tails(alone, 0)
             )
 
-    def test_constant_r_row_packed_with_geometric_neighbours(self, backend):
+    def test_constant_r_row_packed_with_geometric_neighbours(self):
         """A degenerate r=1 row never consults the access stream even
         under ``geometric_access_times``; packing it with geometric
         rows must not change anyone's draws."""
@@ -366,10 +337,10 @@ class TestPackingBitIdentity:
             (SystemConfig(2, 2, 1), 3, None),
             (SystemConfig(3, 3, 4, request_probability=0.7), 4, None),
         ]
-        packed = _build_kernel(rows, True, True, backend)
+        packed = _build_kernel(rows, True, True)
         packed_results = packed.run(600, warmup=100)
         for position, row in enumerate(rows):
-            alone = _build_kernel([row], True, True, backend)
+            alone = _build_kernel([row], True, True)
             (expected,) = alone.run(600, warmup=100)
             assert result_key(packed_results[position]) == result_key(
                 expected

@@ -1,7 +1,7 @@
 """Property tests: the sweep service merge is exactly invariant.
 
 Acceptance contract of the distributed sweep service: whatever the
-lease sizing, the cache warmth, the batch backend, the worker count,
+lease sizing, the cache warmth, the kernel, the worker count,
 the shard designator, or a worker killed mid-lease, the coordinator's
 merged output is byte-identical to the serial :func:`run_units`
 report.  Loopback transports make the schedule deterministic and
@@ -11,7 +11,6 @@ could never afford.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,21 +120,9 @@ class TestMergeInvariance:
         assert reports == serial_reports
 
 
-def _batch_backends() -> list[str]:
-    """Batch backends runnable here: numpy always; the JIT family only
-    where numba is importable (the registry instances always JIT)."""
-    backends = ["numpy"]
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return backends
-    backends.append("numba-parallel")
-    return backends
-
-
 class TestPlanInvariance:
     """Any plan the sweep planner can produce reproduces serial bytes:
-    probe outcome x lease composition x backend are pure wall-clock
+    probe outcome x lease composition x kernel are pure wall-clock
     levers."""
 
     @settings(max_examples=40, deadline=None)
@@ -173,19 +160,14 @@ class TestPlanInvariance:
         assert coordinators[0].units_dispatched == len(_UNITS)
         assert coordinators[1].units_dispatched == 0
 
-    @pytest.mark.parametrize("backend", _batch_backends())
-    def test_batch_backends_match_their_serial_bytes(self, backend):
+    def test_batch_kernel_matches_its_serial_bytes(self):
         serial = render_report(
-            run_units(
-                compile_scenario(_SPEC, kernel="batch", backend=backend),
-                cache=None,
-            )
+            run_units(compile_scenario(_SPEC, kernel="batch"), cache=None)
         )
         coordinator = Coordinator(
             [_SPEC],
             _workers(2, None),
             kernel="batch",
-            backend=backend,
             cache_enabled=False,
         )
         assert render_report(coordinator.run()) == serial

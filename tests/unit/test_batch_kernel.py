@@ -17,7 +17,7 @@ from repro.core.policy import Priority
 
 
 def test_check_batch_metrics_accepts_latency_rejects_unknown():
-    from repro.bus.batch import check_batch_metrics
+    from repro.bus import check_batch_metrics
 
     check_batch_metrics(())
     check_batch_metrics(("latency",))
@@ -26,7 +26,7 @@ def test_check_batch_metrics_accepts_latency_rejects_unknown():
 
 
 def test_check_batch_features_names_each_unsupported_feature():
-    from repro.bus.batch import check_batch_features
+    from repro.bus import check_batch_features
 
     check_batch_features(metrics=("latency",))
     check_batch_features(geometric_access_times=True)
@@ -40,6 +40,18 @@ def test_check_batch_features_names_each_unsupported_feature():
 
     with pytest.raises(ConfigurationError, match="CustomSampler"):
         check_batch_features(targets=CustomSampler())
+
+
+def test_pack_key_separates_latency_collection():
+    from repro.engine.base import EvalRequest
+    from repro.parallel.fleet import pack_fleets
+
+    config = SystemConfig(2, 2, 2)
+    plain = EvalRequest(config, cycles=500, kernel="batch")
+    latency = EvalRequest(
+        config, cycles=500, metrics=("latency",), kernel="batch"
+    )
+    assert pack_fleets([plain, latency, plain]) == [[0, 2], [1]]
 
 
 def test_compile_scenario_accepts_batch_latency_metrics():

@@ -21,7 +21,6 @@ LAZY_EXPORTS = {
         "repro.bus.system",
         "repro.bus.trace",
     ),
-    "repro.bus.backends": ("repro.bus.backends.numba_backend",),
     "repro.des": (
         "repro.des.engine",
         "repro.des.events",

@@ -340,23 +340,14 @@ class TestBatchKernelCli:
         for column in ("lat_count=", "wait_p90=", "lat_p50=", "lat_p99="):
             assert column in out
 
-    @pytest.mark.parametrize("backend", ["numba", "numba-parallel"])
-    def test_jit_backend_names_print_the_numpy_bytes(
-        self, backend, tiny_toml, capsys, monkeypatch
-    ):
-        """The CLI route of each numba backend name, with its loops
-        interpreted so the check runs without numba (CI repeats it on
-        the JIT-compiled loops)."""
-        from repro.bus import backends
-
-        interpreted = type(backends.get_backend(backend))(jit=False)
-        monkeypatch.setitem(backends._REGISTRY, backend, interpreted)
-        argv = ["scenario", tiny_toml, "--kernel", "batch", "--metrics",
-                "latency", "--no-cache"]
-        assert main(argv) == 0
-        numpy_out = capsys.readouterr().out
-        assert main([*argv, "--backend", backend]) == 0
-        assert capsys.readouterr().out == numpy_out
+    def test_backend_is_not_an_option(self, tiny_toml, capsys):
+        """The batch kernel runs on numpy only; its substrate lever is
+        gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", tiny_toml, "--kernel", "batch", "--backend",
+                  "numpy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--pack", "--no-pack"])
     def test_pack_flags_are_not_options(self, flag, tiny_toml, capsys):

@@ -53,7 +53,7 @@ class TestCompile:
 
     def test_request_carries_every_execution_field(self):
         """``WorkUnit.request()`` is the one record the kernels see, so
-        the kernel and backend choices must reach it."""
+        the kernel choice must reach it."""
         spec = ScenarioSpec(
             name="tiny-latency",
             base={"processors": 2, "memories": 2, "memory_cycle_ratio": 2},
@@ -72,7 +72,6 @@ class TestCompile:
                 request.seed,
                 request.metrics,
                 request.kernel,
-                request.backend,
             ) == (
                 unit.config,
                 unit.workload,
@@ -81,7 +80,6 @@ class TestCompile:
                 unit.seed,
                 ("latency",),
                 "batch",
-                "numpy",
             )
             assert request.collects_latency
 

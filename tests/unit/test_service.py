@@ -67,7 +67,6 @@ class TestProtocol:
         message = protocol.hello_message(
             [tiny_spec()],
             "fast",
-            "numpy",
             shard=(2, 3),
             cache_dir="/tmp/x",
             cache_enabled=False,
@@ -86,7 +85,7 @@ class TestWorkerSession:
 
     def test_protocol_version_mismatch_is_rejected(self):
         session = WorkerSession(lambda message: None)
-        hello = protocol.hello_message([tiny_spec()], "fast", "numpy")
+        hello = protocol.hello_message([tiny_spec()], "fast")
         hello["protocol"] = 999
         with pytest.raises(ConfigurationError, match="version mismatch"):
             session.handle(hello)
@@ -94,7 +93,7 @@ class TestWorkerSession:
     def test_code_version_mismatch_answers_error_naming_both_tags(self):
         """A peer on other code refuses the sweep instead of caching
         results under the coordinator's tag."""
-        hello = protocol.hello_message([tiny_spec()], "fast", "numpy")
+        hello = protocol.hello_message([tiny_spec()], "fast")
         hello["code_version"] = "0123456789abcdef"
         session = WorkerSession(lambda message: None)
         with pytest.raises(ConfigurationError, match="code version mismatch"):
@@ -116,7 +115,7 @@ class TestWorkerSession:
         session = WorkerSession(outbox.append)
         session.handle(
             protocol.hello_message(
-                [tiny_spec()], "fast", "numpy", cache_enabled=False
+                [tiny_spec()], "fast", cache_enabled=False
             )
         )
         units = outbox[-1]["units"]
@@ -128,7 +127,7 @@ class TestWorkerSession:
         session = WorkerSession(outbox.append)
         session.handle(
             protocol.hello_message(
-                [tiny_spec()], "fast", "numpy", cache_enabled=False
+                [tiny_spec()], "fast", cache_enabled=False
             )
         )
         outbox.clear()
@@ -297,12 +296,6 @@ class TestServiceCli:
 
         with pytest.raises(SystemExit):
             scenario_main(["figure2", "--workers", "0"])
-
-    def test_scenario_workers_rejects_backend_without_batch(self, capsys):
-        from repro.scenarios.cli import main as scenario_main
-
-        with pytest.raises(SystemExit):
-            scenario_main(["figure2", "--workers", "2", "--backend", "numba"])
 
     def test_scenario_workers_unknown_scenario_is_error(self, capsys):
         from repro.scenarios.cli import main as scenario_main
