@@ -48,11 +48,16 @@ sharing a bug.
    leaves the output FIFO and its processor reaches a boundary next
    cycle.
 
-The chain starts from every processor at a boundary, explores the
-reachable states breadth first (at most ``max_states``, else
-:class:`~repro.core.errors.ConfigurationError`), and iterates the lazy
-chain ``(P + I) / 2``, which has the same stationary vector but no
-period, with sparse numpy products.  From the stationary vector:
+The chain starts from every processor at a boundary and
+:func:`~repro.markov.builder.build_chain` enumerates the reachable
+states (at most :data:`_MAX_STATES`, else
+:class:`~repro.core.errors.ConfigurationError`).  The dense solvers of
+:class:`~repro.markov.chain.DiscreteTimeMarkovChain` do not fit here:
+tens of thousands of states overflow a dense matrix, and at ``p = 1``
+the all-at-boundary start state is transient, so the chain is
+reducible.  This module therefore iterates the lazy chain
+``(P + I) / 2``, which has the same stationary vector but no period,
+with sparse numpy products.  From the stationary vector:
 ``EBW = (r + 2)`` times the response transfers per cycle, bus
 utilisation (two transfers per completed request) and, by Little's law,
 the mean issue-to-response latency (outstanding requests per cycle over
@@ -68,8 +73,9 @@ from repro.core import metrics
 from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError, ModelError
 from repro.core.policy import Priority, TieBreak
+from repro.markov.builder import build_chain
 
-DEFAULT_MAX_STATES = 200_000
+_MAX_STATES = 200_000
 """Reachable-state cap: 4 processors on 4 modules at ``r = 3`` need
 about 34,000 states, and each extra processor or module multiplies the
 count."""
@@ -109,7 +115,6 @@ def solve_machine(
     hot_fraction: float = 0.0,
     hot_module: int = 0,
     geometric_access_times: bool = False,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> MachineSolution:
     """Solve the exact chain of ``config``.
 
@@ -118,7 +123,7 @@ def solve_machine(
     ``geometric_access_times`` makes each access last a geometric number
     of cycles with mean ``r``.  Raises
     :class:`~repro.core.errors.ConfigurationError` when the chain has
-    more than ``max_states`` reachable states.
+    more than :data:`_MAX_STATES` reachable states.
     """
     import numpy as np
 
@@ -134,34 +139,32 @@ def solve_machine(
         (_IDLE,) * config.memories,
         machine.no_ages,
     )
-    index = {start: 0}
-    states = [start]
+    rewards: dict[tuple, tuple[float, float]] = {}
+
+    def transition(state: tuple) -> dict[tuple, float]:
+        successors, rewards[state] = machine.transitions(state)
+        return successors
+
+    # Every row is a product of distributions, so the one ModelError the
+    # enumeration can raise here is the state cap.
+    try:
+        chain = build_chain(start, transition, max_states=_MAX_STATES)
+    except ModelError as error:
+        raise ConfigurationError(
+            f"the exact chain of {config.describe()} has more than "
+            f"{_MAX_STATES} reachable states; solve a smaller configuration"
+        ) from error
+
+    states = chain.states
+    count = len(states)
     rows: list[int] = []
     cols: list[int] = []
     probs: list[float] = []
-    rewards: list[tuple[float, float]] = []
-    position = 0
-    while position < len(states):
-        successors, reward = machine.transitions(states[position])
-        for state, probability in successors.items():
-            target = index.get(state)
-            if target is None:
-                target = len(states)
-                if target >= max_states:
-                    raise ConfigurationError(
-                        f"the exact chain of {config.describe()} has more "
-                        f"than {max_states} reachable states; solve a "
-                        "smaller configuration or raise max_states"
-                    )
-                index[state] = target
-                states.append(state)
+    for position, state in enumerate(states):
+        for successor, probability in chain.row(state).items():
             rows.append(position)
-            cols.append(target)
+            cols.append(chain.index_of(successor))
             probs.append(probability)
-        rewards.append(reward)
-        position += 1
-
-    count = len(states)
     row_index = np.array(rows, dtype=np.int64)
     col_index = np.array(cols, dtype=np.int64)
     weight = np.array(probs)
@@ -182,7 +185,9 @@ def solve_machine(
             f"did not converge in {_MAX_ITERATIONS} steps"
         )
     pi /= pi.sum()
-    completions, outstanding = (float(x) for x in pi @ np.array(rewards))
+    completions, outstanding = (
+        float(x) for x in pi @ np.array([rewards[state] for state in states])
+    )
     ebw = completions * config.processor_cycle
     return MachineSolution(
         config=config,

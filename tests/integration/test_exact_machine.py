@@ -34,6 +34,7 @@ from repro.core.config import SystemConfig
 from repro.core.errors import ConfigurationError
 from repro.core.policy import Priority, TieBreak
 from repro.engine.base import EvalRequest
+from repro.markov import machine
 from repro.markov.machine import solve_machine
 from repro.parallel.fleet import run_fleet
 from repro.parallel.workers import run_case
@@ -219,9 +220,10 @@ class TestChainModule:
         )
         assert json.loads(completed.stdout) == []
 
-    def test_over_cap_configuration_is_rejected(self):
+    def test_over_cap_configuration_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(machine, "_MAX_STATES", 100)
         with pytest.raises(ConfigurationError, match="more than 100 reachable"):
-            solve_machine(SystemConfig(3, 3, 2), max_states=100)
+            solve_machine(SystemConfig(3, 3, 2))
 
     @pytest.mark.parametrize(
         "config, ebw",
