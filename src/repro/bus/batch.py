@@ -150,6 +150,9 @@ class _PhiloxLanes:
         for f, gen in enumerate(self._gens):
             self._buf[f] = gen.random(chunk)
         self._pos = np.zeros(fleet, dtype=np.int64)
+        # Draws every row is guaranteed to hold: while it stays positive
+        # a one-draw-per-row call needs no exhaustion test.
+        self._slack = chunk
 
     def _refill(self, need_mask) -> None:
         """Slide each flagged row's unconsumed tail down and top up."""
@@ -162,6 +165,22 @@ class _PhiloxLanes:
                 row[:remaining] = row[pos:]
             row[remaining:] = self._gens[f].random(self._chunk - remaining)
             self._pos[f] = 0
+
+    def _reserve(self, count: int) -> None:
+        """Make sure every row holds ``count`` more draws.
+
+        Runs out of the countdown only: rows past half their buffer (and
+        any that cannot serve ``count``) are topped up together, so the
+        test recurs about once per half buffer.  Refilling moves no
+        draw - each row still reads its stream in order.
+        """
+        if self._slack >= count:
+            self._slack -= count
+            return
+        pos = self._pos
+        keep = max(count, self._chunk // 2)
+        self._refill(pos > self._chunk - keep)
+        self._slack = self._chunk - int(pos.max()) - count
 
     def take_counts(self, counts):
         """``counts[f]`` sequential draws for row ``f`` -> (fleet, max).
@@ -176,9 +195,8 @@ class _PhiloxLanes:
         np = self._np
         pos = self._pos
         counts = np.asarray(counts, dtype=np.int64)
-        if (pos + counts > self._chunk).any():
-            self._refill(np.ones(len(self._gens), dtype=bool))
         max_count = int(counts.max())
+        self._reserve(max_count)
         columns = pos[:, None] + np.arange(max_count)
         # Clamp padding columns into range; the values they alias are
         # not consumed (pos only advances by counts) and callers mask
@@ -191,14 +209,9 @@ class _PhiloxLanes:
 
     def take_rows(self, rows):
         """One draw for each listed row (rows must be unique)."""
+        self._reserve(1)
         pos = self._pos
         taken = pos[rows]
-        exhausted = taken >= self._chunk
-        if exhausted.any():
-            need = self._np.zeros(len(self._gens), dtype=bool)
-            need[rows[exhausted]] = True
-            self._refill(need)
-            taken = pos[rows]
         values = self._buf[rows, taken]
         pos[rows] = taken + 1
         return values
@@ -223,13 +236,8 @@ class _PhiloxLanes:
         offsets = index - np.maximum.accumulate(
             np.where(new_group, index, 0)
         )
+        self._reserve(int(offsets.max()) + 1)
         taken = pos[sorted_rows] + offsets
-        exhausted = taken >= self._chunk
-        if exhausted.any():
-            need = np.zeros(len(self._gens), dtype=bool)
-            need[sorted_rows[exhausted]] = True
-            self._refill(need)
-            taken = pos[sorted_rows] + offsets
         values = np.empty(count, dtype=np.float64)
         values[order] = self._buf[sorted_rows, taken]
         # Duplicate fancy writes resolve last-wins; the last occurrence
@@ -243,9 +251,8 @@ class _PhiloxLanes:
         The all-rows pointers advance in lockstep, so consumption is a
         cheap shared column read between refills.
         """
+        self._reserve(1)
         pos = self._pos
-        if pos[0] >= self._chunk:
-            self._refill(self._np.ones(len(self._gens), dtype=bool))
         values = self._buf[:, pos[0]]
         pos += 1
         return values
@@ -452,6 +459,12 @@ class BatchBusKernel:
         # plain uniform draw; guard the f = 1 rescale against 0/0.
         denominator = np.where(hot_fraction < 1.0, 1.0 - hot_fraction, 1.0)
         self._hot_rescale = 1.0 / denominator
+        # With no hot module and no trace, (u - 0) * 1 * m is exactly
+        # u * m, so the per-grant draw skips the hot-spot arithmetic.
+        self._plain_uniform = not self._any_trace and not bool(
+            (hot_fraction > 0.0).any()
+        )
+        self._m_float = m_rows.astype(np.float64)
         if self._any_trace:
             length_max = 1
             for plan, config in zip(plans, configs):
@@ -499,27 +512,22 @@ class BatchBusKernel:
         self._access_lanes = lanes("access-times", self._geometric)
 
         # --- processor state (n x fleet).  The fleet is the contiguous
-        # axis, so every per-row reduction (any/cumsum/argmax along the
-        # lane axis) runs axis-0 with a vectorized contiguous inner
-        # loop.  A processor's ``issue`` stamp freezes while its request
-        # is in flight, so module-side copies of the issue cycle are
+        # axis, so every per-row reduction (any/argmax along the lane
+        # axis) runs axis-0 with a vectorized contiguous inner loop.  A
+        # processor's ``issue`` stamp freezes while its request is in
+        # flight, so module-side copies of the issue cycle are
         # unnecessary: the response path reads it back through the
-        # owning processor's lane.
+        # owning processor's lane.  Lanes travel as flat indices
+        # (``lane * fleet + row``) through module state and queues.
         # Padded lanes start (and stay) inert: not requesting, wake at
         # the never sentinel, target pinned to module 0 (a valid index,
         # so dense gathers through target_gidx stay in bounds).
         self._requesting = self._lane_valid.copy()
-        self._target = np.zeros((n, fleet), dtype=np.int32)
         self._issue = np.zeros((n, fleet), dtype=np.int32)
         self._wake = np.full((n, fleet), _NEVER, dtype=np.int32)
-        # Targets doubled as precomputed flat indices (module * fleet +
-        # row) into raveled module state, maintained at each draw.
+        # Targets as flat module indices (module * fleet + row) into
+        # raveled module state, maintained at each draw.
         self._target_gidx = np.zeros((n, fleet), dtype=np.int64)
-        # With p = 1 everywhere the wake calendar degenerates: exactly
-        # the processors granted a response wake one cycle later, so the
-        # loop carries their flat lane indices instead of scanning the
-        # calendar.
-        self._pending_flat = None
 
         # --- module state (m x fleet; queues as flat circular buffers).
         self._collect_latency = bool(collect_latency)
@@ -532,30 +540,46 @@ class BatchBusKernel:
         self._sketch_total = None
         self._sketch_service = None
         flat_modules = m * fleet
+        flat_rows = np.arange(flat_modules) % fleet
+        self._r_flat = r_rows[flat_rows]
+        # A module's service ends at the start of cycle svc_finish; the
+        # stamp stays until the next service starts (unbuffered: until
+        # its response is granted, which resets it to the never
+        # sentinel, so "finished" is simply svc_finish < cycle).
         self._svc_finish = np.full((m, fleet), _NEVER, dtype=np.int32)
-        self._svc_proc = np.zeros((m, fleet), dtype=np.int32)
+        self._svc_proc = np.zeros((m, fleet), dtype=np.int64)
         if self._buffered:
             depth = self._depth
             capacity = self._capacity
             track_ready = not self._random_tie
-            self._svc_active = np.zeros((m, fleet), dtype=bool)
-            # Queues are (slots, m * fleet) rings addressed by per-module
-            # head/length counters: a push or pop touches only the
-            # affected modules' slots (flat fancy indexing), never the
-            # whole queue - the former per-cycle FIFO shifts are gone.
-            self._inq_ring = np.zeros((depth, flat_modules), dtype=np.int32)
-            self._inq_head = np.zeros(flat_modules, dtype=np.int32)
+            # Serving or stalled: the only modules a granted request
+            # queues behind (a module with queued input is always one).
+            self._engaged = np.zeros((m, fleet), dtype=bool)
+            # Queues are (slots, m * fleet) rings.  Heads and tails are
+            # flat ring indices (slot * m * fleet + module), advanced
+            # through precomputed next-slot tables that wrap at each
+            # row's own depth, so a push or pop is three flat gathers
+            # and scatters over the affected modules only.
+            self._inq_ring = np.zeros((depth, flat_modules), dtype=np.int64)
+            self._inq_next = self._next_slots(depth, self._depth_rows)
+            self._inq_head = np.arange(flat_modules, dtype=np.int64)
+            self._inq_tail = self._inq_head.copy()
             self._inq_len = np.zeros((m, fleet), dtype=np.int32)
             self._outq_ring = np.zeros(
-                (capacity, flat_modules), dtype=np.int32
+                (capacity, flat_modules), dtype=np.int64
             )
-            self._outq_head = np.zeros(flat_modules, dtype=np.int32)
+            self._outq_next = self._next_slots(
+                capacity, self._capacity_rows
+            )
+            self._outq_head = np.arange(flat_modules, dtype=np.int64)
+            self._outq_tail = self._outq_head.copy()
             self._outq_len = np.zeros((m, fleet), dtype=np.int32)
+            self._capacity_flat = self._capacity_rows[flat_rows]
             self._stalled = np.zeros((m, fleet), dtype=bool)
-            self._stalled_proc_flat = np.zeros(flat_modules, dtype=np.int32)
             # Modules scheduled to resolve a stall next cycle travel as
             # a flat index list (stall resolution is always "next
             # cycle", so no per-module resolve-cycle array is needed).
+            # A stalled module keeps its request in the svc_* slots.
             self._resolve_flat = None
             if track_ready:
                 # FCFS responses need the oldest-response ready cycle:
@@ -573,17 +597,11 @@ class BatchBusKernel:
                 self._head_ready = None
             if self._collect_latency:
                 self._svc_wait_flat = np.zeros(flat_modules, dtype=np.int32)
-                self._stalled_wait_flat = np.zeros(
-                    flat_modules, dtype=np.int32
-                )
                 self._outq_wait_ring = np.zeros(
                     (capacity, flat_modules), dtype=np.int32
                 )
             if self._collect_service:
                 self._svc_dur_flat = np.zeros(flat_modules, dtype=np.int32)
-                self._stalled_dur_flat = np.zeros(
-                    flat_modules, dtype=np.int32
-                )
                 self._outq_dur_ring = np.zeros(
                     (capacity, flat_modules), dtype=np.int32
                 )
@@ -592,9 +610,6 @@ class BatchBusKernel:
             # "fully idle" mask serves the whole acceptance rule and is
             # maintained incrementally at the two grant sites.
             self._module_free = np.ones((m, fleet), dtype=bool)
-            self._out_full = np.zeros((m, fleet), dtype=bool)
-            self._out_proc = np.zeros((m, fleet), dtype=np.int32)
-            self._out_ready = np.full((m, fleet), _NEVER, dtype=np.int32)
             if self._collect_latency:
                 self._out_wait_flat = np.zeros(flat_modules, dtype=np.int32)
             if self._collect_service:
@@ -602,7 +617,10 @@ class BatchBusKernel:
 
         # --- counters (per row).  Response transfers and completions
         # are one and the same event in this machine, so only one
-        # counter is kept.
+        # counter is kept.  Memory busy time is charged at service
+        # start: constant-r rows derive it from the started services
+        # (:meth:`_memory_busy`), geometric fleets add each drawn
+        # duration here.
         self.cycle = 0
         self.completions = np.zeros(fleet, dtype=np.int64)
         self.request_transfers = np.zeros(fleet, dtype=np.int64)
@@ -614,45 +632,42 @@ class BatchBusKernel:
         # of the state arrays (the arrays are never reallocated, so the
         # views stay valid for the kernel's lifetime).
         self._requesting_flat = self._requesting.reshape(-1)
-        self._target_flat = self._target.reshape(-1)
         self._target_gidx_flat = self._target_gidx.reshape(-1)
         self._issue_flat = self._issue.reshape(-1)
         self._wake_flat = self._wake.reshape(-1)
         self._svc_finish_flat = self._svc_finish.reshape(-1)
         self._svc_proc_flat = self._svc_proc.reshape(-1)
         if self._buffered:
-            self._svc_active_flat = self._svc_active.reshape(-1)
+            self._engaged_flat = self._engaged.reshape(-1)
             self._stalled_flat = self._stalled.reshape(-1)
             self._inq_len_flat = self._inq_len.reshape(-1)
             self._outq_len_flat = self._outq_len.reshape(-1)
         else:
             self._module_free_flat = self._module_free.reshape(-1)
-            self._out_full_flat = self._out_full.reshape(-1)
-            self._out_proc_flat = self._out_proc.reshape(-1)
-            self._out_ready_flat = self._out_ready.reshape(-1)
         self._log1p_neg_p_flat = np.ascontiguousarray(
             self._log1p_neg_p.T
         ).reshape(-1)
 
-        # Rank scratch for the tie-break cumulative counts, computed as
-        # a lower-triangular float32 matmul (BLAS): per column the
-        # product is the running candidate count, which NumPy's strided
-        # axis-0 cumsum computes several times slower.  Counts are small
-        # integers, exact in float32 far beyond any lane count.
-        self._tril_n = np.tril(np.ones((n, n), dtype=np.float32))
-        self._tril_m = np.tril(np.ones((m, m), dtype=np.float32))
-        self._cand_n = np.empty((n, fleet), dtype=np.float32)
-        self._cand_m = np.empty((m, fleet), dtype=np.float32)
-        self._rank_n = np.empty((n, fleet), dtype=np.float32)
-        self._rank_m = np.empty((m, fleet), dtype=np.float32)
-
         # Initial condition: every real processor issues at cycle 0,
         # its target drawn in lane order (the reference initial
         # condition); padded lanes are pinned to module 0.
-        self._target[:] = self._initial_targets().T
-        self._target[~self._lane_valid] = 0
-        self._target_gidx[:] = (
-            self._target.astype(np.int64) * fleet + np.arange(fleet)
+        target = self._initial_targets().T
+        target[~self._lane_valid] = 0
+        self._target_gidx[:] = target.astype(np.int64) * fleet + np.arange(
+            fleet
+        )
+
+    def _next_slots(self, slots: int, length_rows):
+        """Next-slot table of a ``(slots, m * fleet)`` ring: entry
+        ``slot * m * fleet + module`` holds the flat index of the slot
+        after it, wrapping at the module's row length."""
+        np = self._np
+        flat_modules = self._m * self._fleet
+        lengths = length_rows[np.arange(flat_modules) % self._fleet]
+        following = np.arange(1, slots + 1)[:, None]
+        following = np.where(following >= lengths, 0, following)
+        return (following * flat_modules + np.arange(flat_modules)).reshape(
+            -1
         )
 
     # ------------------------------------------------------------------
@@ -693,16 +708,25 @@ class BatchBusKernel:
                 )
         return new_target
 
-    def _draw_target_rows(self, rows, lanes):
-        """Next targets for one lane of each listed row.
+    def _draw_target_rows(self, rows, flat_lane):
+        """Next targets, as flat module indices, for the listed lanes.
 
-        A row's targets are consumed strictly in its own grant order
-        (one draw per completed request), which is row-local - the draw
-        sequence never depends on fleet composition.  Drawing at
-        response-grant time (instead of at the later wake cycle) keeps
-        the hot loop free of masked 2D stream consumption.
+        ``flat_lane`` holds one lane of each listed row.  A row's
+        targets are consumed strictly in its own grant order (one draw
+        per completed request), which is row-local - the draw sequence
+        never depends on fleet composition.  Drawing at response-grant
+        time (instead of at the later wake cycle) keeps the hot loop
+        free of masked 2D stream consumption.
         """
         np = self._np
+        fleet = self._fleet
+        if self._plain_uniform:
+            # u < 1 - 2**-53, so u * m rounds below m: no clamp needed.
+            u = self._targets_lanes.take_rows(rows)
+            drawn = (u * self._m_float[rows]).astype(np.int64)
+            drawn *= fleet
+            drawn += rows
+            return drawn
         if self._any_random:
             if self._any_trace:
                 random_rows = ~self._trace_rows[rows]
@@ -725,6 +749,7 @@ class BatchBusKernel:
         else:
             drawn = None
         if self._any_trace:
+            lanes = flat_lane // fleet
             position = self._trace_pos[rows, lanes]
             traced = self._trace_pad[
                 rows, lanes, position % self._trace_len[rows, lanes]
@@ -734,26 +759,33 @@ class BatchBusKernel:
                 drawn = traced
             else:
                 drawn = np.where(self._trace_rows[rows], traced, drawn)
-        return drawn
+        return drawn.astype(np.int64) * fleet + rows
 
     # ----------------------------------------------------------------------
     def _memory_busy(self):
         """Per-row module busy cycles through the last simulated cycle.
 
-        Buffered fleets accumulate one count per module per
-        cycle-in-service; unbuffered fleets charge the full (constant
-        or drawn) service duration at service start and subtract the
-        not-yet-worked remainder of in-flight services here.  Both
-        match the reference accounting at every measurement boundary.
+        Every service is charged its full duration when it starts -
+        constant-``r`` rows as ``r`` per started service (a request
+        transfer not still waiting in an input queue), geometric fleets
+        through the drawn durations summed in ``_busy_accum`` - and the
+        not-yet-worked remainder of in-flight services is subtracted
+        here.  This matches the reference accounting (one count per
+        module per cycle in service) at every measurement boundary.
         """
-        if self._buffered:
-            return self._busy_accum.copy()
         np = self._np
+        if self._geometric:
+            charged = self._busy_accum
+        else:
+            started = self.request_transfers
+            if self._buffered:
+                started = started - self._inq_len.sum(axis=0)
+            charged = started * self._r_rows
         through = self.cycle - 1
         svc_finish = self._svc_finish
         in_flight = (svc_finish > through) & (svc_finish < _NEVER)
         remainder = np.where(in_flight, svc_finish - through, 0)
-        return self._busy_accum - remainder.sum(axis=0)
+        return charged - remainder.sum(axis=0)
 
     # ------------------------------------------------------------------
     def advance(self, count: int) -> None:
@@ -783,92 +815,125 @@ class BatchBusKernel:
     def _make_arbiter(self):
         """Build the per-cycle arbitration closure both loops share.
 
-        The closure takes the cycle's candidate state - ``eligible``
-        requests ``(n, fleet)``, ``ready`` responses ``(m, fleet)``, and
-        the FCFS inputs (``issue`` stamps, oldest-ready cycles) - and
-        returns the grant routing plus the (lazily computed) winners.
-        One definition keeps the priority/tie-break semantics of the
-        buffered and unbuffered loops from ever diverging; the closure
-        call adds a fixed sub-microsecond cost per cycle.
+        Returns ``(arbitrate, request_cand, response_cand)``.  Each
+        cycle the loop writes its candidates - ``request_cand`` ``(n,
+        fleet)`` eligible requests, ``response_cand`` ``(m, fleet)``
+        ready responses, 1.0 or 0.0 - and calls ``arbitrate(issue,
+        ready_stamps)``; the stamps (request issue cycles, response
+        ready cycles) are read only under FCFS.  The closure counts the
+        granted transfers and returns ``(request_rows, request_lanes,
+        response_rows, response_modules)``: the granting rows of each
+        class and their winners as flat indices (``lane * fleet +
+        row``).  One definition keeps the priority/tie-break semantics
+        of the buffered and unbuffered loops from ever diverging.
+
+        The two candidate blocks are stacked, the winning class on top,
+        in one ``(n + m, fleet)`` float32 buffer.  Under random
+        tie-break a single lower-triangular matmul (BLAS) gives every
+        lane's running candidate count over the stack, so the top
+        class's count is its last row and the bottom class's is the
+        total less it.  A row picks ``floor(u * count)`` over the top
+        class if that holds a candidate and over the total otherwise,
+        and the winner is the first lane whose running count exceeds
+        the pick: lanes of the empty top class all read 0.  This is the
+        same k-th candidate the per-class cumsum gave (counts are small
+        integers, exact in float32).
         """
         np = self._np
-        float32 = np.float32
-        matmul = np.matmul
-        copyto = np.copyto
-        floor = np.floor
-        tril_n = self._tril_n
-        tril_m = self._tril_m
-        cand_n = self._cand_n
-        cand_m = self._cand_m
-        rank_n = self._rank_n
-        rank_m = self._rank_m
+        add = np.add
+        fleet = self._fleet
+        n, m = self._n, self._m
+        lanes = n + m
+        high = n if self._proc_first else m
+        high_shift = high * fleet
+        cand = np.zeros((lanes, fleet), dtype=np.float32)
+        top, bottom = cand[:high], cand[high:]
+        request_cand, response_cand = (
+            (top, bottom) if self._proc_first else (bottom, top)
+        )
         proc_first = self._proc_first
-        random_tie = self._random_tie
-        arb_take_all = (
-            self._arb_lanes.take_all if self._arb_lanes is not None else None
+        # Grants are counted by dense mask adds, which cost less than
+        # scattering += 1 over the granting rows.
+        high_counter, low_counter = (
+            (self.request_transfers, self.completions)
+            if proc_first
+            else (self.completions, self.request_transfers)
         )
 
-        def arbitrate(eligible, ready, issue, head_ready):
-            request_winner = response_winner = None
-            if random_tie:
-                # One draw per row per cycle, used by whichever grant
-                # decision (if any) the row makes - a row decides at
-                # most one grant per cycle.  The ranks double as the
-                # candidate-count reduction (their last row).
-                u_arb = arb_take_all()
-                copyto(cand_n, eligible)
-                copyto(cand_m, ready)
-                matmul(tril_n, cand_n, out=rank_n)
-                matmul(tril_m, cand_m, out=rank_m)
-                have_request = rank_n[-1] > 0
-                have_response = rank_m[-1] > 0
-            else:
-                have_request = eligible.any(axis=0)
-                have_response = ready.any(axis=0)
-            if proc_first:
-                do_request = have_request
-                do_response = have_response & ~have_request
-            else:
-                do_response = have_response
-                do_request = have_request & ~have_response
-            any_request = bool(do_request.any())
-            any_response = bool(do_response.any())
-            if random_tie:
-                # floor(u * count) picks the same k-th candidate as the
-                # old integer-cumsum path (counts are exact in float32);
-                # "#ranks <= pick" equals "first rank > pick" because
-                # ranks are nondecreasing down the lane axis.
-                if any_request:
-                    pick = floor(u_arb * rank_n[-1]).astype(float32)
-                    request_winner = (rank_n <= pick[None, :]).sum(axis=0)
-                if any_response:
-                    pick = floor(u_arb * rank_m[-1]).astype(float32)
-                    response_winner = (rank_m <= pick[None, :]).sum(axis=0)
-            else:
-                if any_request:
-                    request_winner = np.where(eligible, issue, _NEVER).argmin(
-                        axis=0
-                    )
-                if any_response:
-                    response_winner = np.where(
-                        ready, head_ready, _NEVER
-                    ).argmin(axis=0)
-            return (
-                do_request,
-                do_response,
-                any_request,
-                any_response,
-                request_winner,
-                response_winner,
-            )
+        if self._random_tie:
+            matmul = np.matmul
+            multiply = np.multiply
+            floor = np.floor
+            greater = np.greater
+            where = np.where
+            arb_take_all = self._arb_lanes.take_all
+            tril = np.tril(np.ones((lanes, lanes), dtype=np.float32))
+            rank = np.empty((lanes, fleet), dtype=np.float32)
+            above = np.empty((lanes, fleet), dtype=bool)
+            pick = np.empty(fleet, dtype=np.float32)
+            zero = np.zeros(fleet, dtype=np.float32)
+            high_mask = np.empty(fleet, dtype=bool)
+            columns = np.arange(fleet)
+            high_count = rank[high - 1]
+            total = rank[-1]
 
-        return arbitrate
+            def arbitrate(issue, ready_stamps):
+                # One draw per row per cycle, used by whichever grant
+                # the row makes (at most one).
+                u_arb = arb_take_all()
+                matmul(tril, cand, out=rank)
+                greater(high_count, zero, out=high_mask)
+                count = where(high_mask, high_count, total)
+                low_mask = count > high_count
+                # floor in float64, then float32 for a float32 compare.
+                floor(multiply(u_arb, count), out=pick)
+                winner = greater(rank, pick, out=above).argmax(axis=0)
+                winner *= fleet
+                winner += columns
+                high_rows = high_mask.nonzero()[0]
+                low_rows = low_mask.nonzero()[0]
+                add(high_counter, high_mask, out=high_counter)
+                add(low_counter, low_mask, out=low_counter)
+                high_flat = winner[high_rows]
+                low_flat = winner[low_rows]
+                low_flat -= high_shift
+                if proc_first:
+                    return high_rows, high_flat, low_rows, low_flat
+                return low_rows, low_flat, high_rows, high_flat
+
+        else:
+
+            def oldest(candidates, stamps, rows):
+                if not rows.size:
+                    return rows
+                winner = np.where(candidates, stamps, _NEVER).argmin(axis=0)
+                return winner[rows] * fleet + rows
+
+            def arbitrate(issue, ready_stamps):
+                if proc_first:
+                    high_stamps, low_stamps = issue, ready_stamps
+                else:
+                    high_stamps, low_stamps = ready_stamps, issue
+                high_mask = top.any(axis=0)
+                low_mask = bottom.any(axis=0) & ~high_mask
+                high_rows = high_mask.nonzero()[0]
+                low_rows = low_mask.nonzero()[0]
+                add(high_counter, high_mask, out=high_counter)
+                add(low_counter, low_mask, out=low_counter)
+                high_flat = oldest(top, high_stamps, high_rows)
+                low_flat = oldest(bottom, low_stamps, low_rows)
+                if proc_first:
+                    return high_rows, high_flat, low_rows, low_flat
+                return low_rows, low_flat, high_rows, high_flat
+
+        return arbitrate, request_cand, response_cand
 
     def _complete_responses(
-        self, grant_rows, procs, flat_lane, cycle, wait=None, service=None
+        self, grant_rows, flat_lane, cycle, wait=None, service=None
     ):
-        """Shared response-grant tail: counters, next target, wake.
+        """Shared response-grant tail: latency, next target, next issue.
 
+        ``flat_lane`` holds the granted responses' processor lanes.
         ``wait`` carries the per-grant arbitration-plus-queueing delays
         (latency collection only) and ``service`` the drawn service
         durations (geometric latency collection only); the total
@@ -876,7 +941,6 @@ class BatchBusKernel:
         way.
         """
         np = self._np
-        self.completions[grant_rows] += 1
         total = (cycle + 1) - self._issue_flat[flat_lane]
         self.total_latency[grant_rows] += total
         if self._sketch_total is not None:
@@ -887,13 +951,13 @@ class BatchBusKernel:
             self._sketch_wait.add(grant_rows, wait)
             if self._sketch_service is not None:
                 self._sketch_service.add(grant_rows, service)
-        drawn = self._draw_target_rows(grant_rows, procs)
-        self._target_flat[flat_lane] = drawn
-        self._target_gidx_flat[flat_lane] = (
-            drawn.astype(np.int64) * self._fleet + grant_rows
+        self._target_gidx_flat[flat_lane] = self._draw_target_rows(
+            grant_rows, flat_lane
         )
         if self._all_p1:
-            # Wakes are exactly next cycle; the caller keeps the lanes.
+            # The processor issues its next request next cycle.
+            self._issue_flat[flat_lane] = cycle + 1
+            self._requesting_flat[flat_lane] = True
             return
         # Inverse-CDF geometric think time: one uniform per completion
         # decides how many processor cycles the issue coin keeps
@@ -907,36 +971,52 @@ class BatchBusKernel:
             cycle + 1 + failures * self._pc_rows[grant_rows], _NEVER
         )
 
-    def _advance_unbuffered(self, count: int) -> None:
-        """The lean lockstep loop for unbuffered fleets."""
+    def _service_durations(self, rows):
+        """Drawn service durations for services starting on ``rows``.
+
+        Inverse-CDF geometric service: one uniform per start from the
+        per-row access-times stream, in list order (a row listed twice
+        takes two sequential draws); constant-r rows of a packed fleet
+        draw nothing.  Durations are charged to the busy count here.
+        """
         np = self._np
-        nonzero = np.nonzero
+        duration = self._r_rows[rows]
+        geo = self._geom_rows[rows]
+        if geo.any():
+            geo_rows = rows[geo]
+            u_access = self._access_lanes.take_rows_multi(geo_rows)
+            duration[geo] = (
+                np.log1p(-u_access) / self._log_access_rows[geo_rows]
+            ).astype(np.int64) + 1
+        np.add.at(self._busy_accum, rows, duration)
+        return duration
+
+    def _advance_unbuffered(self, count: int) -> None:
+        """The lean lockstep loop for unbuffered fleets.
+
+        A module is free, serving (``svc_finish >= cycle``) or holding
+        a finished response (``svc_finish < cycle``) until its response
+        is granted, so there is no completion step: readiness is one
+        comparison written straight into the arbiter's candidates.
+        """
+        np = self._np
+        logical_and = np.logical_and
+        less = np.less
         fleet = self._fleet
-        r_rows = self._r_rows
         all_p1 = self._all_p1
-        track_ready = not self._random_tie
         collect = self._collect_latency
         collect_service = self._collect_service
         geometric = self._geometric
-        geom_rows = self._geom_rows
-        log_access_rows = self._log_access_rows
-        access_take_rows = (
-            self._access_lanes.take_rows if geometric else None
-        )
+        service_durations = self._service_durations
+        r_flat = self._r_flat
         out_wait_flat = self._out_wait_flat if collect else None
         out_dur_flat = self._out_dur_flat if collect_service else None
-        arbitrate = self._make_arbiter()
+        arbitrate, request_cand, response_cand = self._make_arbiter()
 
         requesting = self._requesting
         issue = self._issue
         wake = self._wake
         svc_finish = self._svc_finish
-        svc_proc = self._svc_proc
-        out_full = self._out_full
-        out_proc = self._out_proc
-        out_ready = self._out_ready
-        request_transfers = self.request_transfers
-        busy_accum = self._busy_accum
         requesting_flat = self._requesting_flat
         target_gidx = self._target_gidx
         target_gidx_flat = self._target_gidx_flat
@@ -944,20 +1024,14 @@ class BatchBusKernel:
         svc_finish_flat = self._svc_finish_flat
         svc_proc_flat = self._svc_proc_flat
         module_free_flat = self._module_free_flat
-        out_full_flat = self._out_full_flat
-        out_proc_flat = self._out_proc_flat
+        free = np.empty(target_gidx.shape, dtype=bool)
 
-        pending = self._pending_flat
         cycle = self.cycle
         for _ in range(count):
             # 1. processor-cycle boundaries: waking processors issue
-            #    (their targets were drawn when the wake was scheduled).
-            if all_p1:
-                if pending is not None:
-                    issue_flat[pending] = cycle
-                    requesting_flat[pending] = True
-                    pending = None
-            else:
+            #    (their targets were drawn when the wake was scheduled;
+            #    at p = 1 everywhere the response grant re-issues).
+            if not all_p1:
                 waking = wake == cycle
                 if waking.any():
                     issue[waking] = cycle
@@ -965,80 +1039,42 @@ class BatchBusKernel:
                     wake[waking] = _NEVER
 
             # 2. arbitration on the pre-tick state.
-            eligible = requesting & module_free_flat[target_gidx]
-            (
-                do_request,
-                do_response,
-                any_request,
-                any_response,
-                request_winner,
-                response_winner,
-            ) = arbitrate(eligible, out_full, issue, out_ready)
+            module_free_flat.take(target_gidx, out=free)
+            logical_and(requesting, free, out=request_cand)
+            less(svc_finish, cycle, out=response_cand)
+            request_rows, flat_lane, response_rows, flat_mod = arbitrate(
+                issue, svc_finish
+            )
 
-            # 3. module completions this cycle (a finish stamp matches
-            #    exactly once, so stale stamps can never re-fire).
-            finishing = svc_finish == cycle
-            if finishing.any():
-                # Unbuffered service starts on a fully idle module, so
-                # the output slot is always free here; dense masked
-                # writes beat index-list scatters.
-                out_full |= finishing
-                np.copyto(out_proc, svc_proc, where=finishing)
-                if track_ready:
-                    out_ready[finishing] = cycle + 1
-
-            # 4. the granted transfer completes at the end of the cycle.
-            if any_request:
-                grant_rows = nonzero(do_request)[0]
-                lanes = request_winner[grant_rows]
-                flat_lane = lanes * fleet + grant_rows
-                flat_mod = target_gidx_flat[flat_lane]
+            # 3. the granted transfer completes at the end of the cycle.
+            if request_rows.size:
+                target = target_gidx_flat[flat_lane]
                 requesting_flat[flat_lane] = False
-                request_transfers[grant_rows] += 1
-                module_free_flat[flat_mod] = False
-                svc_proc_flat[flat_mod] = lanes
+                module_free_flat[target] = False
+                svc_proc_flat[target] = flat_lane
                 if geometric:
-                    # Inverse-CDF geometric service: one uniform per
-                    # grant from the per-row access-times stream.
-                    # Constant-r rows of a packed fleet draw nothing.
-                    duration = r_rows[grant_rows].copy()
-                    geo = geom_rows[grant_rows]
-                    if geo.any():
-                        geo_rows = grant_rows[geo]
-                        u_access = access_take_rows(geo_rows)
-                        duration[geo] = (
-                            np.log1p(-u_access) / log_access_rows[geo_rows]
-                        ).astype(np.int64) + 1
+                    duration = service_durations(request_rows)
                 else:
-                    duration = r_rows[grant_rows]
-                svc_finish_flat[flat_mod] = cycle + duration
+                    duration = r_flat[target]
+                svc_finish_flat[target] = cycle + duration
                 if collect:
                     # Service starts next cycle: wait = start - issue - 1.
-                    out_wait_flat[flat_mod] = cycle - issue_flat[flat_lane]
+                    out_wait_flat[target] = cycle - issue_flat[flat_lane]
                     if collect_service:
-                        out_dur_flat[flat_mod] = duration
-                # Charge the service up front; _memory_busy subtracts
-                # the unworked tail of in-flight services.
-                busy_accum[grant_rows] += duration
-            if any_response:
-                grant_rows = nonzero(do_response)[0]
-                flat_mod = response_winner[grant_rows] * fleet + grant_rows
-                procs = out_proc_flat[flat_mod]
-                out_full_flat[flat_mod] = False
+                        out_dur_flat[target] = duration
+            if response_rows.size:
+                procs = svc_proc_flat[flat_mod]
+                svc_finish_flat[flat_mod] = _NEVER
                 module_free_flat[flat_mod] = True
-                wait = out_wait_flat[flat_mod] if collect else None
-                service = (
-                    out_dur_flat[flat_mod] if collect_service else None
-                )
-                flat_lane = procs * fleet + grant_rows
                 self._complete_responses(
-                    grant_rows, procs, flat_lane, cycle, wait, service
+                    response_rows,
+                    procs,
+                    cycle,
+                    out_wait_flat[flat_mod] if collect else None,
+                    out_dur_flat[flat_mod] if collect_service else None,
                 )
-                if all_p1:
-                    pending = flat_lane
             cycle += 1
         self.cycle = cycle
-        self._pending_flat = pending
 
     def _advance_buffered(self, count: int) -> None:
         """The lockstep loop for buffered fleets (stalls, FIFO queues).
@@ -1051,274 +1087,187 @@ class BatchBusKernel:
         resolutions travel as a flat index list for the next cycle).
         """
         np = self._np
-        where = np.where
-        nonzero = np.nonzero
+        concatenate = np.concatenate
+        logical_and = np.logical_and
+        less = np.less
+        greater = np.greater
         fleet = self._fleet
-        flat_modules = self._m * fleet
-        r_rows = self._r_rows
-        depth_rows = self._depth_rows
-        depth_cols = depth_rows[None, :]
-        capacity_rows = self._capacity_rows
         all_p1 = self._all_p1
         track_ready = not self._random_tie
         collect = self._collect_latency
         collect_service = self._collect_service
         geometric = self._geometric
-        geom_rows = self._geom_rows
-        log_access_rows = self._log_access_rows
-        if geometric:
-            access_take_rows = self._access_lanes.take_rows
-            access_take_multi = self._access_lanes.take_rows_multi
-        arbitrate = self._make_arbiter()
+        service_durations = self._service_durations
+        r_flat = self._r_flat
+        capacity_flat = self._capacity_flat
+        depth_cols = self._depth_rows[None, :]
+        arbitrate, request_cand, response_cand = self._make_arbiter()
 
         requesting = self._requesting
         issue = self._issue
         wake = self._wake
-        svc_active = self._svc_active
-        request_transfers = self.request_transfers
-        busy_accum = self._busy_accum
         requesting_flat = self._requesting_flat
         target_gidx = self._target_gidx
         target_gidx_flat = self._target_gidx_flat
         issue_flat = self._issue_flat
-        svc_active_flat = self._svc_active_flat
+        engaged_flat = self._engaged_flat
         svc_finish_flat = self._svc_finish_flat
         svc_proc_flat = self._svc_proc_flat
-        stalled = self._stalled
         stalled_flat = self._stalled_flat
-        stalled_proc_flat = self._stalled_proc_flat
         inq_len = self._inq_len
         inq_len_flat = self._inq_len_flat
         inq_ring_flat = self._inq_ring.reshape(-1)
+        inq_next = self._inq_next
         inq_head = self._inq_head
+        inq_tail = self._inq_tail
         outq_len = self._outq_len
         outq_len_flat = self._outq_len_flat
         outq_ring_flat = self._outq_ring.reshape(-1)
+        outq_next = self._outq_next
         outq_head = self._outq_head
+        outq_tail = self._outq_tail
         head_ready = self._head_ready
         if track_ready:
             outq_ready_flat = self._outq_ready_ring.reshape(-1)
             head_ready_flat = head_ready.reshape(-1)
         if collect:
             svc_wait_flat = self._svc_wait_flat
-            stalled_wait_flat = self._stalled_wait_flat
             outq_wait_flat = self._outq_wait_ring.reshape(-1)
         if collect_service:
             svc_dur_flat = self._svc_dur_flat
-            stalled_dur_flat = self._stalled_dur_flat
             outq_dur_flat = self._outq_dur_ring.reshape(-1)
+        # A module with queued input is always serving or stalled, so
+        # "full input queue" alone decides whether it accepts a request.
+        accepting = np.empty(inq_len.shape, dtype=bool)
+        accepting_flat = accepting.reshape(-1)
+        accepted = np.empty(target_gidx.shape, dtype=bool)
 
-        def pull_input(flat):
-            """Start serving the input-queue head of each flat module."""
-            head = inq_head[flat]
-            lanes = inq_ring_flat[head * flat_modules + flat]
-            svc_active_flat[flat] = True
-            svc_proc_flat[flat] = lanes
-            rows = flat % fleet
+        def start_service(flat, procs, rows):
+            """Start serving ``procs`` on the (idle) modules ``flat``."""
+            svc_proc_flat[flat] = procs
             if geometric:
-                # A row may pull several modules this cycle; the multi
-                # take consumes its draws in ascending-module order.
-                # Constant-r rows of a packed fleet draw nothing.
-                duration = r_rows[rows].copy()
-                geo = geom_rows[rows]
-                if geo.any():
-                    u_access = access_take_multi(rows[geo])
-                    duration[geo] = (
-                        np.log1p(-u_access) / log_access_rows[rows[geo]]
-                    ).astype(np.int64) + 1
+                duration = service_durations(rows)
             else:
-                duration = r_rows[rows]
+                duration = r_flat[flat]
             svc_finish_flat[flat] = cycle + duration
             if collect:
-                svc_wait_flat[flat] = cycle - issue_flat[
-                    lanes * fleet + rows
-                ]
+                svc_wait_flat[flat] = cycle - issue_flat[procs]
                 if collect_service:
                     svc_dur_flat[flat] = duration
-            head += 1
-            d = depth_rows[rows]
-            inq_head[flat] = where(head >= d, head - d, head)
-            inq_len_flat[flat] -= 1
 
-        def push_output(flat, length, procs, waits, durs):
-            """Append responses to the output rings of ``flat``."""
-            cap = capacity_rows[flat % fleet]
-            slot = outq_head[flat] + length
-            slot = where(slot >= cap, slot - cap, slot)
-            ring_index = slot * flat_modules + flat
-            outq_ring_flat[ring_index] = procs
-            if track_ready:
-                outq_ready_flat[ring_index] = cycle + 1
-                newly_headed = flat[length == 0]
-                if newly_headed.size:
-                    head_ready_flat[newly_headed] = cycle + 1
-            if collect:
-                outq_wait_flat[ring_index] = waits
-                if collect_service:
-                    outq_dur_flat[ring_index] = durs
-            outq_len_flat[flat] = length + 1
-
-        pending = self._pending_flat
         resolve = self._resolve_flat
         cycle = self.cycle
         for _ in range(count):
-            # 1. processor-cycle boundaries: waking processors issue.
-            if all_p1:
-                if pending is not None:
-                    issue_flat[pending] = cycle
-                    requesting_flat[pending] = True
-                    pending = None
-            else:
+            # 1. processor-cycle boundaries: waking processors issue
+            #    (at p = 1 everywhere the response grant re-issues).
+            if not all_p1:
                 waking = wake == cycle
                 if waking.any():
                     issue[waking] = cycle
                     requesting |= waking
                     wake[waking] = _NEVER
 
-            # Busy accounting: one count per module serving this cycle
-            # (services start after, and clear later than, this point).
-            busy_accum += svc_active.sum(axis=0)
-
             # 2. arbitration on the pre-tick state.
-            busy = (svc_active | stalled) & (inq_len >= depth_cols)
-            ready = outq_len > 0
-            eligible = requesting & ~busy.reshape(-1)[target_gidx]
-            (
-                do_request,
-                do_response,
-                any_request,
-                any_response,
-                request_winner,
-                response_winner,
-            ) = arbitrate(eligible, ready, issue, head_ready)
+            less(inq_len, depth_cols, out=accepting)
+            accepting_flat.take(target_gidx, out=accepted)
+            logical_and(requesting, accepted, out=request_cand)
+            greater(outq_len, 0, out=response_cand)
+            request_rows, flat_lane, response_rows, flat_mod = arbitrate(
+                issue, head_ready
+            )
 
-            # 3. module events for this cycle: stall resolutions (the
-            #    flat list scheduled by last cycle's response grants),
-            #    then service completions.
-            resolving = resolve
-            resolve = None
-            if resolving is not None:
-                # The response grant that scheduled the resolve freed a
-                # slot, and a stalled module finishes nothing - the push
-                # below can never overflow.
-                push_output(
-                    resolving,
-                    outq_len_flat[resolving],
-                    stalled_proc_flat[resolving],
-                    stalled_wait_flat[resolving] if collect else None,
-                    stalled_dur_flat[resolving] if collect_service else None,
-                )
-                stalled_flat[resolving] = False
-                pulled = resolving[inq_len_flat[resolving] > 0]
+            # 3. module events for this cycle: services finishing now
+            #    move their requests to the output rings or stall on a
+            #    full one, and the stalls scheduled by last cycle's
+            #    response grants resolve (that grant freed a slot, and a
+            #    stalled module finishes nothing, so the push never
+            #    overflows).  Each pushing module pulls its next input.
+            finished = (svc_finish_flat == cycle).nonzero()[0]
+            if finished.size:
+                space = outq_len_flat[finished] < capacity_flat[finished]
+                stalled_flat[finished] = ~space
+                pushed = finished[space]
+            else:
+                pushed = finished
+            if resolve is not None:
+                stalled_flat[resolve] = False
+                pushed = concatenate((resolve, pushed))
+                resolve = None
+            if pushed.size:
+                tail = outq_tail[pushed]
+                outq_ring_flat[tail] = svc_proc_flat[pushed]
+                outq_tail[pushed] = outq_next[tail]
+                if track_ready:
+                    outq_ready_flat[tail] = cycle + 1
+                    newly_headed = pushed[outq_len_flat[pushed] == 0]
+                    head_ready_flat[newly_headed] = cycle + 1
+                if collect:
+                    outq_wait_flat[tail] = svc_wait_flat[pushed]
+                    if collect_service:
+                        outq_dur_flat[tail] = svc_dur_flat[pushed]
+                outq_len_flat[pushed] += 1
+                queued = inq_len_flat[pushed] > 0
+                engaged_flat[pushed] = queued
+                pulled = pushed[queued]
                 if pulled.size:
-                    pull_input(pulled)
-            flat = nonzero(svc_finish_flat == cycle)[0]
-            if flat.size:
-                svc_active_flat[flat] = False
-                length = outq_len_flat[flat]
-                space = length < capacity_rows[flat % fleet]
-                free = flat[space]
-                if free.size:
-                    push_output(
-                        free,
-                        length[space],
-                        svc_proc_flat[free],
-                        svc_wait_flat[free] if collect else None,
-                        svc_dur_flat[free] if collect_service else None,
+                    head = inq_head[pulled]
+                    procs = inq_ring_flat[head]
+                    inq_head[pulled] = inq_next[head]
+                    inq_len_flat[pulled] -= 1
+                    start_service(
+                        pulled,
+                        procs,
+                        pulled % fleet if geometric else None,
                     )
-                    pulled = free[inq_len_flat[free] > 0]
-                    if pulled.size:
-                        pull_input(pulled)
-                full = flat[~space]
-                if full.size:
-                    stalled_flat[full] = True
-                    stalled_proc_flat[full] = svc_proc_flat[full]
-                    if collect:
-                        stalled_wait_flat[full] = svc_wait_flat[full]
-                        if collect_service:
-                            stalled_dur_flat[full] = svc_dur_flat[full]
 
             # 4. the granted transfer completes at the end of the cycle.
-            if any_request:
-                grant_rows = nonzero(do_request)[0]
-                lanes = request_winner[grant_rows]
-                flat_lane = lanes * fleet + grant_rows
-                flat_mod = target_gidx_flat[flat_lane]
+            if request_rows.size:
+                target = target_gidx_flat[flat_lane]
                 requesting_flat[flat_lane] = False
-                request_transfers[grant_rows] += 1
                 # Post-event module state decides direct service vs
                 # input buffering, exactly like the exact kernels.
-                idle = ~(svc_active_flat[flat_mod] | stalled_flat[flat_mod])
-                idle_flat = flat_mod[idle]
-                if idle_flat.size:
-                    svc_active_flat[idle_flat] = True
-                    svc_proc_flat[idle_flat] = lanes[idle]
-                    idle_rows = grant_rows[idle]
-                    if geometric:
-                        duration = r_rows[idle_rows].copy()
-                        geo = geom_rows[idle_rows]
-                        if geo.any():
-                            geo_rows = idle_rows[geo]
-                            u_access = access_take_rows(geo_rows)
-                            duration[geo] = (
-                                np.log1p(-u_access)
-                                / log_access_rows[geo_rows]
-                            ).astype(np.int64) + 1
-                    else:
-                        duration = r_rows[idle_rows]
-                    svc_finish_flat[idle_flat] = cycle + duration
-                    if collect:
-                        svc_wait_flat[idle_flat] = cycle - issue_flat[
-                            flat_lane[idle]
-                        ]
-                        if collect_service:
-                            svc_dur_flat[idle_flat] = duration
-                queued = ~idle
-                queue_mod = flat_mod[queued]
+                busy = engaged_flat[target]
+                engaged_flat[target] = True
+                idle = ~busy
+                idle_mod = target[idle]
+                if idle_mod.size:
+                    start_service(
+                        idle_mod,
+                        flat_lane[idle],
+                        request_rows[idle] if geometric else None,
+                    )
+                queue_mod = target[busy]
                 if queue_mod.size:
-                    d = depth_rows[grant_rows[queued]]
-                    slot = inq_head[queue_mod] + inq_len_flat[queue_mod]
-                    slot = where(slot >= d, slot - d, slot)
-                    inq_ring_flat[slot * flat_modules + queue_mod] = lanes[
-                        queued
-                    ]
+                    tail = inq_tail[queue_mod]
+                    inq_ring_flat[tail] = flat_lane[busy]
+                    inq_tail[queue_mod] = inq_next[tail]
                     inq_len_flat[queue_mod] += 1
-            if any_response:
-                grant_rows = nonzero(do_response)[0]
-                flat_mod = response_winner[grant_rows] * fleet + grant_rows
+            if response_rows.size:
                 head = outq_head[flat_mod]
-                ring_index = head * flat_modules + flat_mod
-                procs = outq_ring_flat[ring_index]
-                new_length = outq_len_flat[flat_mod] - 1
-                outq_len_flat[flat_mod] = new_length
-                head += 1
-                cap = capacity_rows[grant_rows]
-                head = where(head >= cap, head - cap, head)
-                outq_head[flat_mod] = head
+                procs = outq_ring_flat[head]
+                following = outq_next[head]
+                outq_head[flat_mod] = following
+                outq_len_flat[flat_mod] -= 1
                 if track_ready:
-                    head_ready_flat[flat_mod] = where(
-                        new_length > 0,
-                        outq_ready_flat[head * flat_modules + flat_mod],
+                    head_ready_flat[flat_mod] = np.where(
+                        outq_len_flat[flat_mod] > 0,
+                        outq_ready_flat[following],
                         _NEVER,
                     )
-                wait = outq_wait_flat[ring_index] if collect else None
-                service = (
-                    outq_dur_flat[ring_index] if collect_service else None
-                )
-                flat_lane = procs * fleet + grant_rows
                 self._complete_responses(
-                    grant_rows, procs, flat_lane, cycle, wait, service
+                    response_rows,
+                    procs,
+                    cycle,
+                    outq_wait_flat[head] if collect else None,
+                    outq_dur_flat[head] if collect_service else None,
                 )
-                if all_p1:
-                    pending = flat_lane
-                resolving_next = flat_mod[stalled_flat[flat_mod]]
-                if resolving_next.size:
+                resolving = flat_mod[stalled_flat[flat_mod]]
+                if resolving.size:
                     # Stalled modules resolve exactly one cycle after
                     # the response grant that freed their slot.
-                    resolve = resolving_next
+                    resolve = resolving
             cycle += 1
         self.cycle = cycle
-        self._pending_flat = pending
         self._resolve_flat = resolve
 
     def run(
