@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+import threading
 import time
 from typing import Any, Sequence
 
@@ -48,7 +49,11 @@ from repro.scenarios.compiler import WorkUnit, compile_specs
 from repro.scenarios.execute import UnitResult, result_from_metrics
 from repro.scenarios.spec import ScenarioSpec
 from repro.service import protocol
-from repro.service.transports import LocalWorkers, WorkerTransport
+from repro.service.transports import (
+    LocalWorkers,
+    PipeTransport,
+    WorkerTransport,
+)
 
 DEFAULT_DEADLINE = 300.0
 """Seconds a lease may run before its worker is declared failed."""
@@ -57,8 +62,10 @@ DEFAULT_MAX_RETRIES = 3
 """Times one position may be re-leased before the sweep aborts."""
 
 POLL_INTERVAL = 0.02
-"""Seconds the coordinator sleeps when a pass over its workers made no
-progress."""
+"""Longest wait, in seconds, of a pass over the workers that made no
+progress.  A message from a pipe worker, or the end of its output,
+ends the wait at once; the interval only bounds how long deadline and
+liveness checks can lag."""
 
 
 @dataclasses.dataclass
@@ -177,8 +184,17 @@ class Coordinator:
                 ]
             for worker in self._workers:
                 worker.transport.send(hello)
+        # Pipe workers' reader threads set this event on every message
+        # and when a worker's output ends, so an idle pass waits only
+        # until something happens.  In-process transports answer
+        # during send() and need no event.
+        wakeup = threading.Event()
+        for worker in self._workers:
+            if isinstance(worker.transport, PipeTransport):
+                worker.transport.wakeup = wakeup
         try:
             while not self._finished():
+                wakeup.clear()
                 progressed = self._drain_messages()
                 self._retire_dead_workers()
                 self._expire_leases()
@@ -192,7 +208,7 @@ class Coordinator:
                         f"unit(s) outstanding"
                     )
                 if not progressed:
-                    time.sleep(POLL_INTERVAL)
+                    wakeup.wait(POLL_INTERVAL)
         finally:
             for worker in self._workers:
                 if worker.state != "dead":

@@ -76,7 +76,10 @@ class PipeTransport:
     text ends of the peer's output and input.  The peer counts as alive
     until its output reaches EOF, which it does when the peer exits.
     The reader thread starts only in :meth:`start`, so a caller can
-    fork every peer before any thread exists.
+    fork every peer before any thread exists.  The reader sets
+    :attr:`wakeup`, when one is attached, after each message it queues
+    and once more when the peer's output ends, so a coordinator can
+    wait on the event instead of polling.
     """
 
     def __init__(self, process, reader, writer, name="worker"):
@@ -86,6 +89,7 @@ class PipeTransport:
         self._stdin = writer
         self._inbox: queue.Queue[dict[str, Any]] = queue.Queue()
         self._closed = False
+        self.wakeup: threading.Event | None = None
         self._reader = threading.Thread(
             target=self._drain_stdout, name=f"{name}-reader", daemon=True
         )
@@ -95,20 +99,30 @@ class PipeTransport:
         self._reader.start()
 
     def _drain_stdout(self) -> None:
-        for line in self._stdout:
-            if not line.strip():
-                continue
-            try:
-                self._inbox.put(protocol.decode_message(line))
-            except ReproError:
-                # A corrupt line means a broken worker; surface it as a
-                # protocol error message so the coordinator retires the
-                # worker instead of hanging.
-                self._inbox.put(
-                    protocol.error_message(
-                        f"undecodable worker output: {line[:200]!r}"
+        try:
+            for line in self._stdout:
+                if not line.strip():
+                    continue
+                try:
+                    self._inbox.put(protocol.decode_message(line))
+                except ReproError:
+                    # A corrupt line means a broken worker; surface it
+                    # as a protocol error message so the coordinator
+                    # retires the worker instead of hanging.
+                    self._inbox.put(
+                        protocol.error_message(
+                            f"undecodable worker output: {line[:200]!r}"
+                        )
                     )
-                )
+                self._wake()
+        finally:
+            # A dead worker wakes the coordinator too.
+            self._wake()
+
+    def _wake(self) -> None:
+        wakeup = self.wakeup
+        if wakeup is not None:
+            wakeup.set()
 
     # ------------------------------------------------------------------
     def send(self, message: Mapping[str, Any]) -> None:

@@ -241,3 +241,26 @@ def test_one_worker_per_lease_and_a_spare_beside_a_lone_lease(
     results = run_scenario(_SPEC, workers=workers, lease_size=lease_size)
     assert len(forks) == forked
     assert render_report(results) == render_report(run_scenario(_SPEC))
+
+
+def test_the_coordinator_wakes_when_a_message_arrives(monkeypatch):
+    """The coordinator waits on its forked workers' messages, not on a
+    fixed poll: with a 30 s poll interval, the handshake, the lease and
+    its results still flow at once, and the bytes hold."""
+    from repro.service import coordinator
+
+    monkeypatch.setattr(coordinator, "POLL_INTERVAL", 30.0)
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    started = time.monotonic()
+    served = render_report(run_scenario(_SPEC, workers=2))
+    elapsed = time.monotonic() - started
+    assert len(forks) == 2
+    assert elapsed < 10.0
+    assert served == render_report(run_scenario(_SPEC))
