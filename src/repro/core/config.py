@@ -152,11 +152,17 @@ class SystemConfig:
         return dataclasses.replace(self, buffered=False, buffer_depth=1)
 
     def describe(self) -> str:
-        """One-line human-readable summary, used by reports and examples."""
+        """One-line human-readable summary, used by reports and examples.
+
+        The tie-break shows only when it is not the paper's random one,
+        so every random-tie summary reads as it always has.
+        """
         buffering = (
             f"buffered(depth={self.buffer_depth})" if self.buffered else "unbuffered"
         )
+        tie = "" if self.tie_break is TieBreak.RANDOM else f" tie={self.tie_break}"
         return (
             f"n={self.processors} m={self.memories} r={self.memory_cycle_ratio} "
             f"p={self.request_probability:g} priority={self.priority} {buffering}"
+            f"{tie}"
         )

@@ -133,3 +133,11 @@ class TestCopies:
     def test_describe_buffered(self):
         text = SystemConfig(2, 2, 2).with_buffers(2).describe()
         assert "buffered(depth=2)" in text
+
+    def test_describe_names_only_the_non_default_tie_break(self):
+        random_tie = SystemConfig(3, 2, 2)
+        fcfs = dataclasses.replace(random_tie, tie_break=TieBreak.FCFS)
+        assert random_tie.describe() == (
+            "n=3 m=2 r=2 p=1 priority=processors unbuffered"
+        )
+        assert fcfs.describe() == f"{random_tie.describe()} tie=fcfs"
