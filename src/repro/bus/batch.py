@@ -11,10 +11,11 @@ in lockstep: one NumPy array program advances every row's machine
 through the same bus cycle at once, so the per-cycle interpreter cost is
 paid once per *fleet* instead of once per *run*.
 
-State is held in arrays shaped ``(fleet, n)`` (requesting masks, wake
-cycles, targets, issue stamps) and ``(fleet, m)`` (service countdowns,
-buffer occupancy, output slots); arbitration is a masked argmin/argmax
-per fleet row; memory completions are per-row countdown comparisons.
+State is held in arrays shaped ``(n, fleet)`` (requesting masks, wake
+cycles, targets, issue stamps) and ``(m, fleet)`` (service finish
+stamps, buffer occupancy, output queues); arbitration is one ranked
+pick (random tie-break) or masked argmin (FCFS) per fleet row; memory
+completions are comparisons of finish stamps with the cycle.
 
 **Reproducibility contract.**  The batch kernel is *not* bit-identical
 to the exact tier (the fast loop and the reference machine) -
@@ -72,10 +73,11 @@ namespace with no token bump (hypothesis-proven in
 ``tests/properties/test_fleet_packing.py``).
 
 **Buffered fast path.**  Input and output queues are circular-buffer
-index arrays (``(slots, m * fleet)`` rings plus per-module head/length
-counters), so a push or pop is a flat fancy-indexed scatter over the
-affected modules only - no per-cycle FIFO shifting - and stall
-bookkeeping travels through the same flat index lists.
+index arrays (``(slots, m * fleet)`` rings whose heads and tails are
+flat ring indices, advanced through precomputed next-slot tables), so
+a push or pop is a few flat gathers and scatters over the affected
+modules only - no per-cycle FIFO shifting - and stall bookkeeping
+travels through the same flat index lists.
 
 NumPy is imported when a kernel is built, so the exact kernels and the
 scenario coordinator never load it; the compile-time rules
