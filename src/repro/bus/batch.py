@@ -171,10 +171,11 @@ class _PhiloxLanes:
     def _reserve(self, count: int) -> None:
         """Make sure every row holds ``count`` more draws.
 
-        Runs out of the countdown only: rows past half their buffer (and
-        any that cannot serve ``count``) are topped up together, so the
-        test recurs about once per half buffer.  Refilling moves no
-        draw - each row still reads its stream in order.
+        Only when the countdown runs out does this test the rows: those
+        past half their buffer (and any that cannot serve ``count``)
+        are topped up together, so the test recurs about once per half
+        buffer.  Refilling moves no draw - each row still reads its
+        stream in order.
         """
         if self._slack >= count:
             self._slack -= count
@@ -837,9 +838,10 @@ class BatchBusKernel:
         total less it.  A row picks ``floor(u * count)`` over the top
         class if that holds a candidate and over the total otherwise,
         and the winner is the first lane whose running count exceeds
-        the pick: lanes of the empty top class all read 0.  This is the
-        same k-th candidate the per-class cumsum gave (counts are small
-        integers, exact in float32).
+        the pick: lanes of the empty top class all read 0.  That is the
+        k-th candidate of the row's granting class, the same one a
+        separate rank per class picks (counts are small integers, exact
+        in float32).
         """
         np = self._np
         add = np.add
