@@ -1006,7 +1006,6 @@ class BatchBusKernel:
         np = self._np
         logical_and = np.logical_and
         less = np.less
-        fleet = self._fleet
         all_p1 = self._all_p1
         collect = self._collect_latency
         collect_service = self._collect_service
