@@ -243,10 +243,14 @@ def test_one_worker_per_lease_and_a_spare_beside_a_lone_lease(
     assert render_report(results) == render_report(run_scenario(_SPEC))
 
 
-def test_the_coordinator_wakes_when_a_message_arrives(monkeypatch):
+@pytest.mark.parametrize("chaos_kill_after", [None, 1])
+def test_the_coordinator_wakes_when_a_message_arrives(
+    monkeypatch, chaos_kill_after
+):
     """The coordinator waits on its forked workers' messages, not on a
-    fixed poll: with a 30 s poll interval, the handshake, the lease and
-    its results still flow at once, and the bytes hold."""
+    fixed poll: with a 30 s poll interval, the handshake, the leases and
+    their results still flow at once, a worker killed mid-lease is
+    retired as soon as its output ends, and the bytes hold."""
     from repro.service import coordinator
 
     monkeypatch.setattr(coordinator, "POLL_INTERVAL", 30.0)
@@ -259,7 +263,11 @@ def test_the_coordinator_wakes_when_a_message_arrives(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     started = time.monotonic()
-    served = render_report(run_scenario(_SPEC, workers=2))
+    served = render_report(
+        run_scenario(
+            _SPEC, workers=2, lease_size=2, chaos_kill_after=chaos_kill_after
+        )
+    )
     elapsed = time.monotonic() - started
     assert len(forks) == 2
     assert elapsed < 10.0
